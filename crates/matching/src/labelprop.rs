@@ -459,7 +459,10 @@ mod tests {
         let s = weight_scores(&g);
         let mut scratch = MatchScratch::new();
         let out = match_labelprop_scratch(&g, &s, 1, &mut scratch);
-        assert!(out.degraded, "a round that commits changes is not converged");
+        assert!(
+            out.degraded,
+            "a round that commits changes is not converged"
+        );
         assert_eq!(out.rounds, 1);
         assert!(verify_matching(&g, &s, &out.matching).is_ok());
     }

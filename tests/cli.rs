@@ -188,7 +188,10 @@ fn list_kernels_json_inventories_the_registry() {
     // Every entry line carries both fields.
     let entries = stdout.matches("\"name\": ").count();
     assert_eq!(entries, stdout.matches("\"description\": ").count());
-    assert!(entries >= 13, "expected full registry, got {entries} entries");
+    assert!(
+        entries >= 13,
+        "expected full registry, got {entries} entries"
+    );
 }
 
 #[test]
@@ -216,7 +219,15 @@ fn detect_matcher_flag_selects_registry_backends() {
     let dir = tmpdir("matcher-flag");
     let graph = dir.join("planted.bin");
     assert!(bin()
-        .args(["gen", "planted", "--vertices", "512", "--communities", "8", "-o"])
+        .args([
+            "gen",
+            "planted",
+            "--vertices",
+            "512",
+            "--communities",
+            "8",
+            "-o"
+        ])
         .arg(&graph)
         .output()
         .unwrap()
@@ -247,7 +258,10 @@ fn detect_matcher_flag_selects_registry_backends() {
             String::from_utf8_lossy(&out.stderr)
         );
         let stdout = String::from_utf8_lossy(&out.stdout);
-        assert!(stdout.contains("communities:  8"), "--matcher {name}: {stdout}");
+        assert!(
+            stdout.contains("communities:  8"),
+            "--matcher {name}: {stdout}"
+        );
     }
     // Unknown names are a usage error that lists the registry.
     let out = bin()
@@ -316,7 +330,15 @@ fn gen_planted_writes_graph_and_ground_truth() {
     assert_eq!(out.status.code(), Some(2));
     // Degenerate planted parameters are rejected, not asserted on.
     let out = bin()
-        .args(["gen", "planted", "--vertices", "4", "--communities", "8", "-o"])
+        .args([
+            "gen",
+            "planted",
+            "--vertices",
+            "4",
+            "--communities",
+            "8",
+            "-o",
+        ])
         .arg(&graph)
         .output()
         .unwrap();

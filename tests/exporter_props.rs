@@ -101,10 +101,7 @@ fn prometheus_output_is_independent_of_label_registration_order() {
         reg_ab.inc(ca, seed % 97);
         reg_ba.inc(cb, seed % 97);
         assert_eq!(prometheus_text(&reg_ab), prometheus_text(&reg_ba));
-        assert_eq!(
-            metrics_json(&reg_ab, "l", 0),
-            metrics_json(&reg_ba, "l", 0)
-        );
+        assert_eq!(metrics_json(&reg_ab, "l", 0), metrics_json(&reg_ba, "l", 0));
     });
 }
 
@@ -125,7 +122,10 @@ fn prometheus_never_emits_a_non_finite_sample() {
         reg.observe(h, poison);
         reg.observe(h, (seed % 1000) as f64);
         let text = prometheus_text(&reg);
-        for line in text.lines().filter(|l| !l.starts_with('#') && !l.is_empty()) {
+        for line in text
+            .lines()
+            .filter(|l| !l.starts_with('#') && !l.is_empty())
+        {
             let value = line.rsplit(' ').next().unwrap();
             let parsed: f64 = value
                 .parse()
@@ -149,7 +149,12 @@ fn json_document_quotes_balance_under_hostile_labels() {
         // are balanced, raw newlines appear only at the pretty-printer's
         // line breaks (never mid-string), and no NaN/Infinity literal
         // sneaks in (strict JSON has none).
-        assert_eq!(count_unescaped_quotes(&doc) % 2, 0, "unbalanced quotes in {}", doc);
+        assert_eq!(
+            count_unescaped_quotes(&doc) % 2,
+            0,
+            "unbalanced quotes in {}",
+            doc
+        );
         assert!(!doc.contains("NaN") && !doc.contains("Infinity"));
         for line in doc.lines() {
             assert_eq!(

@@ -8,9 +8,7 @@
 
 use parcomm::core::refine::refine;
 use parcomm::gen::{rmat_graph, sbm_graph, RmatParams, SbmParams};
-use parcomm::metrics::{
-    adjusted_rand_index, modularity, normalized_mutual_information,
-};
+use parcomm::metrics::{adjusted_rand_index, modularity, normalized_mutual_information};
 use parcomm::prelude::*;
 
 /// Every matcher in the kernel registry, spelled as `MatcherKind` so a

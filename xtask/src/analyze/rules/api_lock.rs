@@ -39,15 +39,13 @@ pub(crate) const HEADER: &str = "\
 /// Library sources contribute to the API snapshot; binaries, tests,
 /// examples and xtask do not.
 pub(crate) fn in_scope(rel: &str) -> bool {
-    let lib = (rel.starts_with("crates/") && rel.contains("/src/"))
-        || rel.starts_with("src/");
+    let lib = (rel.starts_with("crates/") && rel.contains("/src/")) || rel.starts_with("src/");
     lib && !rel.contains("/bin/")
 }
 
 /// Item keywords that can follow `pub` (after modifiers).
 const ITEM_KINDS: &[&str] = &[
-    "fn", "struct", "enum", "trait", "mod", "const", "static", "type", "use", "union",
-    "macro",
+    "fn", "struct", "enum", "trait", "mod", "const", "static", "type", "use", "union", "macro",
 ];
 
 /// Modifiers allowed between `pub` and the item keyword.
@@ -67,7 +65,10 @@ fn crate_and_module(rel: &str) -> (String, String) {
         let (dir, tail) = rest.split_once("/src/").unwrap_or((rest, ""));
         (format!("pcd-{dir}"), tail)
     } else {
-        ("parcomm".to_string(), rel.strip_prefix("src/").unwrap_or(rel))
+        (
+            "parcomm".to_string(),
+            rel.strip_prefix("src/").unwrap_or(rel),
+        )
     };
     let mut segments: Vec<&str> = tail.split('/').collect();
     if let Some(last) = segments.last_mut() {
@@ -206,11 +207,7 @@ fn pub_item(ctx: &FileCtx, p: usize) -> Option<(String, String, usize, bool)> {
     // `pub const NAME` is disambiguated by what follows: a kind keyword
     // means `const` was a modifier only if the *next* token is `fn`.
     while MODIFIERS.contains(&ctx.text(*code.get(q)?)) {
-        if ctx.text(code[q]) == "const"
-            && code
-                .get(q + 1)
-                .is_some_and(|&n| ctx.text(n) != "fn")
-        {
+        if ctx.text(code[q]) == "const" && code.get(q + 1).is_some_and(|&n| ctx.text(n) != "fn") {
             break; // it's a `pub const NAME: …` item
         }
         q += 1;
@@ -313,10 +310,7 @@ pub(crate) fn diff(lock_path: &Path, entries: &[String], out: &mut Vec<Violation
             ),
         });
     }
-    for removed in locked
-        .iter()
-        .filter(|l| !entries.iter().any(|e| e == *l))
-    {
+    for removed in locked.iter().filter(|l| !entries.iter().any(|e| e == *l)) {
         out.push(Violation {
             file: lock_name.clone(),
             line: 0,
