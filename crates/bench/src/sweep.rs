@@ -9,6 +9,7 @@ use pcd_util::pool::with_threads;
 use pcd_util::timing::{RunStats, Timer};
 
 /// One point of a scaling sweep.
+#[derive(Debug)]
 pub struct SweepPoint {
     pub threads: usize,
     pub secs: RunStats,

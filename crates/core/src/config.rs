@@ -148,7 +148,7 @@ pub struct Config {
     /// bit-identical results (see [`Budget`]).
     pub budget: Budget,
     /// Route [`crate::detect`]/[`crate::try_detect`] through the
-    /// WCC-sharded pipeline ([`crate::detect_sharded`]): decompose into
+    /// WCC-sharded pipeline ([`crate::shard`]): decompose into
     /// connected components, detect each across worker threads with warm
     /// per-worker engines, merge deterministically. Off by default; a
     /// single-component graph takes the exact unsharded path either way
@@ -286,7 +286,7 @@ impl Config {
     /// Enables or disables WCC-sharded detection (off by default): the
     /// detect entry points decompose the graph into connected components,
     /// run them concurrently on warm per-worker engines, and merge the
-    /// results deterministically (see [`crate::detect_sharded`]).
+    /// results deterministically (see [`crate::shard`]).
     pub fn with_sharding(mut self, on: bool) -> Self {
         self.sharding = on;
         self

@@ -1,19 +1,19 @@
 //! One-shot entry points for the agglomerative main loop (§III).
 //!
-//! The loop itself lives in [`crate::engine`]; [`detect`] and
-//! [`try_detect`] reach it through the [`crate::shard`] pipeline — the
-//! single caller of the level loop for the one-shot family. With
-//! [`Config::sharding`] off (the default) that pipeline constructs a
-//! throwaway [`crate::Detector`] per call, which resolves the
-//! configuration's kernel kinds through the trait registry
-//! ([`crate::kernel`]) and runs score → match → contract until a local
-//! maximum or an external criterion; with sharding on, connected
-//! components run concurrently on warm per-worker engines and merge
-//! deterministically. Callers running many detections keep a
+//! The loop itself lives in [`crate::engine`]. With [`Config::sharding`]
+//! off (the default), [`detect`] and [`try_detect`] construct a throwaway
+//! [`crate::Detector`] per call, which resolves the configuration's kernel
+//! kinds through the trait registry ([`crate::kernel`]) and runs score →
+//! match → contract until a local maximum or an external criterion; with
+//! sharding on, they go through the [`crate::shard`] pipeline, where
+//! connected components run concurrently on warm per-worker engines and
+//! merge deterministically. Callers running many detections keep a
 //! [`crate::Detector`] (or use [`crate::detect_many`]) to reuse its warm
 //! scratch arenas; outputs are bit-identical either way.
 
 use crate::config::Config;
+use crate::engine::Detector;
+use crate::observer::NoopObserver;
 use crate::result::DetectionResult;
 use crate::shard;
 use pcd_graph::Graph;
@@ -37,7 +37,12 @@ pub fn detect(graph: Graph, config: &Config) -> DetectionResult {
 /// phase, returning [`PcdError::InvariantViolation`] instead of producing
 /// a silently corrupt hierarchy.
 pub fn try_detect(graph: Graph, config: &Config) -> Result<DetectionResult, PcdError> {
-    shard::run(graph, config)
+    if config.sharding {
+        let (result, _) = shard::try_detect_sharded_observed(graph, config, || NoopObserver)?;
+        Ok(result)
+    } else {
+        Detector::new(config.clone())?.run(graph)
+    }
 }
 
 #[cfg(test)]

@@ -37,7 +37,7 @@ pub struct FaultPlan {
     /// [`crate::Budget`] deadline breach without timing races.
     pub stall_match_at_level: Option<(usize, u64)>,
     /// Panic at the top of the contract phase at this level — the
-    /// poisoned-engine drill for [`crate::detect_many_outcomes`]'s
+    /// poisoned-engine drill for [`crate::detect_many_observed`]'s
     /// isolation and [`crate::Detector::run_isolated`]'s rebuild path.
     pub panic_contract_at_level: Option<usize>,
 }

@@ -13,6 +13,7 @@ use pcd_matching::Matching;
 
 /// The paper's bucket-sort contraction, deterministic prefix-sum placement
 /// (§IV-C).
+#[derive(Debug)]
 pub struct Bucket;
 
 impl Contractor for Bucket {
@@ -38,6 +39,7 @@ impl Contractor for Bucket {
 
 /// Bucket-sort with the racy fetch-and-add placement the paper mentions
 /// but never timed.
+#[derive(Debug)]
 pub struct BucketFetchAdd;
 
 impl Contractor for BucketFetchAdd {
@@ -63,6 +65,7 @@ impl Contractor for BucketFetchAdd {
 
 /// Counting/radix-sort contraction: prefix-sum placement, cache-blocked
 /// scatter, per-row LSD counting accumulation (DESIGN.md §15).
+#[derive(Debug)]
 pub struct Radix;
 
 impl Contractor for Radix {
@@ -87,6 +90,7 @@ impl Contractor for Radix {
 }
 
 /// The 2011 linked-list hash-chain baseline.
+#[derive(Debug)]
 pub struct Linked;
 
 impl Contractor for Linked {
@@ -113,6 +117,7 @@ impl Contractor for Linked {
 }
 
 /// Sequential hash-map oracle.
+#[derive(Debug)]
 pub struct SequentialOracle;
 
 impl Contractor for SequentialOracle {

@@ -11,6 +11,7 @@ use pcd_matching::{
 /// The paper's improved unmatched-vertex-list matching (§IV-B). The only
 /// kernel governed by the watchdog `round_cap`; on expiry it degrades to
 /// the sequential completion and reports `degraded: true`.
+#[derive(Debug)]
 pub struct UnmatchedList;
 
 impl Matcher for UnmatchedList {
@@ -36,6 +37,7 @@ impl Matcher for UnmatchedList {
 
 /// The 2011 full-edge-sweep baseline. Statically bounded sweeps; ignores
 /// the watchdog cap and never degrades.
+#[derive(Debug)]
 pub struct EdgeSweep;
 
 impl Matcher for EdgeSweep {
@@ -66,6 +68,7 @@ impl Matcher for EdgeSweep {
 
 /// Sequential greedy (oracle / single-thread reference). One pass; ignores
 /// the watchdog cap and never degrades.
+#[derive(Debug)]
 pub struct SequentialGreedy;
 
 impl Matcher for SequentialGreedy {
@@ -96,6 +99,7 @@ impl Matcher for SequentialGreedy {
 /// Synchronous label propagation guiding the unmatched-list matching.
 /// The watchdog `round_cap` bounds the propagation rounds; expiry before
 /// convergence reports `degraded: true` through the usual channel.
+#[derive(Debug)]
 pub struct LabelProp;
 
 impl Matcher for LabelProp {
@@ -122,6 +126,7 @@ impl Matcher for LabelProp {
 /// Louvain-style synchronous move phase guiding the unmatched-list
 /// matching. The watchdog `round_cap` bounds the sweeps; expiry before
 /// convergence reports `degraded: true`.
+#[derive(Debug)]
 pub struct MoveMatcher;
 
 impl Matcher for MoveMatcher {

@@ -7,6 +7,7 @@ use crate::scorer::{score_all_into, ScoreContext};
 use pcd_graph::Graph;
 
 /// Change in Newman–Girvan modularity (the paper's primary metric).
+#[derive(Debug)]
 pub struct Modularity;
 
 impl Scorer for Modularity {
@@ -25,6 +26,7 @@ impl Scorer for Modularity {
 }
 
 /// Negated change in conductance (minimisation turned maximisation).
+#[derive(Debug)]
 pub struct Conductance;
 
 impl Scorer for Conductance {
@@ -43,6 +45,7 @@ impl Scorer for Conductance {
 }
 
 /// Raw edge weight — plain heavy-edge coarsening, a useful ablation.
+#[derive(Debug)]
 pub struct HeavyEdge;
 
 impl Scorer for HeavyEdge {

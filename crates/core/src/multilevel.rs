@@ -10,11 +10,10 @@
 //! there, so coarse-grained moves (whole sub-communities) happen cheaply
 //! on small graphs and fine-grained fixes on the original.
 
-use crate::engine::Detector;
 use crate::refine::refine;
-use crate::{Config, DetectionResult};
-use pcd_graph::Graph;
-use pcd_spmat::contract_spgemm;
+use crate::DetectionResult;
+use pcd_contract::{contract_map_into, ContractScratch};
+use pcd_graph::{Graph, GraphParts};
 use pcd_util::par;
 use pcd_util::VertexId;
 
@@ -30,29 +29,11 @@ pub struct MultilevelOutcome {
     pub q_trajectory: Vec<f64>,
 }
 
-/// Runs detection with recorded levels, then refines the partition at
-/// every level of the dendrogram from coarse to fine.
+/// Refines a recorded-level result (run detection with
+/// [`crate::Config::with_recorded_levels`]) over its dendrogram, from the
+/// coarsest level down to `original`.
 ///
 /// `sweeps_per_level` bounds the local-move sweeps at each level.
-pub fn detect_multilevel(
-    graph: Graph,
-    config: &Config,
-    sweeps_per_level: usize,
-) -> (DetectionResult, MultilevelOutcome) {
-    let mut cfg = config.clone();
-    cfg.record_levels = true;
-    let original = graph.clone();
-    // Same panic semantics as `detect`, routed through the engine so the
-    // kernel kinds resolve once for the whole V-cycle's base detection.
-    let result = Detector::new(cfg)
-        .and_then(|mut det| det.run(graph))
-        // analyze: allow(panic, reason = "documented detect-style panic semantics (see comment above)")
-        .unwrap_or_else(|e| panic!("community detection failed: {e}"));
-    let outcome = refine_multilevel(&original, &result, sweeps_per_level);
-    (result, outcome)
-}
-
-/// Refines an existing recorded-level result over its dendrogram.
 pub fn refine_multilevel(
     original: &Graph,
     result: &DetectionResult,
@@ -64,22 +45,26 @@ pub fn refine_multilevel(
     let coarse_n = result.num_communities;
     let mut part_at_level: Vec<VertexId> = (0..coarse_n as u32).collect();
     let mut q_trajectory = Vec::with_capacity(depth + 1);
+    let mut scratch = ContractScratch::new();
 
     // Walk levels from coarsest (k = depth) down to the original (k = 0).
     for k in (0..=depth).rev() {
         // Vertices of level k are communities after k contractions; the
-        // graph at level k is the aggregation of the original by the
-        // level-k assignment.
-        let level_assignment = result.assignment_at_level(k);
-        let num_level_vertices = if k == depth {
-            coarse_n
-        } else {
-            level_count(&level_assignment)
-        };
+        // graph at level k aggregates the original by the level-k
+        // assignment (§VI's SᵀAS, computed as one map contraction).
+        let num_level_vertices = result.level_maps.get(k).map_or(coarse_n, Vec::len);
+        let contracted;
         let level_graph = if k == 0 {
-            original.clone()
+            original
         } else {
-            contract_spgemm(original, &level_assignment, num_level_vertices)
+            contracted = contract_map_into(
+                original,
+                &result.assignment_at_level(k),
+                num_level_vertices,
+                &mut scratch,
+                GraphParts::default(),
+            );
+            &contracted
         };
         // Project the running partition onto this level's vertices: at the
         // coarsest it is the identity; at finer levels each vertex
@@ -88,7 +73,7 @@ pub fn refine_multilevel(
             let map = &result.level_maps[k]; // level-k vertex -> level-k+1 vertex
             part_at_level = par::map(num_level_vertices, |v| part_at_level[map[v] as usize]);
         }
-        let refined = refine(&level_graph, &part_at_level, sweeps_per_level);
+        let refined = refine(level_graph, &part_at_level, sweeps_per_level);
         part_at_level = refined.assignment;
         q_trajectory.push(refined.q_after);
     }
@@ -101,25 +86,24 @@ pub fn refine_multilevel(
     }
 }
 
-fn level_count(assignment: &[VertexId]) -> usize {
-    assignment
-        .iter()
-        .copied()
-        .max()
-        .map_or(0, |x| x as usize + 1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::detect;
+    use crate::{detect, Config};
+
+    /// Detection with recorded levels, then the V-cycle over them.
+    fn detect_multilevel(g: Graph, sweeps: usize) -> (DetectionResult, MultilevelOutcome) {
+        let r = detect(g.clone(), &Config::default().with_recorded_levels());
+        let ml = refine_multilevel(&g, &r, sweeps);
+        (r, ml)
+    }
 
     #[test]
     fn multilevel_never_hurts() {
         for seed in [2u64, 13] {
             let g = pcd_gen::rmat_graph(&pcd_gen::RmatParams::paper(10, seed));
             let plain = detect(g.clone(), &Config::default());
-            let (_, ml) = detect_multilevel(g.clone(), &Config::default(), 5);
+            let (_, ml) = detect_multilevel(g.clone(), 5);
             let q_ml = pcd_metrics::modularity(&g, &ml.assignment);
             assert!(
                 q_ml >= plain.modularity - 1e-9,
@@ -137,7 +121,7 @@ mod tests {
         let g = pcd_gen::rmat_graph(&pcd_gen::RmatParams::paper(10, 5));
         let plain = detect(g.clone(), &Config::default());
         let flat = crate::refine::refine(&g, &plain.assignment, 5);
-        let (_, ml) = detect_multilevel(g.clone(), &Config::default(), 5);
+        let (_, ml) = detect_multilevel(g.clone(), 5);
         let q_ml = pcd_metrics::modularity(&g, &ml.assignment);
         // Multilevel explores strictly more moves than one flat pass.
         assert!(q_ml >= flat.q_after - 1e-6, "{q_ml} vs {}", flat.q_after);
@@ -146,7 +130,7 @@ mod tests {
     #[test]
     fn trajectory_length_matches_depth() {
         let g = pcd_gen::classic::clique_ring(6, 5);
-        let (r, ml) = detect_multilevel(g, &Config::default(), 3);
+        let (r, ml) = detect_multilevel(g, 3);
         assert_eq!(ml.q_trajectory.len(), r.level_maps.len() + 1);
         assert!(ml.num_communities >= 1);
     }
@@ -156,7 +140,7 @@ mod tests {
         // All-negative scores (clique ring fully merged is impossible at
         // size 2 cliques? use an edgeless graph): detection does nothing.
         let g = Graph::empty(4);
-        let (r, ml) = detect_multilevel(g, &Config::default(), 2);
+        let (r, ml) = detect_multilevel(g, 2);
         assert!(r.levels.is_empty());
         assert_eq!(ml.num_communities, 4);
         assert_eq!(ml.q_trajectory.len(), 1);

@@ -53,6 +53,7 @@ pub trait LevelObserver {
 }
 
 /// The default observer: every hook is a no-op.
+#[derive(Debug)]
 pub struct NoopObserver;
 
 impl LevelObserver for NoopObserver {}
@@ -63,6 +64,13 @@ impl LevelObserver for NoopObserver {}
 pub struct Tee<'a, 'b> {
     first: &'a mut dyn LevelObserver,
     second: &'b mut dyn LevelObserver,
+}
+
+impl std::fmt::Debug for Tee<'_, '_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // The two observers are opaque trait objects.
+        f.debug_struct("Tee").finish_non_exhaustive()
+    }
 }
 
 impl<'a, 'b> Tee<'a, 'b> {

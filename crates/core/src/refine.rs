@@ -16,7 +16,8 @@
 //! The expensive tally work happens in phase 1; phase 2 touches only the
 //! few vertices whose frozen-state gain was positive.
 
-use pcd_graph::{Csr, Graph};
+use pcd_contract::{contract_map_into, ContractScratch};
+use pcd_graph::{Csr, Graph, GraphParts};
 use pcd_util::par;
 use pcd_util::{VertexId, Weight};
 use std::collections::HashMap;
@@ -139,21 +140,11 @@ fn best_move(
     best
 }
 
-/// Convenience: run agglomerative detection, then refinement, returning
-/// the refined result with a re-compacted assignment.
-pub fn detect_refined(
-    graph: Graph,
-    config: &crate::Config,
-    refine_sweeps: usize,
-) -> (crate::DetectionResult, Refinement) {
-    let original = graph.clone();
-    let result = crate::detect(graph, config);
-    refine_detected(&original, result, refine_sweeps)
-}
-
 /// Refines an already-computed detection of `original` (e.g. one produced
 /// by an observed [`crate::Detector`] run), folding the refined partition
-/// back into the result's assignment, counts, and quality fields.
+/// back into the result: assignment (re-compacted), counts, quality and
+/// the community graph, rebuilt from the refined assignment. `levels` and
+/// `level_maps` still describe the agglomeration that was refined.
 pub fn refine_detected(
     original: &Graph,
     mut result: crate::DetectionResult,
@@ -161,6 +152,13 @@ pub fn refine_detected(
 ) -> (crate::DetectionResult, Refinement) {
     let refinement = refine(original, &result.assignment, refine_sweeps);
     let (dense, k) = pcd_metrics::compact_labels(&refinement.assignment);
+    result.community_graph = contract_map_into(
+        original,
+        &dense,
+        k,
+        &mut ContractScratch::new(),
+        GraphParts::default(),
+    );
     result.assignment = dense;
     result.num_communities = k;
     result.modularity = refinement.q_after;
@@ -216,16 +214,27 @@ mod tests {
     }
 
     #[test]
-    fn detect_refined_improves_or_matches() {
-        let g = pcd_gen::rmat_graph(&pcd_gen::RmatParams::paper(10, 31));
-        let plain = crate::detect(g.clone(), &Config::default());
-        let (refined, refinement) = detect_refined(g, &Config::default(), 5);
-        assert!(refined.modularity >= plain.modularity - 1e-12);
-        assert_eq!(refinement.q_after, refined.modularity);
-        assert_eq!(
-            refined.community_vertex_counts.iter().sum::<u64>() as usize,
-            refined.assignment.len()
-        );
+    fn refine_detected_improves_or_matches() {
+        for seed in [1u64, 31] {
+            let g = pcd_gen::rmat_graph(&pcd_gen::RmatParams::paper(10, seed));
+            let plain = crate::detect(g.clone(), &Config::default());
+            let (refined, refinement) = refine_detected(&g, plain.clone(), 5);
+            assert!(refined.modularity >= plain.modularity - 1e-12);
+            assert_eq!(refinement.q_after, refined.modularity);
+            assert_eq!(
+                refined.community_vertex_counts.iter().sum::<u64>() as usize,
+                refined.assignment.len()
+            );
+            // The community graph describes the refined partition.
+            let cg = &refined.community_graph;
+            assert_eq!(cg.num_vertices(), refined.num_communities);
+            let q_graph = pcd_metrics::community_graph_modularity(cg);
+            assert!(
+                (q_graph - refined.modularity).abs() < 1e-9,
+                "seed {seed}: graph Q {q_graph} vs reported {}",
+                refined.modularity
+            );
+        }
     }
 
     #[test]

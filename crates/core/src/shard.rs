@@ -4,11 +4,11 @@
 //! Social graphs are disconnected, and the agglomerative level loop
 //! synchronizes every component at every phase barrier. This module
 //! decomposes the input into its weakly connected components
-//! ([`pcd_graph::subgraph::split_components`]), detects each component
-//! independently across worker threads with one warm [`Detector`] per
-//! worker (largest component first, [`Detector::run_isolated`]-style panic
-//! isolation), and recombines the per-component results into one
-//! [`DetectionResult`] indexed by original vertex ids.
+//! ([`pcd_graph::subgraph::split_components`]), detects the components
+//! as one [`detect_many_observed`] batch — one warm [`Detector`] per
+//! worker, largest component first, panic-isolated per component — and
+//! recombines the per-component results into one [`DetectionResult`]
+//! indexed by original vertex ids.
 //!
 //! Every merge decision is **input-order-deterministic**: components are
 //! ordered by their canonical representative (the smallest original vertex
@@ -17,13 +17,12 @@
 //! order, and observers/registries are folded in the same order. Nothing
 //! depends on the pool size or the completion schedule.
 //!
-//! This is also the *only* caller of the level loop for the one-shot
-//! detect family: [`crate::try_detect`] funnels through [`run`] with
-//! sharding off, so a single-component graph (or `sharding: false`) takes
-//! the exact pre-refactor path through one [`Detector`].
+//! [`crate::try_detect`] comes here when [`Config::sharding`] is on; a
+//! single-component graph still takes the exact unsharded path through
+//! one [`Detector`].
 
 use crate::config::Config;
-use crate::engine::Detector;
+use crate::engine::{detect_many_observed, Detector};
 use crate::observer::{LevelObserver, NoopObserver};
 use crate::result::{DetectionResult, LevelStats, StopReason, Termination};
 use pcd_graph::components::components;
@@ -60,45 +59,19 @@ impl ComponentOutcome {
     }
 }
 
-/// The single detection entry point behind [`crate::detect`] /
-/// [`crate::try_detect`]: routes through the sharded pipeline when
-/// [`Config::sharding`] is on, and through one [`Detector`] otherwise.
-pub(crate) fn run(graph: Graph, config: &Config) -> Result<DetectionResult, PcdError> {
-    if config.sharding {
-        try_detect_sharded(graph, config)
-    } else {
-        Detector::new(config.clone())?.run(graph)
-    }
-}
-
 /// Runs WCC-sharded community detection over `graph` under `config`,
-/// regardless of [`Config::sharding`] (calling this *is* the opt-in).
+/// regardless of [`Config::sharding`] (calling this *is* the opt-in),
+/// firing one observer (from `make_observer`) per engine-run component.
+/// The observers come back in component order so recorders can be folded
+/// deterministically (the pool size never shows). Trivial components (a
+/// single vertex with no weight) are synthesized without an engine run
+/// and contribute no observer.
 ///
-/// Panics on an invalid configuration or a failed component; callers that
-/// need structured errors use [`try_detect_sharded`], and callers that
-/// need per-component outcomes use [`detect_sharded_outcomes`].
-pub fn detect_sharded(graph: Graph, config: &Config) -> DetectionResult {
-    try_detect_sharded(graph, config)
-        // analyze: allow(panic, reason = "documented panicking twin of try_detect_sharded (see doc comment)")
-        .unwrap_or_else(|e| panic!("sharded community detection failed: {e}"))
-}
-
-/// Fallible [`detect_sharded`]: validates the configuration up front and
-/// returns the first failing component's error *in component order* (a
-/// deterministic choice), or the merged result when every component
-/// completes. See [`detect_sharded_outcomes`] to keep the survivors of a
-/// partial failure.
-pub fn try_detect_sharded(graph: Graph, config: &Config) -> Result<DetectionResult, PcdError> {
-    let (result, _observers) = try_detect_sharded_observed(graph, config, || NoopObserver)?;
-    Ok(result)
-}
-
-/// As [`try_detect_sharded`], firing one observer (from `make_observer`)
-/// per engine-run component, returned in component order so recorders can
-/// be folded deterministically (the pool size never shows). Trivial
-/// components (a single vertex with no weight) are synthesized without an
-/// engine run and contribute no observer. On error the partial recordings
-/// are discarded, mirroring [`Detector::run_isolated_observed`].
+/// Validates the configuration up front and returns the first failing
+/// component's error *in component order* (a deterministic choice), or
+/// the merged result when every component completes; on error the partial
+/// recordings are discarded. See [`detect_sharded_outcomes`] to keep the
+/// survivors of a partial failure.
 pub fn try_detect_sharded_observed<O, F>(
     graph: Graph,
     config: &Config,
@@ -114,25 +87,23 @@ where
     let label = components(&graph);
     let num_components = par::sum(nv, |v| usize::from(label[v] == v as VertexId));
     if num_components <= 1 {
-        // Exact pre-refactor path: one engine over the whole graph, no
-        // split, no merge — the decompose pass above is the only cost.
+        // Exact unsharded path: one engine over the whole graph, no split,
+        // no merge — the decompose pass above is the only cost.
         let mut observer = make_observer();
         let result = Detector::new(config.clone())?.run_observed(graph, &mut observer)?;
         return Ok((result, vec![observer]));
     }
     let split = split_by_labels(&graph, &label);
     drop(graph); // the parts own their storage now; release the parent
-    let ran = run_components(split.parts, config, &make_observer);
+    let ran = run_components(split.parts, config, &make_observer)?;
 
     let mut maps = Vec::with_capacity(ran.len());
     let mut results = Vec::with_capacity(ran.len());
     let mut observers = Vec::new();
-    for (old_of_new, outcome, observer) in ran {
-        if let Some(o) = observer {
-            observers.push(o);
-        }
-        maps.push(old_of_new);
-        results.push(outcome?);
+    for (component, observer) in ran {
+        observers.extend(observer);
+        maps.push(component.old_of_new);
+        results.push(component.outcome?);
     }
     let merged = merge_results(
         nv,
@@ -158,31 +129,28 @@ pub fn detect_sharded_outcomes(
     let label = components(&graph);
     let split = split_by_labels(&graph, &label);
     drop(graph);
-    Ok(run_components(split.parts, config, &|| NoopObserver)
+    Ok(run_components(split.parts, config, &|| NoopObserver)?
         .into_iter()
-        .map(|(old_of_new, outcome, _)| ComponentOutcome {
-            old_of_new,
-            outcome,
-        })
+        .map(|(component, _)| component)
         .collect())
 }
 
-/// Detect stage: runs every part across worker threads with one warm
-/// [`Detector`] per worker, largest component first (classic LPT
-/// scheduling — the longest-running shard starts earliest, minimizing the
-/// tail), panic-isolated per component. Trivial components (one vertex,
-/// zero weight) are synthesized without touching an engine when no budget
-/// is armed (an armed budget can breach even a trivial run — e.g.
+/// Detect stage: hands every part to [`detect_many_observed`] largest
+/// component first (classic LPT scheduling — the longest-running shard
+/// starts earliest, minimizing the tail), so each runs panic-isolated on
+/// a warm per-worker [`Detector`]. Trivial components (one vertex, zero
+/// weight) are synthesized without touching an engine when no budget is
+/// armed (an armed budget can breach even a trivial run — e.g.
 /// `max_levels: 0` or an expired deadline — so those go through the
 /// engine for bit-faithful termination reporting).
 ///
-/// Returns `(old_of_new, outcome, observer)` per part, in component
-/// order; synthesized parts carry no observer.
+/// Returns each part's outcome and observer in component order;
+/// synthesized parts carry no observer.
 fn run_components<O, F>(
     parts: Vec<ComponentPart>,
     config: &Config,
     make_observer: &F,
-) -> Vec<(Vec<VertexId>, Result<DetectionResult, PcdError>, Option<O>)>
+) -> Result<Vec<(ComponentOutcome, Option<O>)>, PcdError>
 where
     O: LevelObserver + Send,
     F: Fn() -> O + Sync,
@@ -201,40 +169,41 @@ where
         slots.push(Some(part.graph));
     }
     schedule.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-    let work: Vec<(usize, Graph)> = schedule
+    let work: Vec<Graph> = schedule
         .iter()
         // analyze: allow(panic, reason = "non-trivial slots were filled two loops above and taken exactly once")
-        .map(|&(_, i)| (i, slots[i].take().expect("slot filled above")))
+        .map(|&(_, i)| slots[i].take().expect("slot filled above"))
+        .collect();
+    let mut ran: Vec<Option<_>> = detect_many_observed(work, config, make_observer)?
+        .into_iter()
+        .map(Some)
         .collect();
 
-    let mut ran: Vec<(usize, Result<DetectionResult, PcdError>, O)> = par::map_init(
-        work,
-        // analyze: allow(panic, reason = "the config passed validate() before the detect stage started")
-        || Detector::new(config.clone()).expect("config validated by the caller"),
-        |detector, (i, g)| {
-            let mut observer = make_observer();
-            let outcome = detector.run_isolated_observed(g, &mut observer);
-            (i, outcome, observer)
-        },
-    );
-    // Workers finish in pool order; component order is the contract.
-    ran.sort_unstable_by_key(|&(i, _, _)| i);
-
-    let mut ran = ran.into_iter().peekable();
-    maps.into_iter()
-        .enumerate()
-        .map(|(i, old_of_new)| {
-            if ran.peek().is_some_and(|&(j, _, _)| j == i) {
-                // analyze: allow(panic, reason = "peek above proved the next element exists")
-                let (_, outcome, observer) = ran.next().expect("peeked");
-                (old_of_new, outcome, Some(observer))
-            } else {
-                // analyze: allow(panic, reason = "trivial slots are exactly those the schedule skipped")
-                let g = slots[i].take().expect("trivial slot untouched");
-                (old_of_new, Ok(trivial_result(g)), None)
-            }
+    // Runs come back in schedule order; component order is the contract.
+    let mut position = vec![0; maps.len()];
+    for (pos, &(_, i)) in schedule.iter().enumerate() {
+        position[i] = pos;
+    }
+    Ok(maps
+        .into_iter()
+        .zip(slots)
+        .zip(position)
+        .map(|((old_of_new, slot), pos)| {
+            let (outcome, observer) = match slot {
+                Some(g) => (Ok(trivial_result(g)), None),
+                None => {
+                    // analyze: allow(panic, reason = "each scheduled part ran once and is taken once, at its own position")
+                    let (outcome, observer) = ran[pos].take().expect("scheduled part ran");
+                    (outcome, Some(observer))
+                }
+            };
+            let component = ComponentOutcome {
+                old_of_new,
+                outcome,
+            };
+            (component, observer)
         })
-        .collect()
+        .collect())
 }
 
 /// What one [`Detector`] run produces on a single-vertex, zero-weight
@@ -521,6 +490,11 @@ mod tests {
         // vertex 3 isolated
     }
 
+    /// [`crate::detect`] with [`Config::sharding`] on.
+    fn detect_sharded(g: Graph, cfg: &Config) -> DetectionResult {
+        crate::detect(g, &cfg.clone().with_sharding(true))
+    }
+
     #[test]
     fn trivial_result_matches_an_engine_run() {
         let engine = Detector::new(Config::default())
@@ -569,7 +543,9 @@ mod tests {
     fn config_sharding_routes_detect() {
         let g = disconnected_graph();
         let via_flag = crate::detect(g.clone(), &Config::default().with_sharding(true));
-        let direct = detect_sharded(g.clone(), &Config::default());
+        // Calling the sharded entry point is the opt-in by itself.
+        let (direct, _) =
+            try_detect_sharded_observed(g.clone(), &Config::default(), || NoopObserver).unwrap();
         assert_eq!(via_flag.assignment, direct.assignment);
         assert_eq!(via_flag.modularity, direct.modularity);
         // Sharded and unsharded runs normalize scores differently (a
@@ -685,7 +661,7 @@ mod tests {
         use crate::budget::Budget;
         let g = disconnected_graph();
         let cfg = Config::default().with_budget(Budget::unarmed().with_max_levels(0).strict());
-        let err = try_detect_sharded(g, &cfg).unwrap_err();
+        let err = crate::try_detect(g, &cfg.with_sharding(true)).unwrap_err();
         assert!(err.to_string().contains("level"), "{err}");
     }
 

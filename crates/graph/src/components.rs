@@ -116,7 +116,6 @@ pub fn largest_component_label(label: &[VertexId]) -> (VertexId, usize) {
     sizes
         .into_iter()
         .max_by_key(|&(l, s)| (s, std::cmp::Reverse(l)))
-        .map(|(l, s)| (l, s))
         // analyze: allow(panic, reason = "documented contract: calling this on an empty labelling is a caller bug")
         .expect("empty graph has no components")
 }

@@ -272,8 +272,7 @@ pub fn read_metis<R: Read>(reader: R) -> Result<Graph, PcdError> {
     // data arrives.
     let mut edges: Vec<(VertexId, VertexId, Weight)> = Vec::with_capacity(ne.min(1 << 20));
     let mut total: Weight = 0;
-    let mut v: u32 = 0;
-    for item in lines {
+    for (v, item) in (0u32..).zip(lines) {
         let (lineno, line) = item?;
         if v as usize >= nv {
             return Err(PcdError::parse_at(
@@ -282,8 +281,7 @@ pub fn read_metis<R: Read>(reader: R) -> Result<Graph, PcdError> {
             ));
         }
         let mut it = line.split_whitespace();
-        loop {
-            let Some(tok) = it.next() else { break };
+        while let Some(tok) = it.next() {
             let u: u64 = tok
                 .parse()
                 .map_err(|_| PcdError::parse_at(lineno, "bad neighbour id"))?;
@@ -307,7 +305,6 @@ pub fn read_metis<R: Read>(reader: R) -> Result<Graph, PcdError> {
                 edges.push((v, u, wt));
             }
         }
-        v += 1;
     }
     builder::try_from_edges(nv, edges)
 }

@@ -304,11 +304,11 @@ impl Graph {
             if b > e || e > ne {
                 return Err(format!("bucket range of v{v} out of bounds: {b}..{e}"));
             }
-            for idx in b..e {
-                if covered[idx] {
+            for (idx, seen) in (b..e).zip(&mut covered[b..e]) {
+                if *seen {
                     return Err(format!("edge {idx} covered by two buckets"));
                 }
-                covered[idx] = true;
+                *seen = true;
                 if self.src[idx] as usize != v {
                     return Err(format!(
                         "edge {idx} in bucket of v{v} but src is {}",

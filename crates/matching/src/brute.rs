@@ -88,10 +88,10 @@ mod tests {
         // (1.5); optimum takes the outer pair (2.0).
         let g = pcd_gen::classic::path(4);
         let mut s = vec![1.0; g.num_edges()];
-        for e in 0..g.num_edges() {
+        for (e, score) in s.iter_mut().enumerate() {
             let (i, j, _) = g.edge(e);
             if (i.min(j), i.max(j)) == (1, 2) {
-                s[e] = 1.5;
+                *score = 1.5;
             }
         }
         assert_eq!(max_weight_matching_score(&g, &s), 2.0);

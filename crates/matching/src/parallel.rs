@@ -412,7 +412,7 @@ mod tests {
         assert!(verify_matching(&g, &s, &m).is_ok());
         // A path of 4 has a perfect matching of 2 edges under maximality +
         // greedy tie-breaks; at minimum it is maximal (>= 1 pair).
-        assert!(m.len() >= 1);
+        assert!(!m.is_empty());
         assert_eq!(unmatched_count(&m) + 2 * m.len(), 4);
     }
 
@@ -421,10 +421,10 @@ mod tests {
         let g = GraphBuilder::new(4).add_pairs([(0, 1), (2, 3)]).build();
         let mut s = uniform_scores(&g);
         // Zero out the (2,3) edge (stored (2,3) same parity -> bucket 2).
-        for e in 0..g.num_edges() {
+        for (e, score) in s.iter_mut().enumerate() {
             let (i, j, _) = g.edge(e);
             if (i.min(j), i.max(j)) == (2, 3) {
-                s[e] = 0.0;
+                *score = 0.0;
             }
         }
         let m = match_unmatched_list(&g, &s);
@@ -441,10 +441,10 @@ mod tests {
             .add_pairs([(0, 1), (1, 2), (0, 2)])
             .build();
         let mut s = vec![1.0; g.num_edges()];
-        for e in 0..g.num_edges() {
+        for (e, score) in s.iter_mut().enumerate() {
             let (i, j, _) = g.edge(e);
             if (i.min(j), i.max(j)) == (1, 2) {
-                s[e] = 5.0;
+                *score = 5.0;
             }
         }
         let m = match_unmatched_list(&g, &s);

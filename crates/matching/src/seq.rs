@@ -44,9 +44,9 @@ mod tests {
         let g = pcd_gen::classic::path(3); // edges 0-1, 1-2
         let mut s = vec![0.0; g.num_edges()];
         // Give the edge incident to vertex 2 the higher score.
-        for e in 0..g.num_edges() {
+        for (e, score) in s.iter_mut().enumerate() {
             let (i, j, _) = g.edge(e);
-            s[e] = if i.max(j) == 2 { 2.0 } else { 1.0 };
+            *score = if i.max(j) == 2 { 2.0 } else { 1.0 };
         }
         let m = match_sequential_greedy(&g, &s);
         assert_eq!(m.mate(1), Some(2));
@@ -83,9 +83,9 @@ mod tests {
         // brute-force optimum on a few small graphs.
         let g = pcd_gen::classic::path(4);
         let mut s = vec![0.0; g.num_edges()];
-        for e in 0..g.num_edges() {
+        for (e, score) in s.iter_mut().enumerate() {
             let (i, j, _) = g.edge(e);
-            s[e] = if (i.min(j), i.max(j)) == (1, 2) {
+            *score = if (i.min(j), i.max(j)) == (1, 2) {
                 2.0
             } else {
                 1.0

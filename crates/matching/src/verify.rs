@@ -61,10 +61,7 @@ pub fn verify_matching(g: &Graph, scores: &[f64], m: &Matching) -> Result<(), St
         ));
     }
     // 4. maximality.
-    for e in 0..g.num_edges() {
-        if scores[e] <= 0.0 {
-            continue;
-        }
+    for e in (0..g.num_edges()).filter(|&e| scores[e] > 0.0) {
         let (i, j, _) = g.edge(e);
         if m.mates()[i as usize] == NO_VERTEX && m.mates()[j as usize] == NO_VERTEX {
             return Err(format!("matching not maximal: edge {e} = ({i},{j}) free"));

@@ -5,19 +5,16 @@
 use pcd_util::VertexId;
 use std::collections::HashMap;
 
-/// Joint contingency counts between two assignments.
-fn contingency(
-    a: &[VertexId],
-    b: &[VertexId],
-) -> (
-    HashMap<(u32, u32), u64>,
-    HashMap<u32, u64>,
-    HashMap<u32, u64>,
-) {
+/// Occurrence counts keyed by label (or label pair).
+type Counts<K> = HashMap<K, u64>;
+
+/// Joint contingency counts between two assignments, plus each side's
+/// marginal counts.
+fn contingency(a: &[VertexId], b: &[VertexId]) -> (Counts<(u32, u32)>, Counts<u32>, Counts<u32>) {
     assert_eq!(a.len(), b.len());
-    let mut joint: HashMap<(u32, u32), u64> = HashMap::new();
-    let mut ma: HashMap<u32, u64> = HashMap::new();
-    let mut mb: HashMap<u32, u64> = HashMap::new();
+    let mut joint: Counts<(u32, u32)> = HashMap::new();
+    let mut ma: Counts<u32> = HashMap::new();
+    let mut mb: Counts<u32> = HashMap::new();
     for (&x, &y) in a.iter().zip(b.iter()) {
         *joint.entry((x, y)).or_insert(0) += 1;
         *ma.entry(x).or_insert(0) += 1;

@@ -23,10 +23,7 @@ pub mod registry;
 pub mod ring;
 
 pub use json::{metrics_json, trace_json};
-pub use observer::{
-    detect_many_outcomes_traced, detect_many_traced, detect_sharded_traced, TraceObserver,
-    DEFAULT_SPAN_CAPACITY,
-};
+pub use observer::{merge_runs, TraceObserver, DEFAULT_SPAN_CAPACITY};
 pub use prometheus::encode as prometheus_text;
 pub use registry::{
     decade_bounds, CounterId, CounterView, FamilyView, GaugeId, GaugeView, HistogramId,

@@ -598,7 +598,7 @@ fn cmd_detect(args: &[String]) -> Result<(), PcdError> {
     /// per-component registry on the sharded one.
     enum Recorded {
         None,
-        Observer(TraceObserver),
+        Observer(Box<TraceObserver>),
         Registry(parcomm::trace::Registry),
     }
 
@@ -608,7 +608,9 @@ fn cmd_detect(args: &[String]) -> Result<(), PcdError> {
         let original = (refine_sweeps > 0).then(|| g.clone());
         let (result, recorded) = if sharded {
             if tracing {
-                let (r, reg) = parcomm::trace::detect_sharded_traced(g, &config)?;
+                let (r, observers) =
+                    parcomm::core::try_detect_sharded_observed(g, &config, TraceObserver::new)?;
+                let reg = parcomm::trace::merge_runs(observers.iter().map(Ok));
                 (r, Recorded::Registry(reg))
             } else if progress {
                 // One Progress block per component engine run, folded in
@@ -631,7 +633,7 @@ fn cmd_detect(args: &[String]) -> Result<(), PcdError> {
                 (None, false) => engine.run(g)?,
             };
             match tracer {
-                Some(t) => (result, Recorded::Observer(t)),
+                Some(t) => (result, Recorded::Observer(Box::new(t))),
                 None => (result, Recorded::None),
             }
         };

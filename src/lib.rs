@@ -37,24 +37,20 @@ pub use pcd_gen as gen;
 pub use pcd_graph as graph;
 pub use pcd_matching as matching;
 pub use pcd_metrics as metrics;
-pub use pcd_spmat as spmat;
 pub use pcd_trace as trace;
 pub use pcd_util as util;
 
 /// The names most programs need.
 pub mod prelude {
     pub use pcd_core::{
-        detect, detect_many, detect_many_outcomes, detect_sharded, detect_sharded_outcomes,
-        try_detect, try_detect_sharded, Budget, CancelToken, ComponentOutcome, Config,
-        ContractorKind, Criterion, Detector, LevelObserver, MatcherKind, Paranoia, ScorerKind,
-        Termination,
+        detect, detect_many, detect_many_observed, detect_sharded_outcomes, try_detect,
+        try_detect_sharded_observed, Budget, CancelToken, ComponentOutcome, Config, ContractorKind,
+        Criterion, Detector, LevelObserver, MatcherKind, Paranoia, ScorerKind, Termination,
     };
     pub use pcd_graph::{Graph, GraphBuilder};
     pub use pcd_metrics::{coverage, modularity, normalized_mutual_information};
-    pub use pcd_trace::{
-        detect_many_outcomes_traced, detect_many_traced, detect_sharded_traced, TraceObserver,
-    };
+    pub use pcd_trace::{merge_runs, TraceObserver};
     pub use pcd_util::{PcdError, VertexId, Weight};
 }
 
-pub use pcd_core::{detect, detect_many, detect_sharded, Config, Detector};
+pub use pcd_core::{detect, detect_many, Config, Detector};

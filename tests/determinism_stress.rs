@@ -106,8 +106,15 @@ fn detect_many_traced_merge_identical_across_pools() {
         let graphs = graphs.clone();
         let cfg = cfg.clone();
         with_threads(threads, move || {
-            let (results, reg) = detect_many_traced(graphs, &cfg).expect("batch run");
-            let labels: Vec<_> = results.iter().map(|r| r.assignment.clone()).collect();
+            let runs = detect_many_observed(graphs, &cfg, TraceObserver::new).expect("batch run");
+            let reg = merge_runs(
+                runs.iter()
+                    .map(|(outcome, obs)| outcome.as_ref().map(|_| obs)),
+            );
+            let labels: Vec<_> = runs
+                .iter()
+                .map(|(outcome, _)| outcome.as_ref().expect("graph run").assignment.clone())
+                .collect();
             let mut counters: Vec<(String, u64)> = reg
                 .families()
                 .flat_map(|f| reg.counters_of(f.name))

@@ -2,7 +2,7 @@
 //! vertex reordering, community extraction, seed expansion, and the
 //! parallel Louvain baseline — all wired through the public facade.
 
-use parcomm::core::multilevel::detect_multilevel;
+use parcomm::core::multilevel::refine_multilevel;
 use parcomm::graph::extract::extract_communities;
 use parcomm::graph::reorder;
 use parcomm::prelude::*;
@@ -11,7 +11,8 @@ use parcomm::prelude::*;
 fn multilevel_improves_lfr_quality() {
     let lfr = parcomm::gen::lfr_graph(&parcomm::gen::LfrParams::benchmark(5_000, 0.3, 3));
     let plain = detect(lfr.graph.clone(), &Config::default());
-    let (_, ml) = detect_multilevel(lfr.graph.clone(), &Config::default(), 5);
+    let levels = detect(lfr.graph.clone(), &Config::default().with_recorded_levels());
+    let ml = refine_multilevel(&lfr.graph, &levels, 5);
     let q_plain = plain.modularity;
     let q_ml = parcomm::metrics::modularity(&lfr.graph, &ml.assignment);
     assert!(q_ml >= q_plain - 1e-9, "{q_ml} vs {q_plain}");
@@ -112,12 +113,19 @@ fn parallel_louvain_consistent_with_sequential_quality() {
 
 #[test]
 fn spgemm_contraction_usable_as_louvain_aggregation() {
-    // Aggregate an SBM by its planted truth via SpGEMM; detection on the
-    // aggregate should find very coarse structure quickly and modularity
-    // of the planted partition must be preserved by aggregation.
+    // Aggregate an SBM by its planted truth through the map contraction
+    // (the §VI product SᵀAS); detection on the aggregate should find very
+    // coarse structure quickly and modularity of the planted partition
+    // must be preserved by aggregation.
     let sbm = parcomm::gen::sbm_graph(&parcomm::gen::SbmParams::livejournal_like(2_000, 9));
     let (truth, k) = parcomm::metrics::compact_labels(&sbm.ground_truth);
-    let agg = parcomm::spmat::contract_spgemm(&sbm.graph, &truth, k);
+    let agg = parcomm::contract::contract_map_into(
+        &sbm.graph,
+        &truth,
+        k,
+        &mut parcomm::contract::ContractScratch::new(),
+        parcomm::graph::GraphParts::default(),
+    );
     let q_fine = parcomm::metrics::modularity(&sbm.graph, &truth);
     let q_coarse = parcomm::metrics::community_graph_modularity(&agg);
     assert!((q_fine - q_coarse).abs() < 1e-9);

@@ -6,7 +6,7 @@
 //! Compiled only under `--features fault-injection`.
 #![cfg(feature = "fault-injection")]
 
-use parcomm::core::FaultPlan;
+use parcomm::core::{FaultPlan, NoopObserver};
 use parcomm::prelude::*;
 use parcomm::util::Phase;
 
@@ -261,7 +261,11 @@ fn batch_panic_fails_exactly_the_graph_that_reaches_the_faulted_level() {
     };
     let mut graphs = vec![big];
     graphs.extend(smalls);
-    let outcomes = detect_many_outcomes(graphs, &cfg).unwrap();
+    let outcomes: Vec<_> = detect_many_observed(graphs, &cfg, || NoopObserver)
+        .unwrap()
+        .into_iter()
+        .map(|(outcome, _)| outcome)
+        .collect();
     assert_eq!(outcomes.len(), 3);
     assert!(
         outcomes[0]
@@ -285,7 +289,7 @@ fn batch_panic_fails_exactly_the_graph_that_reaches_the_faulted_level() {
         ..FaultPlan::default()
     };
     let graphs = vec![test_graph(), test_graph()];
-    for outcome in detect_many_outcomes(graphs, &all_fault).unwrap() {
+    for (outcome, _) in detect_many_observed(graphs, &all_fault, || NoopObserver).unwrap() {
         assert!(outcome
             .expect_err("every graph panics at level 1")
             .is_engine_poisoned());
@@ -357,12 +361,9 @@ fn sharded_panic_poisons_only_the_component_that_reaches_the_faulted_level() {
         assert_eq!(r.levels.len(), lone.levels.len());
     }
 
-    // The merged entry points surface the poisoning as a structured,
+    // The merged entry point surfaces the poisoning as a structured,
     // deterministic error (the first failing component in component
     // order) — never a propagated panic, and never a half-merged result.
-    let err = try_detect_sharded(union.clone(), &cfg).expect_err("merged run fails");
-    assert!(err.is_engine_poisoned());
-    let err =
-        try_detect(union, &cfg.clone().with_sharding(true)).expect_err("routed run fails too");
+    let err = try_detect(union, &cfg.clone().with_sharding(true)).expect_err("merged run fails");
     assert!(err.is_engine_poisoned());
 }

@@ -177,7 +177,11 @@ fn traced_registries_are_pool_size_independent() {
         .iter()
         .map(|&threads| {
             let (g, cfg) = (g.clone(), cfg.clone());
-            with_threads(threads, move || detect_sharded_traced(g, &cfg)).expect("traced run")
+            let (result, observers) = with_threads(threads, move || {
+                try_detect_sharded_observed(g, &cfg, TraceObserver::new)
+            })
+            .expect("traced run");
+            (result, merge_runs(observers.iter().map(Ok)))
         })
         .collect();
     let counter_sum = |reg: &parcomm::trace::Registry, name: &str| {

@@ -21,7 +21,6 @@ pub(crate) const UNSAFE_BUDGET: &[(&str, usize)] = &[
     ("crates/contract/src/radix.rs", 1),
     ("crates/graph/src/csr.rs", 1),
     ("crates/graph/src/reorder.rs", 1),
-    ("crates/spmat/src/csr_matrix.rs", 1),
     ("crates/util/src/alloc_stats.rs", 9),
     // The fork-join layer: disjoint chunk slices, ordered-collect
     // `set_len`, and moving coarse items out exactly once.
