@@ -1,95 +1,55 @@
-//! JSON benchmark gate for the zero-allocation level loop.
+//! The benchmark gate: every arm in one table, measured on pinned
+//! instances, gated in-process, and written as one JSON report.
 //!
-//! Runs end-to-end detection on pinned R-MAT and SBM instances across a
-//! set of thread counts, with five level-loop arms — scratch **reuse**
-//! (the default, retained arenas + graph ping-pong), **fresh** (the
-//! ablation that rebuilds every buffer each level), **observed**
-//! (reuse plus a full `pcd-trace` recorder attached, gating the
-//! observability layer's end-to-end overhead against the plain reuse
-//! arm), and **budgeted-unarmed** (reuse plus an armed but non-binding
-//! [`Budget`] — hour-long deadline, `usize::MAX` caps, a live cancel
-//! token nobody cancels — gating the budget sentinel's phase-boundary
-//! checks the same way), plus **contract-radix** (reuse with the
-//! radix-sort contraction kernel, whose contract-phase seconds `cargo
-//! xtask bench --min-contract-speedup` gates against the reuse arm's) —
-//! and writes a single machine-readable JSON report. Two sharding cells
-//! ride along: a **sharded** arm (the component-sharded pipeline behind
-//! `Config::with_sharding`) interleaved against plain reuse on a
-//! multi-component `union-*` instance (disjoint R-MAT + SBM union, where
-//! per-component engines can win) and on a connected `ring-*` instance
-//! (where sharding must take the single-component fast path and cost
-//! nothing — `cargo xtask bench --min-sharded-speedup` /
-//! `--max-sharded-overhead` gate the two cases by instance-name prefix).
-//! A batched section measures the engine's
-//! `detect_many` entry point (**batch-warm**: one long-lived [`Detector`]
-//! per worker thread, arenas stay warm across graphs) against a fresh
-//! engine per graph at the same width (**batch-cold**), so warm-arena
-//! reuse across independent inputs is a gated number. `cargo xtask bench`
-//! wraps this binary, validates the schema, and compares the report
-//! against the previous checked-in `BENCH_*.json` with a configurable
-//! regression threshold.
+//! [`ARMS`] is the whole harness. A row names an arm, the instances it
+//! runs on, what it changes against a default [`Detector`] run (a config
+//! delta, another entry point, or the trace recorder attached) and, when
+//! gated, its baseline arm, the per-cell quantity compared, and a bound.
+//! In every (instance, threads) cell the arms that run there are timed
+//! round-robin, one sample each per round, with the order reversed every
+//! other round, so slow machine epochs (frequency drift, noisy
+//! neighbours) land on every arm alike. A gate pairs its arm with the
+//! baseline cell by cell, pools the per-cell ratios by geometric mean
+//! and checks the pool against its bound: the cells are replicate
+//! measurements of one cost, so pooling averages out the host noise a
+//! single cell still carries. Every verdict is printed and written to the
+//! report, and the process exits 1 if any gate failed. Under `--smoke`
+//! (tiny instances, one thread, one run) the ratios are reported but
+//! never gate: such timings carry no signal.
 //!
-//! Per-kernel phase sums come from a [`LevelObserver`] attached to the
-//! measured run — the same hook the CLI's `--progress` uses — rather than
-//! from post-hoc `LevelStats` summation, so they also include the score
-//! phase of the terminal level that stops the loop.
+//! Timed runs carry only what the arm measures: no observer, except on
+//! `observed`, whose point is the recorder's cost. The phase columns come
+//! from one more, untimed run per arm with the `pcd-trace` recorder
+//! attached — the `pcd_phase_seconds` sums, folded across components and
+//! batch graphs with [`merge_runs`] — so the report and `parcomm detect
+//! --metrics` read the same recorder.
 //!
-//! A **quality** section rides every report: fixed-size instances (a
-//! planted-partition SBM with ground truth, an R-MAT-10, a 2000-vertex
-//! LiveJournal-flavoured SBM — deliberately independent of `--scale`, so
-//! the numbers are exact even under `--smoke`) are detected once per
-//! registered matching backend, refined with the repo's own sweeps, and
-//! scored: modularity, coverage, NMI against ground truth where planted,
-//! and the sequential-Louvain reference modularity from `pcd-baseline`.
-//! `cargo xtask bench --min-quality-ratio` gates each backend's
-//! geomean(modularity / reference) and the planted instances' NMI.
-//!
-//! Schema (`parcomm-bench-v3`; v2 predates the `quality` section, v1
-//! additionally predates the `contract-radix` arm and the host
-//! `rayon_threads` field — `cargo xtask bench` still loads both
-//! as a comparison baseline): one top-level object with `schema`,
-//! `label`, `created_unix`, `host` (available parallelism, the
-//! process-wide region width — pinned at startup to the widest
-//! `--threads` entry via [`pin_global`], recorded as both
-//! `rayon_threads` (the field keeps its schema name) and
-//! `pinned_threads` so reports stop silently describing a default
-//! width — and alloc-stats on/off), `quality` — an array keyed by
-//! (`instance`, `backend`) carrying modularity, coverage, `nmi` (`null`
-//! on instances without planted ground truth), and the sequential
-//! reference modularity — and
-//! `results`, an array of records keyed by (`instance`, `threads`, `arm`)
-//! carrying min/median/max end-to-end seconds, per-kernel phase sums
-//! (score/match/contract), level count, modularity, peak RSS, and — when
-//! built with `--features alloc-stats` — the heap allocation count of the
-//! measured run (`null` otherwise). The `observed` and `budgeted-unarmed`
-//! records additionally carry `overhead_vs_reuse` (`null` on every other
-//! arm): the ratio of that arm's and the reuse arm's fastest samples,
-//! drawn from rounds that interleave the arms so the minima see the same
-//! machine epochs. `cargo xtask bench --max-observed-overhead` /
-//! `--max-budget-overhead` pool these per-cell ratios by geometric mean
-//! and gate the pool — additive host noise falls out of a min/min ratio
-//! while real recorder or sentinel cost does not, and pooling across
-//! cells averages out what noise remains.
-//!
-//! Everything is emitted by hand: the harness must build without serde or
+//! Report schema `parcomm-bench-v4`: `created_unix`, `smoke`, `host`
+//! (available parallelism, the region width every cell ran under —
+//! pinned at startup to the widest `--threads` entry via [`pin_global`] —
+//! alloc-stats on/off, and the process's peak RSS), `instances`,
+//! `results` — one record per (instance, threads, arm) with
+//! min/median/max end-to-end seconds, phase seconds, level count,
+//! modularity, and the measured run's heap allocations under
+//! `--features alloc-stats` (`null` otherwise) — and `gates`, one entry
+//! per gated row with its per-cell ratios, geometric mean and verdict.
+//! Everything is emitted by hand: the harness builds without serde or
 //! any other registry dependency.
 
 use std::fmt::Write as _;
 use std::process::ExitCode;
 
 use pcd_core::{
-    detect_many, kernel, refine::refine, try_detect_sharded_observed, Budget, CancelToken, Config,
-    ContractorKind, DetectionResult, Detector, LevelObserver, Tee,
+    detect_many_observed, try_detect_sharded_observed, Budget, CancelToken, Config, ContractorKind,
+    DetectionResult, Detector, LevelObserver, NoopObserver,
 };
 use pcd_gen::classic::clique_ring;
 use pcd_gen::{rmat_graph, sbm_graph, RmatParams, SbmParams};
 use pcd_graph::{builder, Graph};
-use pcd_metrics::{coverage, modularity, normalized_mutual_information};
-use pcd_trace::{metrics_json, Registry, TraceObserver};
+use pcd_trace::{merge_runs, metrics_json, Registry, TraceObserver};
 use pcd_util::par;
 use pcd_util::pool::{pin_global, with_threads};
 use pcd_util::timing::{RunStats, Timer};
-use pcd_util::Phase;
 use pcd_util::VertexId;
 
 #[cfg(feature = "alloc-stats")]
@@ -99,17 +59,249 @@ static ALLOC: pcd_util::alloc_stats::CountingAlloc = pcd_util::alloc_stats::Coun
 /// Pinned instance seed: every report benchmarks bit-identical graphs.
 const SEED: u64 = 42;
 
-/// Graphs per batched `detect_many` cell.
+/// Graphs in the batch instance.
 const BATCH_SIZE: usize = 4;
 
+/// The instance families; [`instances`] builds one of each.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Inst {
+    /// R-MAT at `--scale`, the paper's input.
+    Rmat,
+    /// LiveJournal-like SBM with `--sbm-vertices` vertices.
+    Sbm,
+    /// A disjoint union of a smaller R-MAT and SBM: many components, the
+    /// shape sharded detection exists for.
+    Union,
+    /// A connected clique ring: sharding must take its single-component
+    /// fast path.
+    Ring,
+    /// [`BATCH_SIZE`] independent R-MAT graphs.
+    Batch,
+}
+
+/// The entry point an arm runs.
+#[derive(Clone, Copy, Debug)]
+enum Call {
+    /// A new [`Detector`] per graph.
+    Solo,
+    /// [`try_detect_sharded_observed`]: components on warm per-worker
+    /// engines, merged deterministically.
+    Sharded,
+    /// [`detect_many_observed`]: the batch on warm per-worker engines.
+    BatchWarm,
+    /// The same parallel loop with a new engine per graph, so the only
+    /// difference from `BatchWarm` is arena reuse.
+    BatchCold,
+}
+
+/// The per-cell number a gate compares between an arm and its baseline.
+#[derive(Clone, Copy, Debug)]
+enum Quantity {
+    /// The fastest end-to-end sample. Host noise only adds time, so each
+    /// minimum approaches its arm's true cost while real extra work
+    /// shifts it: the min/min ratio of interleaved arms is the
+    /// lowest-variance overhead estimate available here.
+    Min,
+    /// The median end-to-end sample.
+    Median,
+    /// Contract-phase seconds of the arm's recorder run.
+    Contract,
+}
+
+impl Quantity {
+    fn of(self, r: &Record) -> f64 {
+        match self {
+            Quantity::Min => r.end_to_end.min(),
+            Quantity::Median => r.end_to_end.median(),
+            Quantity::Contract => r.contract_secs,
+        }
+    }
+
+    fn name(self) -> &'static str {
+        match self {
+            Quantity::Min => "min_secs",
+            Quantity::Median => "median_secs",
+            Quantity::Contract => "contract_secs",
+        }
+    }
+}
+
+/// A gate's direction and threshold: `AtMost` bounds the overhead
+/// arm ÷ baseline from above, `AtLeast` bounds the speedup
+/// baseline ÷ arm from below.
+#[derive(Clone, Copy, Debug)]
+enum Bound {
+    AtMost(f64),
+    AtLeast(f64),
+}
+
+impl Bound {
+    fn ratio(self, arm: f64, baseline: f64) -> f64 {
+        match self {
+            Bound::AtMost(_) => arm / baseline,
+            Bound::AtLeast(_) => baseline / arm,
+        }
+    }
+
+    fn holds(self, pooled: f64) -> bool {
+        match self {
+            Bound::AtMost(t) => pooled <= t,
+            Bound::AtLeast(t) => pooled >= t,
+        }
+    }
+}
+
+/// A gated row's comparison with its baseline arm.
+#[derive(Debug)]
+struct Gate {
+    baseline: &'static str,
+    quantity: Quantity,
+    bound: Bound,
+}
+
+/// One row of [`ARMS`].
+#[derive(Debug)]
+struct Arm {
+    name: &'static str,
+    on: &'static [Inst],
+    config: fn() -> Config,
+    call: Call,
+    /// Timed with the trace recorder attached.
+    traced: bool,
+    gate: Option<Gate>,
+}
+
+/// The single-graph level-loop instances.
+const SINGLE: &[Inst] = &[Inst::Rmat, Inst::Sbm];
+
+/// Every arm the harness measures. Thresholds are the values
+/// EXPERIMENTS.md records for each gate.
+static ARMS: [Arm; 9] = [
+    // The default engine: scratch arenas and graph buffers reused across
+    // levels. Every gate's baseline.
+    Arm {
+        name: "reuse",
+        on: &[Inst::Rmat, Inst::Sbm, Inst::Union, Inst::Ring],
+        config: Config::default,
+        call: Call::Solo,
+        traced: false,
+        gate: None,
+    },
+    // The ablation that rebuilds every buffer each level.
+    Arm {
+        name: "fresh",
+        on: SINGLE,
+        config: || Config::default().with_scratch_reuse(false),
+        call: Call::Solo,
+        traced: false,
+        gate: None,
+    },
+    // The trace recorder's whole-run cost.
+    Arm {
+        name: "observed",
+        on: SINGLE,
+        config: Config::default,
+        call: Call::Solo,
+        traced: true,
+        gate: Some(Gate {
+            baseline: "reuse",
+            quantity: Quantity::Min,
+            bound: Bound::AtMost(1.02),
+        }),
+    },
+    // A budget with every limit live and none binding: the cost of the
+    // sentinel's phase-boundary checks.
+    Arm {
+        name: "budgeted-unarmed",
+        on: SINGLE,
+        config: unarmed_budget,
+        call: Call::Solo,
+        traced: false,
+        gate: Some(Gate {
+            baseline: "reuse",
+            quantity: Quantity::Min,
+            bound: Bound::AtMost(1.01),
+        }),
+    },
+    // The radix-sort contraction kernel in place of bucket.
+    Arm {
+        name: "contract-radix",
+        on: SINGLE,
+        config: || Config::default().with_contractor(ContractorKind::Radix),
+        call: Call::Solo,
+        traced: false,
+        gate: Some(Gate {
+            baseline: "reuse",
+            quantity: Quantity::Contract,
+            bound: Bound::AtLeast(1.2),
+        }),
+    },
+    // Sharding where components can run concurrently. The floor sits
+    // below 1: a narrow host pays decompose and merge without much
+    // concurrency to win, so the gate bounds the slowdown.
+    Arm {
+        name: "sharded",
+        on: &[Inst::Union],
+        config: Config::default,
+        call: Call::Sharded,
+        traced: false,
+        gate: Some(Gate {
+            baseline: "reuse",
+            quantity: Quantity::Median,
+            bound: Bound::AtLeast(0.9),
+        }),
+    },
+    // Sharding a connected graph: one components() sweep, then the plain
+    // engine, so it must cost about nothing.
+    Arm {
+        name: "sharded",
+        on: &[Inst::Ring],
+        config: Config::default,
+        call: Call::Sharded,
+        traced: false,
+        gate: Some(Gate {
+            baseline: "reuse",
+            quantity: Quantity::Median,
+            bound: Bound::AtMost(1.01),
+        }),
+    },
+    Arm {
+        name: "batch-warm",
+        on: &[Inst::Batch],
+        config: Config::default,
+        call: Call::BatchWarm,
+        traced: false,
+        gate: None,
+    },
+    Arm {
+        name: "batch-cold",
+        on: &[Inst::Batch],
+        config: Config::default,
+        call: Call::BatchCold,
+        traced: false,
+        gate: None,
+    },
+];
+
+/// An armed but non-binding budget: hour-long deadline, `usize::MAX`
+/// caps, and a live cancel token nobody cancels.
+fn unarmed_budget() -> Config {
+    Config::default().with_budget(
+        Budget::unarmed()
+            .with_deadline(std::time::Duration::from_secs(3600))
+            .with_max_levels(usize::MAX)
+            .with_max_scratch_bytes(usize::MAX)
+            .with_cancel_token(CancelToken::new()),
+    )
+}
+
 struct Args {
-    /// R-MAT scale (2^scale vertices); the acceptance run uses 20.
+    /// R-MAT scale (2^scale vertices).
     rmat_scale: u32,
     /// SBM vertex count.
     sbm_vertices: usize,
     threads: Vec<usize>,
     runs: usize,
-    label: String,
     out: String,
     /// When non-empty: write the last observed cell's metrics registry as
     /// a `parcomm-metrics-v1` document to this path.
@@ -125,8 +317,7 @@ impl Args {
             sbm_vertices: 60_000,
             threads: vec![1, 2, 8],
             runs: 3,
-            label: "pr3".into(),
-            out: String::new(),
+            out: "target/bench_gate.json".into(),
             metrics_out: String::new(),
             smoke: false,
         };
@@ -143,7 +334,6 @@ impl Args {
                         .collect::<Result<_, _>>()?;
                 }
                 "--runs" => a.runs = num(&val("--runs")?)?,
-                "--label" => a.label = val("--label")?,
                 "--out" => a.out = val("--out")?,
                 "--metrics-out" => a.metrics_out = val("--metrics-out")?,
                 "--smoke" => a.smoke = true,
@@ -156,19 +346,10 @@ impl Args {
             a.threads = vec![1];
             a.runs = 1;
         }
-        if a.out.is_empty() {
-            a.out = format!("BENCH_{}.json", a.label);
-        }
         if a.threads.is_empty() || a.runs == 0 {
             return Err("need at least one thread count and one run".into());
         }
         Ok(a)
-    }
-
-    /// Batch graphs are two scales smaller than the headline R-MAT so one
-    /// batch costs about as much as one single-instance cell.
-    fn batch_scale(&self) -> u32 {
-        self.rmat_scale.saturating_sub(2).max(4)
     }
 }
 
@@ -176,372 +357,56 @@ fn num<T: std::str::FromStr>(s: &str) -> Result<T, String> {
     s.parse().map_err(|_| format!("bad number: {s}"))
 }
 
-/// One measured (instance, threads, arm) cell.
-struct Record {
-    instance: String,
-    input_edges: usize,
-    threads: usize,
-    arm: &'static str,
-    end_to_end: RunStats,
-    score_secs: f64,
-    match_secs: f64,
-    contract_secs: f64,
-    levels: usize,
-    modularity: f64,
-    peak_rss_bytes: Option<u64>,
-    allocations: Option<u64>,
-    /// Overhead of the arm's extra machinery: the ratio of this arm's and
-    /// the reuse arm's fastest samples; `Some` only on the `observed`
-    /// (trace recorder) and `budgeted-unarmed` (armed budget sentinel)
-    /// arms. Host noise is additive so each minimum approaches that arm's
-    /// true cost, while a real recorder/sentinel cost shifts that arm's
-    /// minimum with it; the arms are interleaved within every round so
-    /// the minima are drawn from the same machine epochs.
-    overhead_vs_reuse: Option<f64>,
+/// A named input: one graph, or the graphs of a batch.
+struct Instance {
+    kind: Inst,
+    name: String,
+    graphs: Vec<Graph>,
 }
 
-/// Refinement sweeps applied to every quality cell. The measured pipeline
-/// is detect + refine — the configuration EXPERIMENTS.md reports — because
-/// raw pairwise agglomeration legitimately trails a full Louvain on
-/// R-MAT-style graphs (it merges at most pairs per level) and the
-/// refinement pass is the system's own answer to that gap. The quality
-/// oracle in `tests/quality_oracle.rs` pins the same pipeline.
-const REFINE_SWEEPS: usize = 10;
-
-/// One (quality instance, backend) measurement. `reference_modularity` is
-/// the dependency-free sequential Louvain from `pcd-baseline` on the same
-/// graph; `nmi` is `Some` only on planted instances with ground truth.
-struct QualityCell {
-    instance: String,
-    backend: &'static str,
-    modularity: f64,
-    coverage: f64,
-    nmi: Option<f64>,
-    reference_modularity: f64,
-}
-
-/// Measures every matcher in the kernel registry on the fixed quality
-/// instances. Instance sizes are pinned — deliberately independent of
-/// `--scale`, `--sbm-vertices`, and `--smoke` — so the quality numbers
-/// `cargo xtask bench --min-quality-ratio` gates are exact in every
-/// report, including CI's smoke runs.
-fn measure_quality() -> Vec<QualityCell> {
-    eprintln!("bench_gate: measuring quality cells (fixed-size instances)...");
-    let planted = sbm_graph(&SbmParams::planted_partition(1_024, 16, SEED));
-    let fixtures: [(String, Graph, Option<Vec<VertexId>>); 3] = [
-        (
-            "planted-1024-16".into(),
-            planted.graph,
-            Some(planted.ground_truth),
-        ),
-        (
-            "rmat-10-16".into(),
-            rmat_graph(&RmatParams::paper(10, SEED)),
-            None,
-        ),
-        (
-            "sbm-lj-2000".into(),
-            sbm_graph(&SbmParams::livejournal_like(2_000, SEED + 1)).graph,
-            None,
-        ),
-    ];
-    let mut cells = Vec::new();
-    for (name, g, truth) in &fixtures {
-        let reference_modularity = modularity(g, &pcd_baseline::louvain(g));
-        for m in kernel::MATCHERS {
-            let cfg = Config::default().with_matcher(m.kind());
-            let result = Detector::new(cfg)
-                .expect("quality config is valid")
-                .run(g.clone())
-                .expect("quality instance detects cleanly");
-            let refined = refine(g, &result.assignment, REFINE_SWEEPS);
-            let q = modularity(g, &refined.assignment);
-            let nmi = truth
-                .as_ref()
-                .map(|t| normalized_mutual_information(&refined.assignment, t));
-            eprintln!(
-                "  {name} {}: Q {q:.4} (reference {reference_modularity:.4}, ratio {:.3}){}",
-                m.name(),
-                q / reference_modularity,
-                nmi.map_or(String::new(), |v| format!(", NMI {v:.4}"))
-            );
-            cells.push(QualityCell {
-                instance: name.clone(),
-                backend: m.name(),
-                modularity: q,
-                coverage: coverage(g, &refined.assignment),
-                nmi,
-                reference_modularity,
-            });
-        }
-    }
-    cells
-}
-
-/// Accumulates per-phase seconds through the engine's observer hook.
-#[derive(Default)]
-struct PhaseTimes {
-    score: f64,
-    matching: f64,
-    contract: f64,
-}
-
-impl LevelObserver for PhaseTimes {
-    fn on_phase_end(&mut self, _level: usize, phase: Phase, secs: f64) {
-        match phase {
-            Phase::Score => self.score += secs,
-            Phase::Match => self.matching += secs,
-            Phase::Contract => self.contract += secs,
-        }
-    }
-}
-
-fn main() -> ExitCode {
-    let args = match Args::parse() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("bench_gate: {e}");
-            eprintln!(
-                "usage: bench_gate [--scale N] [--sbm-vertices N] [--threads 1,2,8] \
-                 [--runs N] [--label L] [--out FILE] [--metrics-out FILE] [--smoke]"
-            );
-            return ExitCode::FAILURE;
-        }
+/// The pinned instances, one per [`Inst`]. The batch graphs and the
+/// union's R-MAT part are two scales below the headline R-MAT, so one
+/// batch costs about as much as one single-graph cell.
+fn instances(scale: u32, sbm: usize) -> Vec<Instance> {
+    let small = scale.saturating_sub(2).max(4);
+    let ring_cliques = 1usize << scale.saturating_sub(4).max(4);
+    let one = |kind, name, graph| Instance {
+        kind,
+        name,
+        graphs: vec![graph],
     };
-
-    // Pin the process-wide width to the widest swept width before any
-    // parallel work (instance generation included) reads it, so the host
-    // stanza records the width the run actually used instead of the
-    // silent per-host default.
-    let pin_width = args.threads.iter().copied().max().unwrap_or(0);
-    if !pin_global(pin_width) {
-        eprintln!(
-            "bench_gate: the global region width was already fixed; \
-             could not pin to {pin_width} threads"
-        );
-    }
-
-    eprintln!(
-        "bench_gate: building instances (rmat scale {}, sbm {} vertices)...",
-        args.rmat_scale, args.sbm_vertices
-    );
-    let instances: Vec<(String, Graph)> = vec![
-        (
-            format!("rmat-{}-16", args.rmat_scale),
-            rmat_graph(&RmatParams::paper(args.rmat_scale, SEED)),
+    vec![
+        one(
+            Inst::Rmat,
+            format!("rmat-{scale}-16"),
+            rmat_graph(&RmatParams::paper(scale, SEED)),
         ),
-        (
-            format!("sbm-lj-{}", args.sbm_vertices),
-            sbm_graph(&SbmParams::livejournal_like(args.sbm_vertices, SEED + 1)).graph,
+        one(
+            Inst::Sbm,
+            format!("sbm-lj-{sbm}"),
+            sbm_graph(&SbmParams::livejournal_like(sbm, SEED + 1)).graph,
         ),
-    ];
-    let batch_scale = args.batch_scale();
-    let batch: Vec<Graph> = (0..BATCH_SIZE)
-        .map(|i| rmat_graph(&RmatParams::paper(batch_scale, SEED + 100 + i as u64)))
-        .collect();
-    let batch_name = format!("rmat-{batch_scale}-16-x{BATCH_SIZE}");
-
-    // Sharding instances. The union graph is a disjoint id-offset union of
-    // a smaller R-MAT (many isolated vertices and fragments) and a smaller
-    // SBM — the multi-component shape sharded detection exists for. The
-    // clique ring is connected, so its sharded cell must take the
-    // single-component fast path; `--max-sharded-overhead` gates that path
-    // at roughly the noise floor.
-    let union_name = format!("union-rmat{}-sbm{}", batch_scale, args.sbm_vertices / 2);
-    let union_g = disjoint_union(&[
-        rmat_graph(&RmatParams::paper(batch_scale, SEED + 7)),
-        sbm_graph(&SbmParams::livejournal_like(
-            args.sbm_vertices / 2,
-            SEED + 8,
-        ))
-        .graph,
-    ]);
-    let ring_cliques = 1usize << args.rmat_scale.saturating_sub(4).max(4);
-    let ring_name = format!("ring-{ring_cliques}x8");
-    let ring_g = clique_ring(ring_cliques, 8);
-
-    let mut records = Vec::new();
-    let mut observed_registry: Option<Registry> = None;
-    for (name, g) in &instances {
-        for &t in &args.threads {
-            let (cell, registry) = measure_cell(name, g, t, args.runs);
-            if registry.is_some() {
-                observed_registry = registry;
-            }
-            for record in cell {
-                records.push(record);
-                report_cell(records.last().unwrap());
-            }
-        }
-    }
-    for (name, g) in [(&union_name, &union_g), (&ring_name, &ring_g)] {
-        for &t in &args.threads {
-            for record in measure_sharded_cell(name, g, t, args.runs) {
-                records.push(record);
-                report_cell(records.last().unwrap());
-            }
-        }
-    }
-    for &t in &args.threads {
-        for (arm, warm) in [("batch-warm", true), ("batch-cold", false)] {
-            records.push(measure_batch(&batch_name, &batch, t, arm, warm, args.runs));
-            report_cell(records.last().unwrap());
-        }
-    }
-
-    let quality = measure_quality();
-
-    // Instance table: the headline graphs, the sharding pair, plus the
-    // batch as one entry (vertex/edge totals across its graphs).
-    let mut summaries: Vec<(String, usize, usize)> = instances
-        .iter()
-        .map(|(name, g)| (name.clone(), g.num_vertices(), g.num_edges()))
-        .collect();
-    summaries.push((union_name, union_g.num_vertices(), union_g.num_edges()));
-    summaries.push((ring_name, ring_g.num_vertices(), ring_g.num_edges()));
-    summaries.push((
-        batch_name,
-        batch.iter().map(Graph::num_vertices).sum(),
-        batch.iter().map(Graph::num_edges).sum(),
-    ));
-
-    let json = render(&args, &summaries, &records, &quality);
-    if let Err(e) = std::fs::write(&args.out, json) {
-        eprintln!("bench_gate: cannot write {}: {e}", args.out);
-        return ExitCode::FAILURE;
-    }
-    eprintln!("bench_gate: wrote {}", args.out);
-    if !args.metrics_out.is_empty() {
-        let reg = observed_registry.expect("observed arm always runs");
-        let doc = metrics_json(&reg, &args.label, unix_now());
-        if let Err(e) = std::fs::write(&args.metrics_out, doc) {
-            eprintln!("bench_gate: cannot write {}: {e}", args.metrics_out);
-            return ExitCode::FAILURE;
-        }
-        eprintln!("bench_gate: wrote {}", args.metrics_out);
-    }
-    ExitCode::SUCCESS
-}
-
-fn report_cell(r: &Record) {
-    eprintln!(
-        "  {} t={} {}: median {:.4}s (score {:.4} match {:.4} contract {:.4})",
-        r.instance,
-        r.threads,
-        r.arm,
-        r.end_to_end.median(),
-        r.score_secs,
-        r.match_secs,
-        r.contract_secs
-    );
-}
-
-/// The five single-instance arms as (name, reuse, observed, budgeted,
-/// radix). "observed" is "reuse" with the full pcd-trace recorder
-/// attached; "budgeted-unarmed" is "reuse" with an armed but non-binding
-/// budget. Each pair with "reuse" gates that subsystem's end-to-end
-/// overhead. "contract-radix" is "reuse" with the radix-sort contraction
-/// kernel in place of bucket — `cargo xtask bench
-/// --min-contract-speedup` gates its contract-phase seconds against the
-/// reuse arm's.
-const CELL_ARMS: [(&str, bool, bool, bool, bool); 5] = [
-    ("reuse", true, false, false, false),
-    ("fresh", false, false, false, false),
-    ("observed", true, true, false, false),
-    ("budgeted-unarmed", true, false, true, false),
-    ("contract-radix", true, false, false, true),
-];
-
-/// Arms whose record carries `overhead_vs_reuse`.
-const GATED_ARMS: [&str; 2] = ["observed", "budgeted-unarmed"];
-
-/// Measures the four single-instance arms of one (instance, threads)
-/// cell round-robin: every round takes one sample of each arm back to
-/// back, so slow machine epochs (frequency drift, noisy neighbours) land
-/// on all arms alike instead of biasing whichever arm ran later. The
-/// per-arm overhead ratios `cargo xtask bench` gates are only meaningful
-/// under this pairing.
-fn measure_cell(
-    name: &str,
-    g: &Graph,
-    threads: usize,
-    runs: usize,
-) -> (Vec<Record>, Option<Registry>) {
-    debug_assert_eq!(
-        CELL_ARMS.map(|(a, _, _, _, _)| a),
-        [
-            "reuse",
-            "fresh",
-            "observed",
-            "budgeted-unarmed",
-            "contract-radix"
-        ]
-    );
-    let mut samples: Vec<Vec<f64>> = vec![Vec::with_capacity(runs); CELL_ARMS.len()];
-    let mut lasts: Vec<Option<(DetectionResult, PhaseTimes, Option<Registry>)>> =
-        (0..CELL_ARMS.len()).map(|_| None).collect();
-    let mut allocations: Vec<Option<u64>> = vec![None; CELL_ARMS.len()];
-    for round in 0..runs {
-        // The gated arms (observed, budgeted-unarmed) alternate which of
-        // them brackets reuse, with fresh always leading, so every gated
-        // arm spends half its rounds adjacent to reuse on each side and
-        // none systematically occupies the warmer late position.
-        // contract-radix alternates between the tail and the slot right
-        // before reuse: its speedup gate compares contract-phase seconds
-        // against reuse, so the two arms should sample the same epochs.
-        let order: [usize; 5] = if round % 2 == 0 {
-            [1, 0, 2, 3, 4]
-        } else {
-            [1, 4, 3, 0, 2]
-        };
-        for i in order {
-            let (_, reuse, observed, budgeted, radix) = CELL_ARMS[i];
-            let (secs, allocs, outcome) = run_once(g, threads, reuse, observed, budgeted, radix);
-            samples[i].push(secs);
-            allocations[i] = allocs;
-            lasts[i] = Some(outcome);
-        }
-    }
-    // Recorder/sentinel overhead is deterministic work while host noise
-    // (drift, warmup, neighbours) is strictly additive, so the fastest
-    // sample of each arm is the least-contaminated estimate of its true
-    // cost and the min/min ratio is the lowest-variance overhead
-    // estimator available here — real extra cost shifts that arm's
-    // minimum just the same. The interleaving above is what makes the
-    // minima comparable: every arm gets an equal shot at the fast
-    // machine epochs within the cell.
-    let fastest = |xs: &[f64]| xs.iter().copied().min_by(f64::total_cmp);
-    let reuse_min = CELL_ARMS
-        .iter()
-        .position(|&(a, _, _, _, _)| a == "reuse")
-        .and_then(|r| fastest(&samples[r]));
-    let mut registry = None;
-    let mut records = Vec::with_capacity(CELL_ARMS.len());
-    for (i, &(arm, _, _, _, _)) in CELL_ARMS.iter().enumerate() {
-        let (result, phases, reg) = lasts[i].take().expect("runs >= 1");
-        if reg.is_some() {
-            registry = reg;
-        }
-        let overhead = (GATED_ARMS.contains(&arm))
-            .then(|| fastest(&samples[i]).zip(reuse_min).map(|(a, r)| a / r))
-            .flatten();
-        records.push(Record {
-            instance: name.into(),
-            input_edges: g.num_edges(),
-            threads,
-            arm,
-            end_to_end: RunStats::new(std::mem::take(&mut samples[i])),
-            score_secs: phases.score,
-            match_secs: phases.matching,
-            contract_secs: phases.contract,
-            levels: result.levels.len(),
-            modularity: result.modularity,
-            peak_rss_bytes: peak_rss_bytes(),
-            allocations: allocations[i],
-            overhead_vs_reuse: overhead,
-        });
-    }
-    (records, registry)
+        one(
+            Inst::Union,
+            format!("union-rmat{small}-sbm{}", sbm / 2),
+            disjoint_union(&[
+                rmat_graph(&RmatParams::paper(small, SEED + 7)),
+                sbm_graph(&SbmParams::livejournal_like(sbm / 2, SEED + 8)).graph,
+            ]),
+        ),
+        one(
+            Inst::Ring,
+            format!("ring-{ring_cliques}x8"),
+            clique_ring(ring_cliques, 8),
+        ),
+        Instance {
+            kind: Inst::Batch,
+            name: format!("rmat-{small}-16-x{BATCH_SIZE}"),
+            graphs: (0..BATCH_SIZE)
+                .map(|i| rmat_graph(&RmatParams::paper(small, SEED + 100 + i as u64)))
+                .collect(),
+        },
+    ]
 }
 
 /// Disjoint id-offset union of `parts`: each part's vertices are shifted
@@ -563,209 +428,309 @@ fn disjoint_union(parts: &[Graph]) -> Graph {
     builder::from_edges(nv, edges)
 }
 
-/// Measures the sharding pair on one (instance, threads) cell: plain
-/// `reuse` against the component-`sharded` pipeline, alternating which
-/// arm leads each round so both sample the same machine epochs. Neither
-/// record carries `overhead_vs_reuse` (the schema reserves that field
-/// for the observed/budgeted arms); `cargo xtask bench` pairs the two
-/// arms' medians itself, gating `union-*` instances for speedup and
-/// everything else (the connected ring) for fast-path overhead.
-fn measure_sharded_cell(name: &str, g: &Graph, threads: usize, runs: usize) -> Vec<Record> {
-    const ARMS: [&str; 2] = ["reuse", "sharded"];
-    let mut samples: Vec<Vec<f64>> = vec![Vec::with_capacity(runs); ARMS.len()];
-    let mut lasts: Vec<Option<(DetectionResult, PhaseTimes)>> = vec![None, None];
-    let mut allocations: Vec<Option<u64>> = vec![None; ARMS.len()];
-    for round in 0..runs {
-        let order: [usize; 2] = if round % 2 == 0 { [0, 1] } else { [1, 0] };
-        for i in order {
-            let (secs, allocs, outcome) = run_once_sharded(g, threads, ARMS[i] == "sharded");
-            samples[i].push(secs);
-            allocations[i] = allocs;
-            lasts[i] = Some(outcome);
+/// One measured (instance, threads, arm) cell.
+struct Record {
+    instance: String,
+    kind: Inst,
+    input_edges: usize,
+    threads: usize,
+    arm: &'static str,
+    end_to_end: RunStats,
+    score_secs: f64,
+    match_secs: f64,
+    contract_secs: f64,
+    levels: usize,
+    modularity: f64,
+    allocations: Option<u64>,
+    /// The recorder run's metrics, folded across engine runs.
+    registry: Registry,
+}
+
+fn main() -> ExitCode {
+    let args = match Args::parse() {
+        Ok(a) => a,
+        Err(e) => {
+            eprintln!("bench_gate: {e}");
+            eprintln!(
+                "usage: bench_gate [--scale N] [--sbm-vertices N] [--threads 1,2,8] \
+                 [--runs N] [--out FILE] [--metrics-out FILE] [--smoke]"
+            );
+            return ExitCode::FAILURE;
+        }
+    };
+
+    // Pin the process-wide width to the widest swept width before any
+    // parallel work (instance generation included) reads it, so the host
+    // stanza records the width the run actually used instead of the
+    // silent per-host default.
+    let pin_width = args.threads.iter().copied().max().unwrap_or(0);
+    if !pin_global(pin_width) {
+        eprintln!(
+            "bench_gate: the global region width was already fixed; \
+             could not pin to {pin_width} threads"
+        );
+    }
+
+    eprintln!(
+        "bench_gate: building instances (rmat scale {}, sbm {} vertices)...",
+        args.rmat_scale, args.sbm_vertices
+    );
+    let instances = instances(args.rmat_scale, args.sbm_vertices);
+    let mut records = Vec::new();
+    for inst in &instances {
+        for &t in &args.threads {
+            for r in measure_cell(inst, t, args.runs) {
+                eprintln!(
+                    "  {} t={} {}: median {:.4}s (score {:.4} match {:.4} contract {:.4})",
+                    r.instance,
+                    r.threads,
+                    r.arm,
+                    r.end_to_end.median(),
+                    r.score_secs,
+                    r.match_secs,
+                    r.contract_secs
+                );
+                records.push(r);
+            }
         }
     }
-    ARMS.iter()
-        .enumerate()
-        .map(|(i, &arm)| {
-            let (result, phases) = lasts[i].take().expect("runs >= 1");
+
+    let verdicts = evaluate(&records, args.smoke);
+    for v in &verdicts {
+        print_verdict(v);
+    }
+
+    let json = render(args.smoke, &instances, &records, &verdicts);
+    if let Some(dir) = std::path::Path::new(&args.out).parent() {
+        if let Err(e) = std::fs::create_dir_all(dir) {
+            eprintln!("bench_gate: cannot create {}: {e}", dir.display());
+            return ExitCode::FAILURE;
+        }
+    }
+    if let Err(e) = std::fs::write(&args.out, json) {
+        eprintln!("bench_gate: cannot write {}: {e}", args.out);
+        return ExitCode::FAILURE;
+    }
+    eprintln!("bench_gate: wrote {}", args.out);
+    if !args.metrics_out.is_empty() {
+        let last = records
+            .iter()
+            .rev()
+            .find(|r| r.arm == "observed")
+            .expect("the observed arm always runs");
+        let doc = metrics_json(&last.registry, &last.instance, unix_now());
+        if let Err(e) = std::fs::write(&args.metrics_out, doc) {
+            eprintln!("bench_gate: cannot write {}: {e}", args.metrics_out);
+            return ExitCode::FAILURE;
+        }
+        eprintln!("bench_gate: wrote {}", args.metrics_out);
+    }
+    if verdicts.iter().any(|v| v.outcome == Outcome::Fail) {
+        eprintln!("bench_gate: a gate failed");
+        return ExitCode::FAILURE;
+    }
+    ExitCode::SUCCESS
+}
+
+/// Times every arm that runs on `inst`, `runs` interleaved rounds at
+/// `threads` workers, then runs each arm once more with the recorder
+/// attached for its phase columns.
+fn measure_cell(inst: &Instance, threads: usize, runs: usize) -> Vec<Record> {
+    let arms: Vec<&Arm> = ARMS.iter().filter(|a| a.on.contains(&inst.kind)).collect();
+    let mut samples = vec![Vec::with_capacity(runs); arms.len()];
+    let mut allocations = vec![None; arms.len()];
+    for round in 0..runs {
+        for k in 0..arms.len() {
+            let i = if round % 2 == 0 {
+                k
+            } else {
+                arms.len() - 1 - k
+            };
+            let (secs, allocs) = if arms[i].traced {
+                time_run(arms[i], inst, threads, TraceObserver::new)
+            } else {
+                time_run(arms[i], inst, threads, || NoopObserver)
+            };
+            samples[i].push(secs);
+            allocations[i] = allocs;
+        }
+    }
+    arms.iter()
+        .zip(samples)
+        .zip(allocations)
+        .map(|((&arm, samples), allocations)| {
+            let graphs = inst.graphs.clone();
+            let runs = with_threads(threads, move || run(arm, graphs, TraceObserver::new));
+            let registry = merge_runs(runs.iter().flat_map(|(_, obs)| obs).map(Ok));
+            let phase = |name: &str| -> f64 {
+                registry
+                    .histograms_of("pcd_phase_seconds")
+                    .filter(|h| h.labels.iter().any(|(_, v)| v == name))
+                    .map(|h| h.sum)
+                    .sum()
+            };
             Record {
-                instance: name.into(),
-                input_edges: g.num_edges(),
+                instance: inst.name.clone(),
+                kind: inst.kind,
+                input_edges: inst.graphs.iter().map(Graph::num_edges).sum(),
                 threads,
-                arm,
-                end_to_end: RunStats::new(std::mem::take(&mut samples[i])),
-                score_secs: phases.score,
-                match_secs: phases.matching,
-                contract_secs: phases.contract,
-                levels: result.levels.len(),
-                modularity: result.modularity,
-                peak_rss_bytes: peak_rss_bytes(),
-                allocations: allocations[i],
-                overhead_vs_reuse: None,
+                arm: arm.name,
+                end_to_end: RunStats::new(samples),
+                score_secs: phase("score"),
+                match_secs: phase("match"),
+                contract_secs: phase("contract"),
+                levels: runs.iter().map(|(r, _)| r.levels.len()).sum(),
+                modularity: runs.iter().map(|(r, _)| r.modularity).sum::<f64>() / runs.len() as f64,
+                allocations,
+                registry,
             }
         })
         .collect()
 }
 
-/// One timed run of the sharding pair. The sharded arm goes through
-/// [`try_detect_sharded_observed`] — decompose, per-component warm
-/// engines, deterministic merge — with one [`PhaseTimes`] observer per
-/// component whose phase sums are added together, so its per-kernel
-/// columns stay comparable to the plain arm's single observer.
-fn run_once_sharded(
-    g: &Graph,
-    threads: usize,
-    sharded: bool,
-) -> (f64, Option<u64>, (DetectionResult, PhaseTimes)) {
-    let graph = g.clone();
-    let cfg = Config::default().with_sharding(sharded);
+/// One timed run of `arm`. The instance is copied before the clock
+/// starts, engine construction is timed (every arm pays it), as is the
+/// recorder's on the traced arm (`parcomm detect --metrics` builds one
+/// per run too), and the results are dropped after the clock stops.
+fn time_run<O, F>(arm: &Arm, inst: &Instance, threads: usize, make: F) -> (f64, Option<u64>)
+where
+    O: LevelObserver + Send,
+    F: Fn() -> O + Send + Sync,
+{
+    let graphs = inst.graphs.clone();
     let before = alloc_count();
     let timer = Timer::start();
-    let outcome = with_threads(threads, move || {
-        if sharded {
-            let (result, observers) = try_detect_sharded_observed(graph, &cfg, PhaseTimes::default)
-                .expect("bench instance detects cleanly");
-            let mut phases = PhaseTimes::default();
-            for o in observers {
-                phases.score += o.score;
-                phases.matching += o.matching;
-                phases.contract += o.contract;
-            }
-            (result, phases)
-        } else {
-            let mut phases = PhaseTimes::default();
-            let result = Detector::new(cfg)
-                .expect("default config is valid")
-                .run_observed(graph, &mut phases)
-                .expect("bench instance detects cleanly");
-            (result, phases)
-        }
-    });
+    let _results = with_threads(threads, move || run(arm, graphs, make));
     let secs = timer.elapsed_secs();
-    let allocs = alloc_count().zip(before).map(|(a, b)| a - b);
-    (secs, allocs, outcome)
+    (secs, alloc_count().zip(before).map(|(a, b)| a - b))
 }
 
-/// One timed end-to-end detection; the graph clone happens outside the
-/// timed region, the engine build inside it (both arms pay it equally).
-/// The recorder is also constructed outside the timer: a recorder is
-/// one-time setup in real use (the CLI holds one per process), so the
-/// observed arm times exactly the steady-state recording cost — every
-/// span push, counter bump, and histogram observation — not the arena
-/// allocation.
-/// `budgeted` attaches an armed but non-binding budget (hour deadline,
-/// `usize::MAX` caps, a shared cancel token nobody cancels), so the arm
-/// times the sentinel's phase-boundary checks with every limit live.
-fn run_once(
-    g: &Graph,
-    threads: usize,
-    reuse: bool,
-    observed: bool,
-    budgeted: bool,
-    radix: bool,
-) -> (
-    f64,
-    Option<u64>,
-    (DetectionResult, PhaseTimes, Option<Registry>),
-) {
-    let graph = g.clone();
-    let mut cfg = Config::default().with_scratch_reuse(reuse);
-    if radix {
-        cfg = cfg.with_contractor(ContractorKind::Radix);
+/// Runs `arm` on `graphs` with one observer from `make` per engine run,
+/// returning each graph's result and observers in input order.
+fn run<O, F>(arm: &Arm, graphs: Vec<Graph>, make: F) -> Vec<(DetectionResult, Vec<O>)>
+where
+    O: LevelObserver + Send,
+    F: Fn() -> O + Sync,
+{
+    const VALID: &str = "bench configs are valid";
+    const CLEAN: &str = "bench instances detect cleanly";
+    let cfg = (arm.config)();
+    let solo = |g| {
+        let mut observer = make();
+        let result = Detector::new(cfg.clone())
+            .expect(VALID)
+            .run_observed(g, &mut observer)
+            .expect(CLEAN);
+        (result, vec![observer])
+    };
+    match arm.call {
+        Call::Solo => graphs.into_iter().map(solo).collect(),
+        Call::Sharded => graphs
+            .into_iter()
+            .map(|g| try_detect_sharded_observed(g, &cfg, &make).expect(CLEAN))
+            .collect(),
+        Call::BatchWarm => detect_many_observed(graphs, &cfg, &make)
+            .expect(VALID)
+            .into_iter()
+            .map(|(outcome, observer)| (outcome.expect(CLEAN), vec![observer]))
+            .collect(),
+        Call::BatchCold => par::map_init(graphs, || (), |(), g| solo(g)),
     }
-    if budgeted {
-        cfg = cfg.with_budget(
-            Budget::unarmed()
-                .with_deadline(std::time::Duration::from_secs(3600))
-                .with_max_levels(usize::MAX)
-                .with_max_scratch_bytes(usize::MAX)
-                .with_cancel_token(CancelToken::new()),
-        );
-    }
-    let tracer = observed.then(TraceObserver::new);
-    let before = alloc_count();
-    let timer = Timer::start();
-    let outcome = with_threads(threads, move || {
-        let mut engine = Detector::new(cfg).expect("default config is valid");
-        let mut phases = PhaseTimes::default();
-        if let Some(mut tracer) = tracer {
-            let result = engine
-                .run_observed(graph, &mut Tee::new(&mut phases, &mut tracer))
-                .expect("bench instance detects cleanly");
-            (result, phases, Some(tracer.into_registry()))
-        } else {
-            let result = engine
-                .run_observed(graph, &mut phases)
-                .expect("bench instance detects cleanly");
-            (result, phases, None)
+}
+
+/// A gate's outcome.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Outcome {
+    Pass,
+    Fail,
+    /// No cell pairs the arm with its baseline.
+    NoCells,
+    /// A `--smoke` run: reported, not gated.
+    Smoke,
+}
+
+impl Outcome {
+    fn name(self) -> &'static str {
+        match self {
+            Outcome::Pass => "pass",
+            Outcome::Fail => "fail",
+            Outcome::NoCells => "no-cells",
+            Outcome::Smoke => "not-gated",
         }
-    });
-    let secs = timer.elapsed_secs();
-    let allocs = alloc_count().zip(before).map(|(a, b)| a - b);
-    (secs, allocs, outcome)
+    }
 }
 
-/// One batched cell: all graphs detected under one `with_threads` pool.
-/// `warm` routes through [`detect_many`] (per-worker engines, arenas
-/// reused across graphs); cold builds a fresh engine per graph with the
-/// same parallel structure, so the only difference is arena reuse.
-fn measure_batch(
-    name: &str,
-    graphs: &[Graph],
-    threads: usize,
-    arm: &'static str,
-    warm: bool,
-    runs: usize,
-) -> Record {
-    let cfg = Config::default();
-    let mut samples = Vec::with_capacity(runs);
-    let mut last: Option<Vec<DetectionResult>> = None;
-    let mut allocations = None;
-    for _ in 0..runs {
-        let batch: Vec<Graph> = graphs.to_vec();
-        let cfg = cfg.clone();
-        let before = alloc_count();
-        let timer = Timer::start();
-        let results = with_threads(threads, move || {
-            if warm {
-                detect_many(batch, &cfg).expect("bench batch detects cleanly")
-            } else {
-                par::map_init(
-                    batch,
-                    || (),
-                    |(), g| {
-                        Detector::new(cfg.clone())
-                            .expect("default config is valid")
-                            .run(g)
-                            .expect("bench batch detects cleanly")
-                    },
-                )
+/// One gated row evaluated over a report's records.
+struct Verdict<'a> {
+    arm: &'static Arm,
+    gate: &'static Gate,
+    /// (instance, threads, ratio) for every cell paired with the baseline.
+    cells: Vec<(&'a str, usize, f64)>,
+    geomean: Option<f64>,
+    outcome: Outcome,
+}
+
+/// Evaluates every gated row of [`ARMS`] over `records`: pairs the arm's
+/// cells with the baseline's at the same (instance, threads), pools the
+/// per-cell ratios by geometric mean, and checks the pool. Cells whose
+/// quantity is not positive (a phase that never ran) are skipped.
+fn evaluate(records: &[Record], smoke: bool) -> Vec<Verdict<'_>> {
+    ARMS.iter()
+        .filter_map(|arm| Some((arm, arm.gate.as_ref()?)))
+        .map(|(arm, gate)| {
+            let cells: Vec<_> = records
+                .iter()
+                .filter(|r| r.arm == arm.name && arm.on.contains(&r.kind))
+                .filter_map(|r| {
+                    let base = records.iter().find(|b| {
+                        b.arm == gate.baseline && b.instance == r.instance && b.threads == r.threads
+                    })?;
+                    let (a, b) = (gate.quantity.of(r), gate.quantity.of(base));
+                    (a > 0.0 && b > 0.0)
+                        .then(|| (r.instance.as_str(), r.threads, gate.bound.ratio(a, b)))
+                })
+                .collect();
+            let geomean = (!cells.is_empty())
+                .then(|| (cells.iter().map(|c| c.2.ln()).sum::<f64>() / cells.len() as f64).exp());
+            let outcome = match geomean {
+                None => Outcome::NoCells,
+                Some(_) if smoke => Outcome::Smoke,
+                Some(m) if gate.bound.holds(m) => Outcome::Pass,
+                Some(_) => Outcome::Fail,
+            };
+            Verdict {
+                arm,
+                gate,
+                cells,
+                geomean,
+                outcome,
             }
-        });
-        samples.push(timer.elapsed_secs());
-        allocations = alloc_count().zip(before).map(|(a, b)| a - b);
-        last = Some(results);
-    }
-    let results = last.expect("runs >= 1");
-    Record {
-        instance: name.into(),
-        input_edges: graphs.iter().map(Graph::num_edges).sum(),
-        threads,
-        arm,
-        end_to_end: RunStats::new(samples),
-        score_secs: sum_levels(&results, |l| l.score_secs),
-        match_secs: sum_levels(&results, |l| l.match_secs),
-        contract_secs: sum_levels(&results, |l| l.contract_secs),
-        levels: results.iter().map(|r| r.levels.len()).sum(),
-        modularity: results.iter().map(|r| r.modularity).sum::<f64>() / results.len() as f64,
-        peak_rss_bytes: peak_rss_bytes(),
-        allocations,
-        overhead_vs_reuse: None,
-    }
+        })
+        .collect()
 }
 
-fn sum_levels(results: &[DetectionResult], f: impl Fn(&pcd_core::LevelStats) -> f64) -> f64 {
-    results.iter().flat_map(|r| r.levels.iter()).map(f).sum()
+fn print_verdict(v: &Verdict<'_>) {
+    let (ratio, op, threshold) = match v.gate.bound {
+        Bound::AtMost(t) => (format!("{}/{}", v.arm.name, v.gate.baseline), "<=", t),
+        Bound::AtLeast(t) => (format!("{}/{}", v.gate.baseline, v.arm.name), ">=", t),
+    };
+    println!(
+        "gate {} on {:?}: {ratio} {} {op} {threshold}",
+        v.arm.name,
+        v.arm.on,
+        v.gate.quantity.name()
+    );
+    for (instance, threads, r) in &v.cells {
+        println!("  {instance:28} t={threads:<2} {r:.4}x");
+    }
+    match v.geomean {
+        Some(m) => println!(
+            "  geometric mean over {} cell(s): {m:.4}x: {}",
+            v.cells.len(),
+            v.outcome.name()
+        ),
+        None => println!("  {}", v.outcome.name()),
+    }
 }
 
 /// Heap allocation count so far, when the counting allocator is installed.
@@ -780,10 +745,9 @@ fn alloc_count() -> Option<u64> {
     }
 }
 
-/// Peak resident set size from `/proc/self/status` (`VmHWM`, kibibytes).
-/// Process-global high-water mark: later cells can only report values at
-/// least as large as earlier ones, so cross-cell RSS comparisons within
-/// one report are upper bounds, not deltas.
+/// The process's peak resident set size from `/proc/self/status`
+/// (`VmHWM`, kibibytes). It only grows, so it describes the whole run,
+/// not any one cell.
 fn peak_rss_bytes() -> Option<u64> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
     let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
@@ -799,114 +763,122 @@ fn unix_now() -> u64 {
 }
 
 fn render(
-    args: &Args,
-    instances: &[(String, usize, usize)],
+    smoke: bool,
+    instances: &[Instance],
     records: &[Record],
-    quality: &[QualityCell],
+    verdicts: &[Verdict<'_>],
 ) -> String {
-    let created = unix_now();
     let mut s = String::new();
     s.push_str("{\n");
-    let _ = writeln!(s, "  \"schema\": \"parcomm-bench-v3\",");
-    let _ = writeln!(s, "  \"label\": {},", json_str(&args.label));
-    let _ = writeln!(s, "  \"created_unix\": {created},");
-    let _ = writeln!(s, "  \"smoke\": {},", args.smoke);
+    s.push_str("  \"schema\": \"parcomm-bench-v4\",\n");
+    let _ = writeln!(s, "  \"created_unix\": {},", unix_now());
+    let _ = writeln!(s, "  \"smoke\": {smoke},");
     s.push_str("  \"host\": {\n");
     let _ = writeln!(
         s,
         "    \"available_parallelism\": {},",
         std::thread::available_parallelism().map_or(0, |n| n.get())
     );
-    // The default region width the cells' `with_threads` scopes fall
-    // back to (the key keeps its schema name); together with
-    // available_parallelism this pins down the thread environment, so
-    // `cargo xtask bench` can refuse to silently compare reports taken at
-    // different widths.
     let _ = writeln!(
         s,
-        "    \"rayon_threads\": {},",
+        "    \"pool_threads\": {},",
         pcd_util::pool::current_threads()
     );
-    // The width main() asked pin_global for (the widest --threads entry);
-    // when it matches rayon_threads the pin took, otherwise some earlier
-    // read of the default won the race.
-    let _ = writeln!(
-        s,
-        "    \"pinned_threads\": {},",
-        args.threads.iter().copied().max().unwrap_or(0)
-    );
-    let _ = writeln!(s, "    \"alloc_stats\": {}", cfg!(feature = "alloc-stats"));
+    let _ = writeln!(s, "    \"alloc_stats\": {},", cfg!(feature = "alloc-stats"));
+    let _ = writeln!(s, "    \"peak_rss_bytes\": {}", json_opt(peak_rss_bytes()));
     s.push_str("  },\n");
     s.push_str("  \"instances\": [\n");
-    for (i, (name, vertices, edges)) in instances.iter().enumerate() {
-        let _ = write!(
-            s,
-            "    {{\"name\": {}, \"vertices\": {vertices}, \"edges\": {edges}}}",
-            json_str(name)
-        );
-        s.push_str(if i + 1 < instances.len() { ",\n" } else { "\n" });
-    }
-    s.push_str("  ],\n");
+    let rows: Vec<String> = instances
+        .iter()
+        .map(|inst| {
+            format!(
+                "    {{\"name\": {}, \"vertices\": {}, \"edges\": {}}}",
+                json_str(&inst.name),
+                inst.graphs.iter().map(Graph::num_vertices).sum::<usize>(),
+                inst.graphs.iter().map(Graph::num_edges).sum::<usize>()
+            )
+        })
+        .collect();
+    s.push_str(&rows.join(",\n"));
+    s.push_str("\n  ],\n");
     s.push_str("  \"results\": [\n");
-    for (i, r) in records.iter().enumerate() {
-        s.push_str("    {\n");
-        let _ = writeln!(s, "      \"instance\": {},", json_str(&r.instance));
-        let _ = writeln!(s, "      \"threads\": {},", r.threads);
-        let _ = writeln!(s, "      \"arm\": {},", json_str(r.arm));
-        let _ = writeln!(s, "      \"runs\": {},", r.end_to_end.samples.len());
-        let _ = writeln!(
-            s,
-            "      \"end_to_end_secs\": {{\"min\": {}, \"median\": {}, \"max\": {}}},",
-            json_f64(r.end_to_end.min()),
-            json_f64(r.end_to_end.median()),
-            json_f64(r.end_to_end.max())
-        );
-        let _ = writeln!(s, "      \"score_secs\": {},", json_f64(r.score_secs));
-        let _ = writeln!(s, "      \"match_secs\": {},", json_f64(r.match_secs));
-        let _ = writeln!(s, "      \"contract_secs\": {},", json_f64(r.contract_secs));
-        let _ = writeln!(s, "      \"levels\": {},", r.levels);
-        let _ = writeln!(s, "      \"modularity\": {},", json_f64(r.modularity));
-        let _ = writeln!(
-            s,
-            "      \"input_edges_per_sec\": {},",
-            json_f64(r.input_edges as f64 / r.end_to_end.min())
-        );
-        let _ = writeln!(
-            s,
-            "      \"peak_rss_bytes\": {},",
-            json_opt(r.peak_rss_bytes)
-        );
-        let _ = writeln!(s, "      \"allocations\": {},", json_opt(r.allocations));
-        let _ = writeln!(
-            s,
-            "      \"overhead_vs_reuse\": {}",
-            r.overhead_vs_reuse.map_or("null".into(), json_f64)
-        );
-        s.push_str("    }");
-        s.push_str(if i + 1 < records.len() { ",\n" } else { "\n" });
-    }
-    s.push_str("  ],\n");
-    s.push_str("  \"quality\": [\n");
-    for (i, c) in quality.iter().enumerate() {
-        s.push_str("    {\n");
-        let _ = writeln!(s, "      \"instance\": {},", json_str(&c.instance));
-        let _ = writeln!(s, "      \"backend\": {},", json_str(c.backend));
-        let _ = writeln!(s, "      \"modularity\": {},", json_f64(c.modularity));
-        let _ = writeln!(s, "      \"coverage\": {},", json_f64(c.coverage));
-        let _ = writeln!(
-            s,
-            "      \"nmi\": {},",
-            c.nmi.map_or("null".into(), json_f64)
-        );
-        let _ = writeln!(
-            s,
-            "      \"reference_modularity\": {}",
-            json_f64(c.reference_modularity)
-        );
-        s.push_str("    }");
-        s.push_str(if i + 1 < quality.len() { ",\n" } else { "\n" });
-    }
-    s.push_str("  ]\n}\n");
+    let rows: Vec<String> = records
+        .iter()
+        .map(|r| {
+            let mut o = String::from("    {\n");
+            let _ = writeln!(o, "      \"instance\": {},", json_str(&r.instance));
+            let _ = writeln!(o, "      \"threads\": {},", r.threads);
+            let _ = writeln!(o, "      \"arm\": {},", json_str(r.arm));
+            let _ = writeln!(o, "      \"runs\": {},", r.end_to_end.samples.len());
+            let _ = writeln!(
+                o,
+                "      \"end_to_end_secs\": {{\"min\": {}, \"median\": {}, \"max\": {}}},",
+                json_f64(r.end_to_end.min()),
+                json_f64(r.end_to_end.median()),
+                json_f64(r.end_to_end.max())
+            );
+            let _ = writeln!(o, "      \"score_secs\": {},", json_f64(r.score_secs));
+            let _ = writeln!(o, "      \"match_secs\": {},", json_f64(r.match_secs));
+            let _ = writeln!(o, "      \"contract_secs\": {},", json_f64(r.contract_secs));
+            let _ = writeln!(o, "      \"levels\": {},", r.levels);
+            let _ = writeln!(o, "      \"modularity\": {},", json_f64(r.modularity));
+            let _ = writeln!(
+                o,
+                "      \"input_edges_per_sec\": {},",
+                json_f64(r.input_edges as f64 / r.end_to_end.min())
+            );
+            let _ = writeln!(o, "      \"allocations\": {}", json_opt(r.allocations));
+            o.push_str("    }");
+            o
+        })
+        .collect();
+    s.push_str(&rows.join(",\n"));
+    s.push_str("\n  ],\n");
+    s.push_str("  \"gates\": [\n");
+    let rows: Vec<String> = verdicts
+        .iter()
+        .map(|v| {
+            let (bound, threshold) = match v.gate.bound {
+                Bound::AtMost(t) => ("at_most", t),
+                Bound::AtLeast(t) => ("at_least", t),
+            };
+            let on: Vec<String> = v
+                .arm
+                .on
+                .iter()
+                .map(|i| json_str(&format!("{i:?}").to_lowercase()))
+                .collect();
+            let cells: Vec<String> = v
+                .cells
+                .iter()
+                .map(|(instance, threads, ratio)| {
+                    format!(
+                        "        {{\"instance\": {}, \"threads\": {threads}, \"ratio\": {}}}",
+                        json_str(instance),
+                        json_f64(*ratio)
+                    )
+                })
+                .collect();
+            let mut o = String::from("    {\n");
+            let _ = writeln!(o, "      \"arm\": {},", json_str(v.arm.name));
+            let _ = writeln!(o, "      \"on\": [{}],", on.join(", "));
+            let _ = writeln!(o, "      \"baseline\": {},", json_str(v.gate.baseline));
+            let _ = writeln!(o, "      \"quantity\": \"{}\",", v.gate.quantity.name());
+            let _ = writeln!(o, "      \"bound\": \"{bound}\",");
+            let _ = writeln!(o, "      \"threshold\": {},", json_f64(threshold));
+            let _ = writeln!(o, "      \"cells\": [\n{}\n      ],", cells.join(",\n"));
+            let _ = writeln!(
+                o,
+                "      \"geomean\": {},",
+                v.geomean.map_or("null".into(), json_f64)
+            );
+            let _ = writeln!(o, "      \"verdict\": \"{}\"", v.outcome.name());
+            o.push_str("    }");
+            o
+        })
+        .collect();
+    s.push_str(&rows.join(",\n"));
+    s.push_str("\n  ]\n}\n");
     s
 }
 
@@ -940,4 +912,133 @@ fn json_f64(v: f64) -> String {
 
 fn json_opt(v: Option<u64>) -> String {
     v.map_or_else(|| "null".into(), |n| n.to_string())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The per-cell numbers of a checked-in report. Its renderer wrote
+    /// one result key per line in a fixed order, ending each record's
+    /// numbers we need with `contract_secs`, so a line scan suffices.
+    fn cells_of(report: &str) -> Vec<Record> {
+        let mut cells = Vec::new();
+        let (mut instance, mut threads, mut arm) = ("", 0, "");
+        let mut end_to_end = Vec::new();
+        for line in report.lines() {
+            let line = line.trim().trim_end_matches(',');
+            let Some((key, value)) = line.split_once(": ") else {
+                continue;
+            };
+            match key {
+                "\"instance\"" => instance = value.trim_matches('"'),
+                "\"threads\"" => threads = value.parse().unwrap(),
+                "\"arm\"" => arm = value.trim_matches('"'),
+                "\"end_to_end_secs\"" => {
+                    end_to_end = value
+                        .trim_matches(['{', '}'])
+                        .split(", ")
+                        .map(|kv| kv.split_once(": ").unwrap().1.parse().unwrap())
+                        .collect();
+                }
+                "\"contract_secs\"" => cells.push(Record {
+                    instance: instance.into(),
+                    kind: match instance {
+                        i if i.starts_with("union-") => Inst::Union,
+                        i if i.starts_with("ring-") => Inst::Ring,
+                        i if i.starts_with("sbm-") => Inst::Sbm,
+                        i if i.contains("-x") => Inst::Batch,
+                        _ => Inst::Rmat,
+                    },
+                    input_edges: 0,
+                    threads,
+                    arm: ARMS.iter().find(|a| a.name == arm).unwrap().name,
+                    end_to_end: RunStats::new(std::mem::take(&mut end_to_end)),
+                    score_secs: 0.0,
+                    match_secs: 0.0,
+                    contract_secs: value.parse().unwrap(),
+                    levels: 0,
+                    modularity: 0.0,
+                    allocations: None,
+                    registry: Registry::new(),
+                }),
+                _ => {}
+            }
+        }
+        cells
+    }
+
+    /// The verdicts the checked-in reports got from the gate this harness
+    /// replaces, under the same thresholds, in [`ARMS`] order: observed,
+    /// budgeted-unarmed, contract-radix, sharded on union-*, sharded on
+    /// the ring. Each geometric mean is checked to the digits given.
+    #[test]
+    fn checked_in_reports_keep_their_verdicts() {
+        use Outcome::{Fail, NoCells, Pass};
+        let cases = [
+            (
+                include_str!("../../../../BENCH_pr10.json"),
+                [
+                    (Pass, "1.0053"),
+                    (Pass, "0.9870"),
+                    (Pass, "1.62"),
+                    (Pass, "0.95"),
+                    (Pass, "1.0037"),
+                ],
+            ),
+            (
+                include_str!("../../../../BENCH_pr9.json"),
+                [
+                    (Pass, "0.9622"),
+                    (Pass, "0.9733"),
+                    (Pass, "1.62"),
+                    (Pass, "0.98"),
+                    (Pass, "0.9450"),
+                ],
+            ),
+            (
+                include_str!("../../../../BENCH_pr8.json"),
+                [
+                    (Pass, "1.0077"),
+                    (Fail, "1.0164"),
+                    (Pass, "1.64"),
+                    (NoCells, ""),
+                    (NoCells, ""),
+                ],
+            ),
+        ];
+        for (report, want) in cases {
+            let cells = cells_of(report);
+            let verdicts = evaluate(&cells, false);
+            assert_eq!(verdicts.len(), want.len());
+            for (v, (outcome, geomean)) in verdicts.iter().zip(want) {
+                assert_eq!(v.outcome, outcome, "{} on {:?}", v.arm.name, v.arm.on);
+                let digits = geomean.len().saturating_sub(2);
+                let got = v.geomean.map_or(String::new(), |m| format!("{m:.digits$}"));
+                assert_eq!(got, geomean, "{} on {:?}", v.arm.name, v.arm.on);
+            }
+            // Smoke runs report the same ratios and gate none.
+            for v in evaluate(&cells, true) {
+                assert!(matches!(v.outcome, Outcome::Smoke | NoCells));
+            }
+        }
+    }
+
+    /// A gate pairs cells by (instance, threads), so its baseline must run
+    /// on every instance the gated arm runs on.
+    #[test]
+    fn every_baseline_runs_where_its_arm_does() {
+        for arm in &ARMS {
+            let Some(gate) = &arm.gate else { continue };
+            for inst in arm.on {
+                assert!(
+                    ARMS.iter()
+                        .any(|b| b.name == gate.baseline && b.on.contains(inst)),
+                    "{} has no {} baseline on {inst:?}",
+                    arm.name,
+                    gate.baseline
+                );
+            }
+        }
+    }
 }

@@ -17,8 +17,8 @@
 //! before the loop, so the per-boundary cost is a single `Option`
 //! discriminant test — `tests/dispatch_parity.rs` proves unarmed runs are
 //! bit-identical to budget-free runs for all 36 kernel combinations, and
-//! `bench_gate`'s `budgeted-unarmed` arm gates the armed-but-never-firing
-//! overhead at ≤ 1% against the reuse baseline.
+//! `bench_gate`'s `budgeted-unarmed` row gates the armed-but-never-firing
+//! overhead at ≤ 1%: its fastest sample against the `reuse` arm's.
 
 use crate::result::Termination;
 use pcd_util::sync::CancelToken;

@@ -1,10 +1,11 @@
 //! Level-loop observation hooks.
 //!
 //! [`LevelObserver`] is the seam between the engine's phase functions and
-//! anything that wants to watch a detection run — per-kernel benchmark
-//! timing (`bench_gate`), the CLI's `--progress` flag, and future
-//! observability layers. The default methods are no-ops, so observers
-//! implement only what they need and [`NoopObserver`] costs nothing.
+//! anything that wants to watch a detection run — the `pcd-trace`
+//! recorder (behind `parcomm detect --metrics` and `bench_gate`'s phase
+//! columns), the CLI's `--progress` flag, and future observability
+//! layers. The default methods are no-ops, so observers implement only
+//! what they need and [`NoopObserver`] costs nothing.
 //!
 //! Hooks fire at phase boundaries, *outside* the phase timers: an
 //! observer can be arbitrarily slow without perturbing the recorded

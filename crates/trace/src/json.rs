@@ -1,6 +1,6 @@
 //! `parcomm-metrics-v1` and `parcomm-trace-v1` JSON exporters.
 //!
-//! Hand-rolled like the bench gate's `parcomm-bench-v1` writer, and parsed
+//! Hand-rolled like `bench_gate`'s `parcomm-bench-v4` writer, and parsed
 //! back by the dependency-free validator in `xtask` (`cargo xtask metrics`).
 //! Histogram buckets carry explicit non-cumulative counts with `"le": null`
 //! standing for the `+Inf` overflow bucket. Non-finite gauge values are

@@ -28,7 +28,7 @@ fn test_graph() -> Graph {
 /// covered explicitly below.
 ///
 /// A third axis, `PARCOMM_TEST_MATCHER=<name>` (any `--list-kernels`
-/// spelling, e.g. `labelprop`), swaps the matching kernel the same way —
+/// spelling, e.g. `louvain`), swaps the matching kernel the same way —
 /// the guards also sit outside the matchers, so every matching backend
 /// must surface the same faults identically.
 fn base_config() -> Config {

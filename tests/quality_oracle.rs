@@ -2,9 +2,7 @@
 //! measured against (a) planted ground truth on an easy SBM — NMI must
 //! clear 0.9 — and (b) the dependency-free sequential Louvain reference
 //! in `pcd-baseline` — the detect + refine pipeline must hold 95% of the
-//! reference modularity on every fixture. The same thresholds gate CI
-//! through `cargo xtask bench --min-quality-ratio` (see EXPERIMENTS.md);
-//! this test is the always-on, fixture-pinned edition.
+//! reference modularity on every fixture.
 
 use parcomm::core::refine::refine;
 use parcomm::gen::{rmat_graph, sbm_graph, RmatParams, SbmParams};
@@ -66,6 +64,10 @@ fn every_backend_holds_95pct_of_the_sequential_reference() {
         (
             "sbm-lj-2000".into(),
             sbm_graph(&SbmParams::livejournal_like(2_000, 7)).graph,
+        ),
+        (
+            "sbm-lj-2000-43".into(),
+            sbm_graph(&SbmParams::livejournal_like(2_000, 43)).graph,
         ),
         (
             "planted-1024".into(),

@@ -15,23 +15,16 @@
 //! Kept so existing muscle memory, docs, and CI invocations of
 //! `cargo xtask lint` keep working; it runs the full analyzer.
 //!
-//! # `bench` — JSON benchmark gate
-//!
-//! Runs the `bench_gate` harness on pinned instances, validates the
-//! emitted `parcomm-bench-v1` report, and fails if any cell's median
-//! end-to-end time regressed past a configurable threshold relative to
-//! the previous checked-in `BENCH_*.json`. See `bench.rs`.
-//!
 //! # `metrics` — observability export schema gate
 //!
 //! Validates `parcomm-metrics-v1` / `parcomm-trace-v1` documents written
 //! by `parcomm detect --metrics/--trace` and `bench_gate --metrics-out`.
-//! See `metrics.rs`.
+//! See `metrics.rs`; the JSON reader is in `json.rs`.
 
 #![forbid(unsafe_code)]
 
 mod analyze;
-mod bench;
+mod json;
 mod metrics;
 
 use std::path::{Path, PathBuf};
@@ -41,10 +34,9 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("analyze") | Some("lint") => analyze::run(&args[1..]),
-        Some("bench") => bench::run(&args[1..]),
         Some("metrics") => metrics::run(&args[1..]),
         _ => {
-            eprintln!("usage: cargo xtask <analyze|lint|bench|metrics>");
+            eprintln!("usage: cargo xtask <analyze|lint|metrics>");
             eprintln!("  analyze [--bless]   run all static-analysis passes");
             eprintln!("  lint                alias for analyze");
             ExitCode::FAILURE

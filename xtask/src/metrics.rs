@@ -7,13 +7,13 @@
 //! detected from the document's `"schema"` field, so one command covers
 //! both: `cargo xtask metrics out/metrics.json out/trace.json`.
 //!
-//! Reuses the bench gate's dependency-free JSON parser; like `bench`, this
+//! Reads documents with the dependency-free parser in `json.rs`, so this
 //! gate runs without registry access.
 
 use std::path::Path;
 use std::process::ExitCode;
 
-use crate::bench::{get, o_num, o_str, parse_json, Json};
+use crate::json::{get, o_num, o_str, parse_json, Json};
 
 pub(crate) fn run(args: &[String]) -> ExitCode {
     if args.is_empty() || args.iter().any(|a| a == "--help" || a == "-h") {
