@@ -65,9 +65,14 @@ pub fn contract_with_policy(g: &Graph, m: &Matching, placement: Placement) -> Co
 /// Reusable working storage for [`contract_into`]: the relabel map and its
 /// prefix-sum buffer, the matched-edge bitset, relabelled endpoints, bucket
 /// counts/offsets/cursors, the bucketed temp arrays, the radix kernel's
-/// ping-pong arena ([`crate::radix`]), and the shortened bucket lengths.
+/// ping-pong arena ([`crate::radix`]), and the shortened buckets' offsets.
 /// Every buffer is cleared and logically resized per call; capacity only
 /// grows, so steady-state contraction allocates nothing.
+///
+/// `bucket_off` and `final_off` hold `num_new + 1` entries: under
+/// prefix-sum placement both are row-offset prefixes ending in their
+/// total, which is what lets the per-row passes cut their chunks by row
+/// length ([`par::for_each_mut_init_weighted`]).
 #[derive(Debug, Default)]
 pub struct ContractScratch {
     pub(crate) is_leader: Vec<usize>,
@@ -82,7 +87,6 @@ pub struct ContractScratch {
     pub(crate) tmp_w: Vec<u64>,
     pub(crate) radix_dst: Vec<u32>,
     pub(crate) radix_w: Vec<u64>,
-    pub(crate) uniq: Vec<usize>,
     pub(crate) final_off: Vec<usize>,
 }
 
@@ -123,7 +127,6 @@ impl ContractScratch {
             + self.tmp_w.capacity() * size_of::<u64>()
             + self.radix_dst.capacity() * size_of::<u32>()
             + self.radix_w.capacity() * size_of::<u64>()
-            + self.uniq.capacity() * size_of::<usize>()
             + self.final_off.capacity() * size_of::<usize>()
     }
 }
@@ -158,7 +161,6 @@ pub fn contract_into(
         tmp_w,
         radix_dst: _,
         radix_w: _,
-        uniq,
         final_off,
     } = scratch;
 
@@ -230,11 +232,11 @@ pub fn contract_into(
     let live: usize = counts.iter().sum();
 
     // Bucket offsets per placement policy.
+    bucket_off.clear();
     match placement {
         Placement::PrefixSum => {
-            bucket_off.clear();
-            // analyze: allow(alloc, reason = "copy into a recycled scratch buffer; capacity amortizes to the level ceiling")
-            bucket_off.extend_from_slice(counts);
+            bucket_off.resize(num_new + 1, 0);
+            bucket_off[..num_new].copy_from_slice(counts);
             exclusive_prefix_sum(bucket_off);
         }
         Placement::FetchAdd => {
@@ -243,10 +245,9 @@ pub fn contract_into(
             // ORDERING: RELAXED — the fetch_add only needs a unique extent
             // (atomicity); each `off[v]` slot has a single writer and is
             // read only after the join barrier publishes it.
-            bucket_off.clear();
-            bucket_off.resize(num_new, usize::MAX);
+            bucket_off.resize(num_new + 1, live);
             let global = AtomicUsize::new(0);
-            let off = as_atomic_usize(bucket_off);
+            let off = as_atomic_usize(&mut bucket_off[..num_new]);
             par::for_each(num_new, |v| {
                 if counts[v] > 0 {
                     let at = global.fetch_add(counts[v], RELAXED);
@@ -262,7 +263,7 @@ pub fn contract_into(
     // Phase 2b: scatter into the bucketed temp arrays.
     cursor.clear();
     // analyze: allow(alloc, reason = "copy into a recycled scratch buffer; capacity amortizes to the level ceiling")
-    cursor.extend_from_slice(bucket_off);
+    cursor.extend_from_slice(&bucket_off[..num_new]);
     tmp_dst.clear();
     tmp_dst.resize(live, 0);
     tmp_w.clear();
@@ -284,14 +285,17 @@ pub fn contract_into(
         });
     }
 
-    // Phase 3: per-bucket sort + accumulate (shortening buckets).
-    // Buckets are disjoint ranges of tmp arrays; raw-pointer access is safe.
-    uniq.clear();
-    uniq.resize(num_new, 0);
+    // Phase 3: per-bucket sort + accumulate (shortening buckets), each
+    // bucket's shortened length landing in `final_off[v]`. Buckets are
+    // disjoint ranges of tmp arrays; raw-pointer access is safe. Under
+    // prefix-sum placement the offsets are a prefix of bucket lengths, so
+    // chunks are cut by bucket length; fetch-and-add extents are not.
+    final_off.clear();
+    final_off.resize(num_new + 1, 0);
     {
         let dst_ptr = SendPtr(tmp_dst.as_mut_ptr());
         let w_ptr = SendPtr(tmp_w.as_mut_ptr());
-        par::for_each_mut(uniq, |v, u| {
+        let shorten = |v: usize, u: &mut usize| {
             let (b, len) = (bucket_off[v], counts[v]);
             if len == 0 {
                 return;
@@ -308,55 +312,73 @@ pub fn contract_into(
                 let w = std::slice::from_raw_parts_mut(w_ptr.0.add(b), len);
                 *u = sort_accumulate(d, w);
             }
-        });
+        };
+        let rows = &mut final_off[..num_new];
+        match placement {
+            Placement::PrefixSum => {
+                par::for_each_mut_init_weighted(rows, bucket_off, || (), |_, v, u| shorten(v, u))
+            }
+            Placement::FetchAdd => par::for_each_mut(rows, shorten),
+        }
     }
-    let uniq: &[usize] = uniq;
     let tmp_dst: &[u32] = tmp_dst;
     let tmp_w: &[u64] = tmp_w;
 
     // Phase 4: compact shortened buckets into dense final storage. The
     // final bucket order matches the placement policy's bucket order.
-    final_off.clear();
-    // analyze: allow(alloc, reason = "copy into a recycled scratch buffer; capacity amortizes to the level ceiling")
-    final_off.extend_from_slice(uniq);
-    let total = exclusive_prefix_sum(final_off);
-    let final_off: &[usize] = final_off;
+    exclusive_prefix_sum(final_off);
+    compact_rows(bucket_off, final_off, tmp_dst, tmp_w, &mut parts);
+
+    // Contraction conserves Σw + Σself exactly, so the parent's total
+    // carries over; debug builds re-verify inside `from_recycled_parts`.
+    let graph = Graph::from_recycled_parts(num_new, parts, g.total_weight());
+    (graph, num_new)
+}
+
+/// Phase 4, shared with the radix kernel: copies row `v`'s first
+/// `final_off[v + 1] - final_off[v]` entries, starting at `from_off[v]`
+/// in the bucketed arrays, to `final_off[v]` in dense storage, and sets
+/// the output rows' bounds. Chunks are cut by output row length.
+pub(crate) fn compact_rows(
+    from_off: &[usize],
+    final_off: &[usize],
+    tmp_dst: &[u32],
+    tmp_w: &[u64],
+    parts: &mut GraphParts,
+) {
+    let num_new = final_off.len() - 1;
+    let total = final_off[num_new];
     parts.src.clear();
     parts.src.resize(total, 0);
     parts.dst.clear();
     parts.dst.resize(total, 0);
     parts.weight.clear();
     parts.weight.resize(total, 0);
-    {
-        let src_c = as_atomic_u32(&mut parts.src);
-        let dst_c = as_atomic_u32(&mut parts.dst);
-        let w_c = as_atomic_u64(&mut parts.weight);
-        par::for_each(num_new, |v| {
-            // ORDERING: RELAXED — bucket v's extent [to, to+uniq[v]) is
-            // disjoint per task, so each slot has one writer; the join
-            // barrier publishes the compacted arrays to the builder below.
-            let from = bucket_off[v];
-            let to = final_off[v];
-            for k in 0..uniq[v] {
+    parts.bucket_end.clear();
+    parts.bucket_end.resize(num_new, 0);
+    let src_c = as_atomic_u32(&mut parts.src);
+    let dst_c = as_atomic_u32(&mut parts.dst);
+    let w_c = as_atomic_u64(&mut parts.weight);
+    par::for_each_mut_init_weighted(
+        &mut parts.bucket_end,
+        final_off,
+        || (),
+        |_, v, end| {
+            // ORDERING: RELAXED — row v's extent [to, end) is disjoint per
+            // task, so each slot has one writer; the join barrier publishes
+            // the compacted arrays to the builder.
+            let (from, to) = (from_off[v], final_off[v]);
+            *end = final_off[v + 1];
+            for k in 0..*end - to {
                 src_c[to + k].store(v as u32, RELAXED);
                 dst_c[to + k].store(tmp_dst[from + k], RELAXED);
                 w_c[to + k].store(tmp_w[from + k], RELAXED);
             }
-        });
-    }
+        },
+    );
     parts.bucket_begin.clear();
     // analyze: allow(alloc, reason = "fill of recycled GraphParts buffers; ping-pong recycling amortizes capacity")
-    parts.bucket_begin.extend_from_slice(final_off);
-    parts.bucket_end.clear();
-    parts
-        .bucket_end
-        // analyze: allow(alloc, reason = "fill of recycled GraphParts buffers; ping-pong recycling amortizes capacity")
-        .extend((0..num_new).map(|v| final_off[v] + uniq[v]));
-
-    // Contraction conserves Σw + Σself exactly, so the parent's total
-    // carries over; debug builds re-verify inside `from_recycled_parts`.
-    let graph = Graph::from_recycled_parts(num_new, parts, g.total_weight());
-    (graph, num_new)
+    parts.bucket_begin.extend_from_slice(&final_off[..num_new]);
 }
 
 /// Sorts a bucket by destination and accumulates duplicate destinations in

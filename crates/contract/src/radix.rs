@@ -29,7 +29,7 @@
 //! the engine's vertex-following pre-pass contracts whole hair bundles
 //! through it in one shot.
 
-use crate::bucket::{self, sort_accumulate, ContractScratch, Placement};
+use crate::bucket::{self, compact_rows, sort_accumulate, ContractScratch, Placement};
 use crate::{relabel_into, Contraction};
 use pcd_graph::{canonical_order, Graph, GraphParts};
 use pcd_matching::Matching;
@@ -93,7 +93,6 @@ pub fn contract_into(
         tmp_w,
         radix_dst,
         radix_w,
-        uniq,
         final_off,
     } = scratch;
 
@@ -122,7 +121,7 @@ pub fn contract_into(
 
     let graph = contract_relabelled(
         g, num_new, new_src, new_dst, counts, bucket_off, cursor, tmp_dst, tmp_w, radix_dst,
-        radix_w, uniq, final_off, parts,
+        radix_w, final_off, parts,
     );
     (graph, num_new)
 }
@@ -154,7 +153,6 @@ pub fn contract_map_into(
         tmp_w,
         radix_dst,
         radix_w,
-        uniq,
         final_off,
         ..
     } = scratch;
@@ -179,7 +177,7 @@ pub fn contract_map_into(
 
     contract_relabelled(
         g, num_new, new_src, new_dst, counts, bucket_off, cursor, tmp_dst, tmp_w, radix_dst,
-        radix_w, uniq, final_off, parts,
+        radix_w, final_off, parts,
     )
 }
 
@@ -244,7 +242,6 @@ fn contract_relabelled(
     tmp_w: &mut Vec<u64>,
     radix_dst: &mut Vec<u32>,
     radix_w: &mut Vec<u64>,
-    uniq: &mut Vec<usize>,
     final_off: &mut Vec<usize>,
     mut parts: GraphParts,
 ) -> Graph {
@@ -270,9 +267,11 @@ fn contract_relabelled(
     // Exclusive prefix sum gives every row a fixed, schedule-independent
     // offset — the fetch-and-add placement the paper shrugs at is strictly
     // worse here: it costs the same pass and surrenders determinism.
+    // The trailing entry holds the total, so the offsets are also the
+    // per-row work prefix that the row passes below cut chunks by.
     bucket_off.clear();
-    // analyze: allow(alloc, reason = "copy into a recycled scratch buffer; capacity amortizes to the level ceiling")
-    bucket_off.extend_from_slice(counts);
+    bucket_off.resize(num_new + 1, 0);
+    bucket_off[..num_new].copy_from_slice(counts);
     exclusive_prefix_sum(bucket_off);
     let bucket_off: &[usize] = bucket_off;
 
@@ -282,7 +281,7 @@ fn contract_relabelled(
     // below erases.
     cursor.clear();
     // analyze: allow(alloc, reason = "copy into a recycled scratch buffer; capacity amortizes to the level ceiling")
-    cursor.extend_from_slice(bucket_off);
+    cursor.extend_from_slice(&bucket_off[..num_new]);
     tmp_dst.clear();
     tmp_dst.resize(live, 0);
     tmp_w.clear();
@@ -312,86 +311,56 @@ fn contract_relabelled(
     // Phase 3: per-row accumulate. Short rows take the tandem insertion
     // path; long rows take stable LSD counting passes over the digits a
     // destination id can actually occupy, ping-ponging between the row's
-    // slice of the scatter arena and its slice of the radix arena.
+    // slice of the scatter arena and its slice of the radix arena. Each
+    // row's shortened length lands in `final_off[v]`; chunks are cut by
+    // row length.
     radix_dst.clear();
     radix_dst.resize(live, 0);
     radix_w.clear();
     radix_w.resize(live, 0);
     let digits = digits_for(num_new);
-    uniq.clear();
-    uniq.resize(num_new, 0);
+    final_off.clear();
+    final_off.resize(num_new + 1, 0);
     {
         let dst_ptr = SendPtr(tmp_dst.as_mut_ptr());
         let w_ptr = SendPtr(tmp_w.as_mut_ptr());
         let alt_dst_ptr = SendPtr(radix_dst.as_mut_ptr());
         let alt_w_ptr = SendPtr(radix_w.as_mut_ptr());
-        par::for_each_mut(uniq, |v, u| {
-            let (b, len) = (bucket_off[v], counts[v]);
-            if len == 0 {
-                return;
-            }
-            let (dst_ptr, w_ptr) = (&dst_ptr, &w_ptr);
-            let (alt_dst_ptr, alt_w_ptr) = (&alt_dst_ptr, &alt_w_ptr);
-            // SAFETY: `bucket_off` is the exclusive prefix sum of
-            // `counts`, so each row's range `[b, b + len)` is disjoint
-            // from every other task's and in-bounds for all four arenas
-            // (each sized `live`); the arenas are exclusively borrowed
-            // for the duration of the parallel region.
-            unsafe {
-                let d = std::slice::from_raw_parts_mut(dst_ptr.0.add(b), len);
-                let w = std::slice::from_raw_parts_mut(w_ptr.0.add(b), len);
-                *u = if len <= RADIX_ROW_CUTOFF {
-                    sort_accumulate(d, w)
-                } else {
-                    let alt_d = std::slice::from_raw_parts_mut(alt_dst_ptr.0.add(b), len);
-                    let alt_w = std::slice::from_raw_parts_mut(alt_w_ptr.0.add(b), len);
-                    radix_accumulate(d, w, alt_d, alt_w, digits)
-                };
-            }
-        });
+        par::for_each_mut_init_weighted(
+            &mut final_off[..num_new],
+            bucket_off,
+            || (),
+            |_, v, u| {
+                let (b, len) = (bucket_off[v], counts[v]);
+                if len == 0 {
+                    return;
+                }
+                let (dst_ptr, w_ptr) = (&dst_ptr, &w_ptr);
+                let (alt_dst_ptr, alt_w_ptr) = (&alt_dst_ptr, &alt_w_ptr);
+                // SAFETY: `bucket_off` is the exclusive prefix sum of
+                // `counts`, so each row's range `[b, b + len)` is disjoint
+                // from every other task's and in-bounds for all four arenas
+                // (each sized `live`); the arenas are exclusively borrowed
+                // for the duration of the parallel region.
+                unsafe {
+                    let d = std::slice::from_raw_parts_mut(dst_ptr.0.add(b), len);
+                    let w = std::slice::from_raw_parts_mut(w_ptr.0.add(b), len);
+                    *u = if len <= RADIX_ROW_CUTOFF {
+                        sort_accumulate(d, w)
+                    } else {
+                        let alt_d = std::slice::from_raw_parts_mut(alt_dst_ptr.0.add(b), len);
+                        let alt_w = std::slice::from_raw_parts_mut(alt_w_ptr.0.add(b), len);
+                        radix_accumulate(d, w, alt_d, alt_w, digits)
+                    };
+                }
+            },
+        );
     }
-    let uniq: &[usize] = uniq;
-    let tmp_dst: &[u32] = tmp_dst;
-    let tmp_w: &[u64] = tmp_w;
 
-    // Phase 4: compact shortened rows into dense final storage — identical
-    // to the bucket kernel's compaction, byte for byte.
-    final_off.clear();
-    // analyze: allow(alloc, reason = "copy into a recycled scratch buffer; capacity amortizes to the level ceiling")
-    final_off.extend_from_slice(uniq);
-    let total = exclusive_prefix_sum(final_off);
-    let final_off: &[usize] = final_off;
-    parts.src.clear();
-    parts.src.resize(total, 0);
-    parts.dst.clear();
-    parts.dst.resize(total, 0);
-    parts.weight.clear();
-    parts.weight.resize(total, 0);
-    {
-        let src_c = as_atomic_u32(&mut parts.src);
-        let dst_c = as_atomic_u32(&mut parts.dst);
-        let w_c = as_atomic_u64(&mut parts.weight);
-        par::for_each(num_new, |v| {
-            // ORDERING: RELAXED — row v's extent [to, to+uniq[v]) is
-            // disjoint per task, so each slot has one writer; the join
-            // barrier publishes the compacted arrays to the builder below.
-            let from = bucket_off[v];
-            let to = final_off[v];
-            for k in 0..uniq[v] {
-                src_c[to + k].store(v as u32, RELAXED);
-                dst_c[to + k].store(tmp_dst[from + k], RELAXED);
-                w_c[to + k].store(tmp_w[from + k], RELAXED);
-            }
-        });
-    }
-    parts.bucket_begin.clear();
-    // analyze: allow(alloc, reason = "fill of recycled GraphParts buffers; ping-pong recycling amortizes capacity")
-    parts.bucket_begin.extend_from_slice(final_off);
-    parts.bucket_end.clear();
-    parts
-        .bucket_end
-        // analyze: allow(alloc, reason = "fill of recycled GraphParts buffers; ping-pong recycling amortizes capacity")
-        .extend((0..num_new).map(|v| final_off[v] + uniq[v]));
+    // Phase 4: compact shortened rows into dense final storage — the
+    // bucket kernel's compaction, byte for byte.
+    exclusive_prefix_sum(final_off);
+    compact_rows(bucket_off, final_off, tmp_dst, tmp_w, &mut parts);
 
     // Contraction conserves Σw + Σself exactly, so the parent's total
     // carries over; debug builds re-verify inside `from_recycled_parts`.

@@ -96,68 +96,64 @@ pub fn synchronous_move_phase(
         // Proposal pass: best positive-gain move per vertex against the
         // sweep-start snapshot of `labels` and `vol` (both read-only
         // here). A vertex with no positive-gain target proposes itself.
+        // Chunks are cut by adjacency length, so a level with few
+        // vertices but many edges still runs on every worker. Each worker
+        // sums u's edge weight per neighbouring label in a dense
+        // accumulator, recording each label it touches, then scans the
+        // touched labels and zeroes them again: O(degree) per vertex.
         {
             let labels_ro: &[VertexId] = labels;
             let vol_ro: &[Weight] = vol;
-            par::for_each_mut_init(
+            par::for_each_mut_init_weighted(
                 labels_next,
-                // analyze: allow(alloc, reason = "per-worker gather buffer; one allocation per participating thread, not per vertex")
-                Vec::new,
-                |buf: &mut Vec<(VertexId, Weight)>, u, target| {
+                offsets,
+                // analyze: allow(alloc, reason = "per-worker label accumulator and touched list; one allocation each per participating thread, not per vertex")
+                || (vec![0 as Weight; nv], Vec::new()),
+                |(acc, touched): &mut (Vec<Weight>, Vec<VertexId>), u, target| {
                     let a = labels_ro[u];
                     *target = a;
-                    buf.clear();
                     for s in offsets[u]..offsets[u + 1] {
-                        // analyze: allow(alloc, reason = "per-task gather buffer; amortized by clear+reuse across vertices")
-                        buf.push((labels_ro[nbr[s] as usize], weights[eid[s]]));
+                        let lab = labels_ro[nbr[s] as usize];
+                        if acc[lab as usize] == 0 {
+                            // A zero-weight edge can list a label twice;
+                            // scoring it twice changes nothing below.
+                            // analyze: allow(alloc, reason = "per-worker touched list; amortized by clear+reuse across vertices")
+                            touched.push(lab);
+                        }
+                        acc[lab as usize] += weights[eid[s]];
                     }
-                    if buf.is_empty() {
+                    if touched.is_empty() {
                         return;
                     }
-                    buf.sort_unstable();
-                    // First run-scan: u's connection to its own
-                    // community (excluding its self-loop, which moves
-                    // with u and cancels out of every gain).
+                    // u's connection to its own community (excluding its
+                    // self-loop, which moves with u and cancels out of
+                    // every gain).
                     let k_u = vertex_vol[u] as f64;
-                    let mut w_own: Weight = 0;
-                    let mut i = 0;
-                    while i < buf.len() {
-                        let lab = buf[i].0;
-                        let mut w: Weight = 0;
-                        while i < buf.len() && buf[i].0 == lab {
-                            w += buf[i].1;
-                            i += 1;
-                        }
-                        if lab == a {
-                            w_own = w;
-                        }
-                    }
+                    let w_own = acc[a as usize];
                     let vol_a_less_u = (vol_ro[a as usize] - vertex_vol[u]) as f64;
-                    // Second run-scan: the argmax over candidate
-                    // communities. Gain of moving u from a to b:
+                    // The argmax over candidate communities. Gain of
+                    // moving u from a to b:
                     //   (w_ub - w_ua)/m - k_u (vol_b - vol_a') / (2 m^2)
                     let (mut best_lab, mut best_gain) = (a, 0.0f64);
-                    i = 0;
-                    while i < buf.len() {
-                        let lab = buf[i].0;
-                        let mut w: Weight = 0;
-                        while i < buf.len() && buf[i].0 == lab {
-                            w += buf[i].1;
-                            i += 1;
-                        }
+                    for &lab in touched.iter() {
                         if lab == a {
                             continue;
                         }
+                        let w = acc[lab as usize];
                         let dq = (w as f64 - w_own as f64) * inv_m
                             - k_u * (vol_ro[lab as usize] as f64 - vol_a_less_u) * inv_2m2;
-                        // Runs arrive in ascending label order, so a
-                        // strict comparison keeps the smallest label
-                        // on exact ties — the deterministic rule.
-                        if dq > best_gain {
+                        // The deterministic rule, whatever order the
+                        // labels were touched in: the larger gain wins,
+                        // and an exact tie goes to the smaller label.
+                        if dq > best_gain || (dq == best_gain && lab < best_lab) {
                             best_gain = dq;
                             best_lab = lab;
                         }
                     }
+                    for &lab in touched.iter() {
+                        acc[lab as usize] = 0;
+                    }
+                    touched.clear();
                     if best_gain > GAIN_EPS {
                         *target = best_lab;
                     }

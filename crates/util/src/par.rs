@@ -12,7 +12,10 @@
 //! * **Cheap small regions.** A region over at most [`SEQ_CUTOFF`] items
 //!   runs inline on the caller, and so does every region started from
 //!   inside a worker: the tail of tiny levels and the per-graph work of a
-//!   batch worker spawn no threads.
+//!   batch worker spawn no threads. A work-weighted region
+//!   ([`for_each_mut_init_weighted`]) counts its items' work as well as
+//!   the items themselves, so a loop over few vertices but many edges
+//!   still runs on every worker.
 //! * **Ordered results.** [`map`] and [`map_init`] return results in index
 //!   order.
 //! * **Deterministic reductions.** [`sum`] adds fixed chunks of
@@ -25,7 +28,8 @@
 //!
 //! The surface is deliberately narrow: index ranges ([`for_each`],
 //! [`for_ranges`]), mutable slices ([`for_each_mut`], with per-worker
-//! state [`for_each_mut_init`], and [`chunks_mut`]), ordered collection
+//! state [`for_each_mut_init`] and its work-weighted form
+//! [`for_each_mut_init_weighted`], and [`chunks_mut`]), ordered collection
 //! ([`map`], and [`map_init`] for coarse items), [`sum`], [`any`] and
 //! [`all`].
 
@@ -39,7 +43,8 @@ use std::ops::Range;
 /// caller; also the fixed chunk of [`sum`]'s reduction.
 pub const SEQ_CUTOFF: usize = 1 << 16;
 
-/// Items per claimed chunk of cheap per-index work.
+/// Items per claimed chunk of cheap per-index work, and cost units per
+/// chunk of a work-weighted region.
 const CHUNK: usize = 1 << 11;
 
 thread_local! {
@@ -144,28 +149,83 @@ fn chunk_range(c: usize, size: usize, n: usize) -> Range<usize> {
     lo..(lo + size).min(n)
 }
 
-/// Runs over consecutive `size`-element chunks of `data`, each handed with
-/// its chunk index to a per-worker runner built by `make`.
-fn slice_region<T, M, W>(data: &mut [T], size: usize, parallel: bool, make: &M)
+/// How a slice region cuts `0..n` into consecutive chunks. Chunk `c`
+/// ends where chunk `c + 1` starts, the first starts at 0 and the last
+/// ends at `n`, so the chunks are disjoint and cover every item once.
+#[derive(Clone, Copy)]
+enum Split<'a> {
+    /// `size` items per chunk, the last one shorter.
+    Items(usize),
+    /// About [`CHUNK`] cost units per chunk, item `i` costing one unit
+    /// plus its work `work[i + 1] - work[i]`; `work` has `n + 1` entries
+    /// and never decreases (checked by the region's entry point).
+    Work(&'a [usize]),
+}
+
+impl Split<'_> {
+    fn chunks(self, n: usize) -> usize {
+        match self {
+            Split::Items(size) => n.div_ceil(size),
+            Split::Work(work) => weighted_cost(work, n).div_ceil(CHUNK),
+        }
+    }
+
+    fn range(self, c: usize, n: usize) -> Range<usize> {
+        match self {
+            Split::Items(size) => chunk_range(c, size, n),
+            Split::Work(work) => {
+                first_item_at(work, n, c * CHUNK)..first_item_at(work, n, (c + 1) * CHUNK)
+            }
+        }
+    }
+}
+
+/// Cost of items `0..i` under a work prefix: their work plus one unit each.
+#[inline]
+fn weighted_cost(work: &[usize], i: usize) -> usize {
+    work[i] - work[0] + i
+}
+
+/// The first item in `0..n` whose cost prefix reaches `at`, or `n`.
+/// Nondecreasing in `at`, since the cost prefix strictly increases.
+fn first_item_at(work: &[usize], n: usize, at: usize) -> usize {
+    let (mut lo, mut hi) = (0, n);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if weighted_cost(work, mid) < at {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
+}
+
+/// Runs over the chunks `split` cuts from `data`, each handed with the
+/// index of its first item to a per-worker runner built by `make`.
+fn slice_region<T, M, W>(data: &mut [T], split: Split, parallel: bool, make: &M)
 where
     T: Send,
     M: Fn() -> W + Sync,
     W: FnMut(usize, &mut [T]),
 {
-    assert!(size > 0, "chunk size must be positive");
+    if let Split::Items(size) = split {
+        assert!(size > 0, "chunk size must be positive");
+    }
     let n = data.len();
     let base = SendPtr(data.as_mut_ptr());
-    region(n.div_ceil(size), parallel, &|| {
+    region(split.chunks(n), parallel, &|| {
         let base = &base;
         let mut run = make();
         move |c| {
-            let r = chunk_range(c, size, n);
-            // SAFETY: chunk `c` covers `r`, which lies inside `data`; the
-            // ranges of distinct chunks are disjoint and every chunk is
-            // claimed exactly once, while `data` stays exclusively borrowed
-            // for the whole region — so no two live slices alias.
+            let r = split.range(c, n);
+            // SAFETY: `split` cuts `0..n` into abutting ranges, so chunk
+            // `c`'s range `r` lies inside `data` and is disjoint from every
+            // other chunk's; every chunk is claimed exactly once, while
+            // `data` stays exclusively borrowed for the whole region — so
+            // no two live slices alias.
             let chunk = unsafe { std::slice::from_raw_parts_mut(base.0.add(r.start), r.len()) };
-            run(c, chunk)
+            run(r.start, chunk)
         }
     });
 }
@@ -199,13 +259,62 @@ pub fn for_each_mut_init<T: Send, S>(
     init: impl Fn() -> S + Sync,
     f: impl Fn(&mut S, usize, &mut T) + Sync,
 ) {
-    let (init, f) = (&init, &f);
     let parallel = data.len() > SEQ_CUTOFF;
-    slice_region(data, CHUNK, parallel, &|| {
+    items_region(data, Split::Items(CHUNK), parallel, &init, &f);
+}
+
+/// As [`for_each_mut_init`] for items of uneven cost — CSR rows, say.
+/// `work` is a nondecreasing prefix of per-item work, `data.len() + 1`
+/// entries long (row offsets qualify), and item `i` costs
+/// `work[i + 1] - work[i]` units plus one. The region runs inline when
+/// the items' total cost is at most [`SEQ_CUTOFF`]; otherwise its chunks
+/// are contiguous item ranges of about [`CHUNK`] units, cut from `work`
+/// alone, so their bounds never depend on the width.
+///
+/// # Panics
+///
+/// If `work` has the wrong length, decreases anywhere, or spans more than
+/// `isize::MAX` units.
+pub fn for_each_mut_init_weighted<T: Send, S>(
+    data: &mut [T],
+    work: &[usize],
+    init: impl Fn() -> S + Sync,
+    f: impl Fn(&mut S, usize, &mut T) + Sync,
+) {
+    let n = data.len();
+    assert_eq!(
+        work.len(),
+        n + 1,
+        "work prefix needs one entry per item plus one"
+    );
+    assert!(
+        work.windows(2).all(|w| w[0] <= w[1]),
+        "work prefix must be nondecreasing"
+    );
+    // Keeps every cost and chunk target below overflow: `work` is
+    // allocated, so `n` is far below `isize::MAX` too.
+    assert!(
+        work[n] - work[0] <= isize::MAX as usize,
+        "work prefix spans more than isize::MAX units"
+    );
+    let parallel = weighted_cost(work, n) > SEQ_CUTOFF;
+    items_region(data, Split::Work(work), parallel, &init, &f);
+}
+
+/// Calls `f(state, i, &mut data[i])` for every item, over the chunks
+/// `split` cuts, with one `state` per participant.
+fn items_region<T: Send, S>(
+    data: &mut [T],
+    split: Split,
+    parallel: bool,
+    init: &(impl Fn() -> S + Sync),
+    f: &(impl Fn(&mut S, usize, &mut T) + Sync),
+) {
+    slice_region(data, split, parallel, &|| {
         let mut state = init();
-        move |c, chunk: &mut [T]| {
+        move |lo, chunk: &mut [T]| {
             for (k, x) in chunk.iter_mut().enumerate() {
-                f(&mut state, c * CHUNK + k, x);
+                f(&mut state, lo + k, x);
             }
         }
     });
@@ -216,7 +325,9 @@ pub fn for_each_mut_init<T: Send, S>(
 pub fn chunks_mut<T: Send>(data: &mut [T], size: usize, f: impl Fn(usize, &mut [T]) + Sync) {
     let f = &f;
     let parallel = data.len() > SEQ_CUTOFF;
-    slice_region(data, size, parallel, &|| f);
+    slice_region(data, Split::Items(size), parallel, &|| {
+        move |lo, chunk: &mut [T]| f(lo / size, chunk)
+    });
 }
 
 /// Collects `f(state, i)` for `i` in `0..n`, in index order, claiming
@@ -230,11 +341,12 @@ fn collect<S, R: Send>(
 ) -> Vec<R> {
     let (init, f) = (&init, &f);
     let mut out = Vec::with_capacity(n);
-    slice_region(&mut out.spare_capacity_mut()[..n], grain, parallel, &|| {
+    let slots = &mut out.spare_capacity_mut()[..n];
+    slice_region(slots, Split::Items(grain), parallel, &|| {
         let mut state = init();
-        move |c, slots: &mut [MaybeUninit<R>]| {
+        move |lo, slots: &mut [MaybeUninit<R>]| {
             for (k, slot) in slots.iter_mut().enumerate() {
-                slot.write(f(&mut state, c * grain + k));
+                slot.write(f(&mut state, lo + k));
             }
         }
     });
@@ -355,6 +467,121 @@ mod tests {
             seen.into_inner().unwrap().len() >= 2,
             "region ran on one thread"
         );
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore = "regions of SEQ_CUTOFF items are too slow under Miri")]
+    fn heavy_items_at_width_two_run_on_two_threads() {
+        // 64 items of 4 096 work units each: too few items for an
+        // item-count region to leave the caller, but plenty of work.
+        let work: Vec<usize> = (0..=64).map(|i| i * 4096).collect();
+        let mut v = vec![0u8; 64];
+        let seen = Mutex::new(HashSet::new());
+        with_threads(2, || {
+            for_each_mut_init_weighted(
+                &mut v,
+                &work,
+                || (),
+                |_, i, _| {
+                    seen.lock().unwrap().insert(thread_ordinal());
+                    if i == 0 {
+                        let start = Instant::now();
+                        while seen.lock().unwrap().len() < 2
+                            && start.elapsed() < Duration::from_secs(10)
+                        {
+                            std::thread::yield_now();
+                        }
+                    }
+                },
+            )
+        });
+        assert!(
+            seen.into_inner().unwrap().len() >= 2,
+            "region ran on one thread"
+        );
+    }
+
+    #[test]
+    fn light_weighted_region_runs_inline_on_the_caller() {
+        // Every participant of a parallel region, the caller included, is
+        // marked as inside it; an inline run is not. Work plus items is
+        // exactly SEQ_CUTOFF here, and one unit more in the contrast.
+        let n = 1024;
+        let work: Vec<usize> = (0..=n).map(|i| i * (SEQ_CUTOFF / n - 1)).collect();
+        let mut heavier = work.clone();
+        heavier[n] += 1;
+        let me = thread_ordinal();
+        for (work, inline) in [(&work, true), (&heavier, false)] {
+            let mut seen = vec![(u32::MAX, inline); n];
+            with_threads(8, || {
+                for_each_mut_init_weighted(
+                    &mut seen,
+                    work,
+                    || (),
+                    |_, _, s| *s = (thread_ordinal(), IN_REGION.with(Cell::get)),
+                )
+            });
+            assert!(seen.iter().all(|&(_, r)| r != inline), "inline: {inline}");
+            if inline {
+                assert!(seen.iter().all(|&(o, _)| o == me));
+            }
+        }
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore = "regions of SEQ_CUTOFF items are too slow under Miri")]
+    fn weighted_region_visits_every_item_once() {
+        let heavy = 5 * SEQ_CUTOFF;
+        // Per-item work of each case; the prefix is built from it.
+        let cases: Vec<(&str, usize, Vec<usize>)> = vec![
+            ("one item holds all the work", 0, {
+                let mut w = vec![0; 3000];
+                w[1234] = heavy;
+                w
+            }),
+            (
+                "runs of zero-work items",
+                0,
+                (0..20_000)
+                    .map(|i| if (i / 700) % 2 == 0 { 0 } else { 37 + i % 5 })
+                    .collect(),
+            ),
+            ("all-zero prefix", 0, vec![0; 3 * SEQ_CUTOFF + 11]),
+            ("no items", 0, vec![]),
+            (
+                "prefix not starting at 0",
+                1 << 40,
+                (0..5000).map(|i| (i * 7919) % 101).collect(),
+            ),
+        ];
+        for (name, base, item_work) in &cases {
+            let work: Vec<usize> = std::iter::once(*base)
+                .chain(item_work.iter().scan(*base, |acc, &w| {
+                    *acc += w;
+                    Some(*acc)
+                }))
+                .collect();
+            for w in [1, 2, 8] {
+                let mut v = vec![(usize::MAX, 0u32); item_work.len()];
+                with_threads(w, || {
+                    for_each_mut_init_weighted(
+                        &mut v,
+                        &work,
+                        || (),
+                        |_, i, x| {
+                            x.0 = i;
+                            x.1 += 1;
+                        },
+                    )
+                });
+                assert!(
+                    v.iter()
+                        .enumerate()
+                        .all(|(i, &(j, hits))| i == j && hits == 1),
+                    "{name} at width {w}"
+                );
+            }
+        }
     }
 
     #[test]

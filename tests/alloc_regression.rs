@@ -29,9 +29,18 @@ static ALLOC: CountingAlloc = CountingAlloc;
 
 #[test]
 fn steady_state_levels_allocate_nothing() {
-    // Single worker: the counters are process-global, so other region
-    // workers' bookkeeping must not pollute the phase windows.
-    parcomm::util::pool::with_threads(1, || {
+    for width in [1, 2] {
+        steady_state_levels_allocate_nothing_at(width);
+    }
+}
+
+/// At width 2 every region of this instance is still small enough to run
+/// inline — the largest level has about 11 k edges, under `SEQ_CUTOFF`
+/// items and under `SEQ_CUTOFF` units of work — so the counts also prove
+/// that deciding to run inline, by item count or by work, spawns no
+/// worker and builds no chunk table.
+fn steady_state_levels_allocate_nothing_at(width: usize) {
+    parcomm::util::pool::with_threads(width, || {
         let mut g = parcomm::gen::rmat_graph(&parcomm::gen::RmatParams::paper(10, 3));
         let mut scratch = LevelScratch::new();
         scratch.ctx.refresh(&g);
@@ -52,7 +61,7 @@ fn steady_state_levels_allocate_nothing() {
                 assert_eq!(
                     scored.allocations_since(&before),
                     0,
-                    "score allocated at level {level}"
+                    "score allocated at level {level}, width {width}"
                 );
             }
             if !any_positive(&scratch.scores) {
@@ -71,7 +80,7 @@ fn steady_state_levels_allocate_nothing() {
                 assert_eq!(
                     matched.allocations_since(&before),
                     0,
-                    "match allocated at level {level}"
+                    "match allocated at level {level}, width {width}"
                 );
             }
             let matching = outcome.matching;
@@ -93,7 +102,7 @@ fn steady_state_levels_allocate_nothing() {
                 assert_eq!(
                     contracted.allocations_since(&before),
                     0,
-                    "contract allocated at level {level}"
+                    "contract allocated at level {level}, width {width}"
                 );
             }
 
@@ -117,7 +126,7 @@ fn steady_state_levels_allocate_nothing() {
                 assert_eq!(
                     folded.allocations_since(&before),
                     0,
-                    "level fold allocated at level {level}"
+                    "level fold allocated at level {level}, width {width}"
                 );
                 steady_levels += 1;
             }

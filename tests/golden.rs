@@ -116,3 +116,21 @@ fn rmat_10_multilevel_refinement_golden() {
         assert_eq!(bits, trajectory, "seed {seed}");
     }
 }
+
+#[test]
+fn louvain_backend_golden() {
+    // Unit weights make exact ΔQ ties common in the move phase's first
+    // sweeps (equal-degree singletons), so this pins its tie rule —
+    // larger gain, then smaller label — along with the rest of the
+    // backend: assignment hash, modularity bits, level count and the
+    // sweeps each level took.
+    let s = parcomm::gen::sbm_graph(&parcomm::gen::SbmParams::livejournal_like(3_000, 21));
+    let cfg = Config::default()
+        .with_matcher(MatcherKind::LouvainMove)
+        .with_recorded_levels();
+    let r = detect(s.graph, &cfg);
+    assert_eq!(fnv1a(&r.assignment), 0xd4fa_34b8_f422_f78b);
+    assert_eq!(r.modularity.to_bits(), 0x3fe8_953b_474e_7571);
+    let sweeps: Vec<usize> = r.levels.iter().map(|l| l.match_rounds).collect();
+    assert_eq!(sweeps, vec![14, 8, 6, 6, 5, 5, 3, 2, 2]);
+}

@@ -1,18 +1,28 @@
 //! Width parity on regions that really run in parallel.
 //!
-//! A parallel region over at most `SEQ_CUTOFF` items runs inline on the
-//! caller, so the other parity suites — whose inputs are small — compare
-//! inline runs with inline runs. This suite uses an input with more than
-//! `SEQ_CUTOFF` vertices *and* edges, so every vertex- and edge-indexed
-//! loop of the first level (scoring, the matchers' CAS proposal registers,
-//! bucket placement by prefix sum and by fetch-and-add, the radix scatter)
-//! runs on several workers, and checks that widths 1, 2 and 8 give the
-//! same bits. The CI ThreadSanitizer job runs it too.
+//! A parallel region runs inline on the caller when it is small: an
+//! item-count region over at most `SEQ_CUTOFF` items, a work-weighted one
+//! (the per-row passes: the Louvain proposal pass, the contractors'
+//! sort-and-accumulate and compaction) when its rows' edges plus rows
+//! come to at most `SEQ_CUTOFF`. The other parity suites' inputs are small,
+//! so they compare inline runs with inline runs. This suite's inputs are
+//! large enough that the first level's loops run on several workers, and
+//! it checks that widths 1, 2 and 8 give the same bits:
+//!
+//! * R-MAT with more than `SEQ_CUTOFF` vertices *and* edges, so every
+//!   vertex- and edge-indexed loop (scoring, the matchers' CAS proposal
+//!   registers, bucket placement by prefix sum and by fetch-and-add, the
+//!   radix scatter) leaves the caller;
+//! * an R-MAT and a LiveJournal-like SBM with at most `SEQ_CUTOFF`
+//!   vertices but more edges, where only the work-weighted passes do —
+//!   the shape of every level after the first on the SBM.
+//!
+//! The CI ThreadSanitizer job runs it too.
 
 use parcomm::contract::ContractScratch;
 use parcomm::core::kernel::{contractor_for, matcher_for, scorer_for};
 use parcomm::core::ScoreContext;
-use parcomm::gen::{rmat_graph, RmatParams};
+use parcomm::gen::{rmat_graph, sbm_graph, RmatParams, SbmParams};
 use parcomm::graph::GraphParts;
 use parcomm::matching::verify::verify_matching;
 use parcomm::matching::MatchScratch;
@@ -45,6 +55,27 @@ fn large_graph() -> Graph {
     assert!(g.num_vertices() > SEQ_CUTOFF, "vertex regions run inline");
     assert!(g.num_edges() > SEQ_CUTOFF, "edge regions run inline");
     g
+}
+
+/// At most `SEQ_CUTOFF` vertices but more than `SEQ_CUTOFF` edges: vertex
+/// loops split by count run inline, the work-weighted ones do not.
+fn few_vertices_many_edges(g: Graph) -> Graph {
+    assert!(
+        g.num_vertices() <= SEQ_CUTOFF,
+        "vertex regions leave the caller"
+    );
+    assert!(g.num_edges() > SEQ_CUTOFF, "weighted regions run inline");
+    g
+}
+
+/// R-MAT at scale 14 with the paper's edge factor 16.
+fn dense_rmat() -> Graph {
+    few_vertices_many_edges(rmat_graph(&RmatParams::paper(14, 5)))
+}
+
+/// The LiveJournal-like SBM the louvain workload runs, at 20 000 vertices.
+fn small_sbm() -> Graph {
+    few_vertices_many_edges(sbm_graph(&SbmParams::livejournal_like(20_000, 5)).graph)
 }
 
 /// Everything one level computes, as comparable bits: the scores, then
@@ -103,18 +134,23 @@ fn one_level(g: &Graph) -> LevelBits {
 
 #[test]
 fn first_level_kernels_are_bit_identical_across_widths() {
-    let g = large_graph();
-    let base = with_threads(WIDTHS[0], || one_level(&g));
-    for &w in &WIDTHS[1..] {
-        let got = with_threads(w, || one_level(&g));
-        assert!(got.0 == base.0, "scores differ at width {w}");
-        for (k, kind) in MATCHERS.iter().enumerate() {
-            assert!(
-                got.1[k] == base.1[k],
-                "{kind:?} matching differs at width {w}"
-            );
+    for (name, g) in [
+        ("rmat-17", large_graph()),
+        ("rmat-14", dense_rmat()),
+        ("sbm-20k", small_sbm()),
+    ] {
+        let base = with_threads(WIDTHS[0], || one_level(&g));
+        for &w in &WIDTHS[1..] {
+            let got = with_threads(w, || one_level(&g));
+            assert!(got.0 == base.0, "{name}: scores differ at width {w}");
+            for (k, kind) in MATCHERS.iter().enumerate() {
+                assert!(
+                    got.1[k] == base.1[k],
+                    "{name}: {kind:?} matching differs at width {w}"
+                );
+            }
+            assert!(got.2 == base.2, "{name}: contraction differs at width {w}");
         }
-        assert!(got.2 == base.2, "contraction differs at width {w}");
     }
 }
 
@@ -148,5 +184,31 @@ fn detection_is_bit_identical_across_widths() {
             assert_eq!(a.pairs_merged, b.pairs_merged, "merges at width {w}");
             assert_eq!(a.match_rounds, b.match_rounds, "rounds at width {w}");
         }
+    }
+}
+
+#[test]
+fn louvain_detection_on_sbm_is_bit_identical_across_widths() {
+    // Every level keeps at most `SEQ_CUTOFF` vertices, so this compares
+    // the move phase's work-weighted proposal pass across widths.
+    let g = small_sbm();
+    let cfg = Config::default()
+        .with_matcher(MatcherKind::LouvainMove)
+        .with_recorded_levels();
+    let run = |w: usize| {
+        let (g, cfg) = (g.clone(), cfg.clone());
+        with_threads(w, move || detect(g, &cfg))
+    };
+    let base = run(WIDTHS[0]);
+    assert!(base.levels.len() > 1, "stopped after one level");
+    for &w in &WIDTHS[1..] {
+        let r = run(w);
+        assert!(r.assignment == base.assignment, "assignment at width {w}");
+        assert_eq!(r.level_maps, base.level_maps, "level maps at width {w}");
+        assert_eq!(
+            r.modularity.to_bits(),
+            base.modularity.to_bits(),
+            "Q at width {w}"
+        );
     }
 }
