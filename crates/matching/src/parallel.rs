@@ -3,11 +3,12 @@
 //!
 //! Each round has three barrier-separated parallel passes:
 //!
-//! 1. **Propose** — every live unmatched vertex `u` scans *its own bucket*
-//!    for the best eligible edge (positive score, both endpoints unmatched)
+//! 1. **Propose** — every live unmatched vertex `u` picks the best eligible
+//!    edge of *its own bucket* (positive score, both endpoints unmatched)
 //!    under the total order (score, src, dst), and CAS-maxes that edge into
-//!    a per-vertex `best` register of **both** endpoints. CAS-max is
-//!    commutative, so the registers are schedule-independent.
+//!    a per-vertex `best` register of **both** endpoints. `mate` is
+//!    read-only in this pass and CAS-max is commutative, so the registers
+//!    are schedule-independent.
 //! 2. **Resolve** — an edge whose two endpoints both hold it as their best
 //!    is *locally dominant*; its endpoints are matched. At least the
 //!    globally best eligible edge is always mutual-best, so every round
@@ -16,32 +17,56 @@
 //!    eligible edge (they may still be matched passively by a neighbour's
 //!    proposal later — but have nothing to propose), leave the list.
 //!
+//! **Carried proposals.** Each live vertex's proposed edge sits beside it
+//! in the live list, and the compaction moves both with the same keep
+//! flags. Within a level the scores are fixed and mates are only ever set,
+//! so a vertex's eligible set only shrinks; and [`edge_beats`] is a strict
+//! total order on one bucket's edges (for finite scores: their second
+//! endpoints differ), so the best edge of a set is also the best of any
+//! subset that still holds it. A vertex whose carried edge's other
+//! endpoint is still unmatched therefore proposes that edge again, and
+//! stays on the list, without scanning its bucket; only round 1, and a
+//! vertex whose target was matched, scan. Every proposal is the one a full
+//! rescan would make, so every register, pair and round count is too.
+//!
+//! **Work-weighted passes.** The three passes that scan buckets — the
+//! level's first liveness pass over all vertices, propose, and the keep
+//! test of the compaction — are cut into chunks of about equal bucket
+//! length (`par::for_each_mut_init_weighted` over a prefix of the scanned
+//! buckets' lengths, rebuilt in a reused buffer each round), so a level
+//! with few vertices but many edges still runs on every worker. Resolve
+//! and the register reset do O(1) work per vertex and stay split by count.
+//!
 //! Because proposals come only from bucket owners (each edge lives in
 //! exactly one endpoint's bucket), a vertex can be claimed through a
 //! lighter edge while its heaviest incident edge waits in a neighbour's
 //! bucket — the result is a valid maximal matching that may differ from
-//! sequential greedy. The number of rounds is small on social networks
-//! (the paper: "effectively O(|E|)" total work).
+//! sequential greedy. The paper calls the total work "effectively
+//! O(|E|)", but the rounds are not few: on R-MAT 18 (seed 42) levels 1–9
+//! take 18–34 rounds each. There the propose pass visits 2.1× a level's
+//! edges on level 1 and up to 3.4× on levels 7–9: 64 M visits for 22.7 M
+//! edges over levels 1–9. Rescanning every live bucket each round visited
+//! 3.1× and up to 9.1× (138 M).
 
 use crate::labelprop::LabelScratch;
 use crate::{edge_beats, MatchOutcome, Matching};
 use pcd_graph::Graph;
 use pcd_util::par;
 use pcd_util::scan::Compactor;
-use pcd_util::sync::{
-    as_atomic_u32, as_atomic_u64, cas_improve_u64, AtomicU64, AtomicUsize, ACQUIRE, RELAXED,
-};
+use pcd_util::sync::{as_atomic_u32, as_atomic_u64, cas_improve_u64, AtomicU64, ACQUIRE, RELAXED};
 use pcd_util::{VertexId, NO_VERTEX};
 
 /// Register value meaning "no proposal".
 const EMPTY: u64 = u64::MAX;
 
 /// Reusable storage for [`match_unmatched_list_scratch`]: the proposal
-/// registers, the live list and its compaction double buffer, the
-/// per-round proposal/resolution slots, and the sequential fallback's
-/// candidate buffer. Holding these across levels (and recycling the
-/// finished [`Matching`]'s own vectors via [`MatchScratch::recycle`])
-/// makes steady-state matching allocation-free.
+/// registers, the live list and the proposals it carries (each with a
+/// compaction double buffer; `pair_edge`, the per-round resolution slots,
+/// doubles for the proposals), the bucket-length prefix that splits the
+/// scanning passes by work, and the sequential fallback's candidate
+/// buffer. Holding these across levels (and recycling the finished
+/// [`Matching`]'s own vectors via [`MatchScratch::recycle`]) makes
+/// steady-state matching allocation-free.
 #[derive(Debug, Default)]
 pub struct MatchScratch {
     mate: Vec<VertexId>,
@@ -52,6 +77,7 @@ pub struct MatchScratch {
     proposals: Vec<u64>,
     pair_edge: Vec<u64>,
     keep: Vec<bool>,
+    work: Vec<usize>,
     candidates: Vec<usize>,
     compactor: Compactor,
     label: LabelScratch,
@@ -96,6 +122,7 @@ impl MatchScratch {
             + self.proposals.capacity() * size_of::<u64>()
             + self.pair_edge.capacity() * size_of::<u64>()
             + self.keep.capacity() * size_of::<bool>()
+            + self.work.capacity() * size_of::<usize>()
             + self.candidates.capacity() * size_of::<usize>()
             + self.compactor.scratch_bytes()
             + self.label.scratch_bytes()
@@ -106,27 +133,20 @@ impl MatchScratch {
 ///
 /// `scores[e]` aligns with the graph's edge arrays. Returns a matching that
 /// is maximal over the positive-score subgraph and deterministic for any
-/// thread count. Also reports the number of rounds taken via the return
-/// value of [`match_unmatched_list_stats`]; this entry point discards it.
+/// thread count. [`match_unmatched_list_capped`] also reports the number
+/// of rounds taken; this entry point discards it.
 pub fn match_unmatched_list(g: &Graph, scores: &[f64]) -> Matching {
-    match_unmatched_list_stats(g, scores).0
+    match_unmatched_list_capped(g, scores, usize::MAX).matching
 }
 
-/// As [`match_unmatched_list`], additionally returning the round count
-/// (the paper argues this stays small on social networks).
-pub fn match_unmatched_list_stats(g: &Graph, scores: &[f64]) -> (Matching, usize) {
-    let out = match_unmatched_list_capped(g, scores, usize::MAX);
-    (out.matching, out.rounds)
-}
-
-/// As [`match_unmatched_list_stats`], with a watchdog: after `max_rounds`
-/// parallel rounds the algorithm stops trusting its own convergence and
-/// degrades to sequential greedy matching over the remaining live
-/// vertices. The round count is provably bounded in theory (every round
-/// matches at least the globally best eligible edge), but a production
-/// service guards against its own bugs: a miscompiled CAS loop or a
-/// corrupted score array must cost throughput, not liveness. The result
-/// is a valid maximal matching either way.
+/// As [`match_unmatched_list`], also returning the round count, with a
+/// watchdog: after `max_rounds` parallel rounds the algorithm stops
+/// trusting its own convergence and degrades to sequential greedy
+/// matching over the remaining live vertices. The round count is provably
+/// bounded in theory (every round matches at least the globally best
+/// eligible edge), but a production service guards against its own bugs:
+/// a miscompiled CAS loop or a corrupted score array must cost throughput,
+/// not liveness. The result is a valid maximal matching either way.
 pub fn match_unmatched_list_capped(g: &Graph, scores: &[f64], max_rounds: usize) -> MatchOutcome {
     let mut scratch = MatchScratch::new();
     match_unmatched_list_scratch(g, scores, max_rounds, &mut scratch)
@@ -164,6 +184,7 @@ pub fn match_unmatched_list_scratch(
         proposals,
         pair_edge,
         keep,
+        work,
         candidates,
         compactor,
         ..
@@ -182,56 +203,52 @@ pub fn match_unmatched_list_scratch(
     // Live list: vertices owning at least one positively-scored bucket
     // edge. The keep-flag + chunked compaction reproduces the indexed
     // filter's order for any thread count.
+    bucket_work_into(g, 0..nv as VertexId, work);
     keep.clear();
     keep.resize(nv, false);
-    par::for_each_mut(keep, |v, k| {
-        *k = g.bucket(v as u32).any(|e| scores[e] > 0.0);
-    });
+    par::for_each_mut_init_weighted(
+        keep,
+        work,
+        || (),
+        |_, v, k| {
+            *k = g.bucket(v as u32).any(|e| scores[e] > 0.0);
+        },
+    );
     compactor.compact_indices_into(keep, list);
+    // Nothing is carried into round 1: every live vertex scans.
+    proposals.resize(list.len(), EMPTY);
 
     let mut rounds = 0usize;
 
     while !list.is_empty() && rounds < max_rounds {
         rounds += 1;
+        bucket_work_into(g, list.iter().copied(), work);
 
         // Pass 1: propose. `mate` is read-only during this pass. Each live
-        // vertex writes its chosen edge into its own proposal slot, then
-        // CAS-maxes it into both endpoints' registers.
-        proposals.clear();
-        proposals.resize(list.len(), EMPTY);
+        // vertex keeps its carried edge while that edge's target is
+        // unmatched and rescans its bucket otherwise, then CAS-maxes its
+        // choice into both endpoints' registers.
         {
             let mate_ro: &[u32] = &mate;
-            par::for_each_mut(proposals, |k, slot| {
-                let u = list[k];
-                let mut choice = EMPTY;
-                for e in g.bucket(u) {
-                    if scores[e] <= 0.0 {
-                        continue;
-                    }
-                    let (i, j, _) = g.edge(e);
-                    debug_assert_eq!(i, u);
-                    if mate_ro[j as usize] != NO_VERTEX {
-                        continue;
-                    }
-                    if choice == EMPTY || edge_beats(g, scores, e, choice as usize) {
-                        choice = e as u64;
-                    }
-                }
-                *slot = choice;
-            });
-        }
-        {
             let best = as_atomic_u64(best);
-            par::for_each(list.len(), |k| {
-                let (u, e) = (list[k], proposals[k]);
-                if e != EMPTY {
-                    let e_us = e as usize;
-                    let (i, j, _) = g.edge(e_us);
-                    debug_assert_eq!(i, u);
-                    propose(g, scores, &best[i as usize], e_us);
-                    propose(g, scores, &best[j as usize], e_us);
-                }
-            });
+            par::for_each_mut_init_weighted(
+                proposals,
+                work,
+                || (),
+                |_, k, slot| {
+                    let u = list[k];
+                    if !still_eligible(g, mate_ro, *slot) {
+                        *slot = best_eligible(g, scores, mate_ro, u);
+                    }
+                    if *slot != EMPTY {
+                        let e = *slot as usize;
+                        let (i, j, _) = g.edge(e);
+                        debug_assert_eq!(i, u);
+                        propose(g, scores, &best[i as usize], e);
+                        propose(g, scores, &best[j as usize], e);
+                    }
+                },
+            );
         }
 
         // Pass 2: resolve mutual-best edges. Each matched pair is recorded
@@ -276,17 +293,26 @@ pub fn match_unmatched_list_scratch(
         );
         let progressed = matched_edges.len() > before;
 
-        // Pass 3a: which live vertices stay on the list?
+        // Pass 3a: which live vertices stay on the list? An unmatched one
+        // whose carried edge is still eligible does, without a scan.
         keep.clear();
         keep.resize(list.len(), false);
         {
             let mate_ro: &[u32] = &mate;
-            par::for_each_mut(keep, |idx, k| {
-                let u = list[idx];
-                *k = mate_ro[u as usize] == NO_VERTEX
-                    && g.bucket(u)
-                        .any(|e| scores[e] > 0.0 && mate_ro[g.dsts()[e] as usize] == NO_VERTEX);
-            });
+            let carried: &[u64] = proposals;
+            par::for_each_mut_init_weighted(
+                keep,
+                work,
+                || (),
+                |_, idx, k| {
+                    let u = list[idx];
+                    *k = mate_ro[u as usize] == NO_VERTEX
+                        && (still_eligible(g, mate_ro, carried[idx])
+                            || g.bucket(u).any(|e| {
+                                scores[e] > 0.0 && mate_ro[g.dsts()[e] as usize] == NO_VERTEX
+                            }));
+                },
+            );
         }
         // Pass 3b: targeted register reset. Exactly the registers at the
         // endpoints of this round's proposals were written (passive
@@ -306,8 +332,12 @@ pub fn match_unmatched_list_scratch(
                 }
             });
         }
+        // Pass 3c: the survivors take their proposals into the next round
+        // (`pair_edge` is free until the next resolve pass).
         compactor.compact_into(list, keep, survivors);
         std::mem::swap(list, survivors);
+        compactor.compact_into(proposals, keep, pair_edge);
+        std::mem::swap(proposals, pair_edge);
 
         debug_assert!(
             progressed || list.is_empty(),
@@ -332,6 +362,52 @@ pub fn match_unmatched_list_scratch(
         rounds,
         degraded,
     }
+}
+
+/// Writes the work prefix of a pass that scans the buckets of `owners`:
+/// `work[k]` is the total bucket length of the first `k` owners, so `work`
+/// ends one entry longer than `owners`. Resizing a buffer that already
+/// held the level's first (longest) prefix allocates nothing.
+fn bucket_work_into(
+    g: &Graph,
+    owners: impl ExactSizeIterator<Item = VertexId>,
+    work: &mut Vec<usize>,
+) {
+    work.resize(owners.len() + 1, 0);
+    work[0] = 0;
+    let mut total = 0;
+    for (w, u) in work[1..].iter_mut().zip(owners) {
+        total += g.bucket(u).len();
+        *w = total;
+    }
+}
+
+/// True if `e` is a proposal (not [`EMPTY`]) whose other endpoint is still
+/// unmatched. For an edge its live owner chose, that is eligibility: the
+/// owner is unmatched and the score is fixed for the level.
+#[inline]
+fn still_eligible(g: &Graph, mate: &[VertexId], e: u64) -> bool {
+    e != EMPTY && mate[g.dsts()[e as usize] as usize] == NO_VERTEX
+}
+
+/// The best eligible edge of `u`'s bucket under [`edge_beats`] — positive
+/// score, other endpoint unmatched — or [`EMPTY`] if there is none.
+fn best_eligible(g: &Graph, scores: &[f64], mate: &[VertexId], u: VertexId) -> u64 {
+    let mut choice = EMPTY;
+    for e in g.bucket(u) {
+        if scores[e] <= 0.0 {
+            continue;
+        }
+        let (i, j, _) = g.edge(e);
+        debug_assert_eq!(i, u);
+        if mate[j as usize] != NO_VERTEX {
+            continue;
+        }
+        if choice == EMPTY || edge_beats(g, scores, e, choice as usize) {
+            choice = e as u64;
+        }
+    }
+    choice
 }
 
 /// Sequential greedy completion over whatever is still unmatched. Uses
@@ -381,19 +457,6 @@ fn propose(g: &Graph, scores: &[f64], cell: &AtomicU64, e: usize) {
     });
 }
 
-/// Counts vertices that remain unmatched (diagnostic).
-pub fn unmatched_count(m: &Matching) -> usize {
-    let c = AtomicUsize::new(0);
-    let mates = m.mates();
-    par::for_each(mates.len(), |v| {
-        if mates[v] == NO_VERTEX {
-            // ORDERING: RELAXED — diagnostic counter, atomicity only.
-            c.fetch_add(1, RELAXED);
-        }
-    });
-    c.into_inner()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -413,7 +476,8 @@ mod tests {
         // A path of 4 has a perfect matching of 2 edges under maximality +
         // greedy tie-breaks; at minimum it is maximal (>= 1 pair).
         assert!(!m.is_empty());
-        assert_eq!(unmatched_count(&m) + 2 * m.len(), 4);
+        let unmatched = m.mates().iter().filter(|&&v| v == NO_VERTEX).count();
+        assert_eq!(unmatched + 2 * m.len(), 4);
     }
 
     #[test]
@@ -485,9 +549,9 @@ mod tests {
         let p = pcd_gen::RmatParams::paper(10, 3);
         let g = pcd_gen::rmat_graph(&p);
         let s: Vec<f64> = g.weights().iter().map(|&w| w as f64).collect();
-        let (m, rounds) = match_unmatched_list_stats(&g, &s);
-        assert!(verify_matching(&g, &s, &m).is_ok());
-        assert!(rounds < 64, "rounds = {rounds}");
+        let out = match_unmatched_list_capped(&g, &s, usize::MAX);
+        assert!(verify_matching(&g, &s, &out.matching).is_ok());
+        assert!(out.rounds < 64, "rounds = {}", out.rounds);
     }
 
     /// A graph that provably needs two parallel rounds: all endpoints even

@@ -3,11 +3,13 @@
 //! A parallel region runs inline on the caller when it is small: an
 //! item-count region over at most `SEQ_CUTOFF` items, a work-weighted one
 //! (the per-row passes: the Louvain proposal pass, the contractors'
-//! sort-and-accumulate and compaction) when its rows' edges plus rows
-//! come to at most `SEQ_CUTOFF`. The other parity suites' inputs are small,
-//! so they compare inline runs with inline runs. This suite's inputs are
-//! large enough that the first level's loops run on several workers, and
-//! it checks that widths 1, 2 and 8 give the same bits:
+//! sort-and-accumulate and compaction, and the unmatched-list matcher's
+//! bucket scans — its liveness, propose and keep passes) when its rows'
+//! edges plus rows come to at most `SEQ_CUTOFF`. The other parity suites'
+//! inputs are small, so they compare inline runs with inline runs. This
+//! suite's inputs are large enough that the first level's loops run on
+//! several workers, and it checks that widths 1, 2 and 8 give the same
+//! bits:
 //!
 //! * R-MAT with more than `SEQ_CUTOFF` vertices *and* edges, so every
 //!   vertex- and edge-indexed loop (scoring, the matchers' CAS proposal
@@ -15,13 +17,15 @@
 //!   radix scatter) leaves the caller;
 //! * an R-MAT and a LiveJournal-like SBM with at most `SEQ_CUTOFF`
 //!   vertices but more edges, where only the work-weighted passes do —
-//!   the shape of every level after the first on the SBM.
+//!   the shape of every level after the first on the SBM. The R-MAT one
+//!   also runs the default pipeline end to end, so the matcher's carried
+//!   proposals and weighted scans are compared over every level.
 //!
 //! The CI ThreadSanitizer job runs it too.
 
 use parcomm::contract::ContractScratch;
 use parcomm::core::kernel::{contractor_for, matcher_for, scorer_for};
-use parcomm::core::ScoreContext;
+use parcomm::core::{DetectionResult, ScoreContext};
 use parcomm::gen::{rmat_graph, sbm_graph, RmatParams, SbmParams};
 use parcomm::graph::GraphParts;
 use parcomm::matching::verify::verify_matching;
@@ -154,22 +158,15 @@ fn first_level_kernels_are_bit_identical_across_widths() {
     }
 }
 
-#[test]
-fn detection_is_bit_identical_across_widths() {
-    // End to end, the engine also folds assignments through each level's
-    // map and sums modularity over more than one fixed chunk. The isolated
-    // vertices of a sparse R-MAT never merge, so every level stays above
-    // the cutoff; the level cap keeps the debug-build run short.
-    let g = large_graph();
-    let cfg = Config::default()
-        .with_recorded_levels()
-        .with_budget(Budget::unarmed().with_max_levels(LEVELS));
+/// Detects `g` under `cfg` at every width and checks the assignment, the
+/// level maps, the modularity bits and each level's edge count, merges and
+/// match rounds against width 1; returns the width-1 result.
+fn detect_at_every_width(g: &Graph, cfg: &Config) -> DetectionResult {
     let run = |w: usize| {
         let (g, cfg) = (g.clone(), cfg.clone());
         with_threads(w, move || detect(g, &cfg))
     };
     let base = run(WIDTHS[0]);
-    assert_eq!(base.levels.len(), LEVELS, "converged before the cap");
     for &w in &WIDTHS[1..] {
         let r = run(w);
         assert!(r.assignment == base.assignment, "assignment at width {w}");
@@ -179,36 +176,46 @@ fn detection_is_bit_identical_across_widths() {
             base.modularity.to_bits(),
             "Q at width {w}"
         );
+        assert_eq!(r.levels.len(), base.levels.len(), "levels at width {w}");
         for (a, b) in r.levels.iter().zip(&base.levels) {
             assert_eq!(a.num_edges, b.num_edges, "level |E| at width {w}");
             assert_eq!(a.pairs_merged, b.pairs_merged, "merges at width {w}");
             assert_eq!(a.match_rounds, b.match_rounds, "rounds at width {w}");
         }
     }
+    base
+}
+
+#[test]
+fn detection_is_bit_identical_across_widths() {
+    // End to end, the engine also folds assignments through each level's
+    // map and sums modularity over more than one fixed chunk. The isolated
+    // vertices of a sparse R-MAT never merge, so every level stays above
+    // the cutoff; the level cap keeps the debug-build run short.
+    let cfg = Config::default()
+        .with_recorded_levels()
+        .with_budget(Budget::unarmed().with_max_levels(LEVELS));
+    let base = detect_at_every_width(&large_graph(), &cfg);
+    assert_eq!(base.levels.len(), LEVELS, "converged before the cap");
 }
 
 #[test]
 fn louvain_detection_on_sbm_is_bit_identical_across_widths() {
     // Every level keeps at most `SEQ_CUTOFF` vertices, so this compares
     // the move phase's work-weighted proposal pass across widths.
-    let g = small_sbm();
     let cfg = Config::default()
         .with_matcher(MatcherKind::LouvainMove)
         .with_recorded_levels();
-    let run = |w: usize| {
-        let (g, cfg) = (g.clone(), cfg.clone());
-        with_threads(w, move || detect(g, &cfg))
-    };
-    let base = run(WIDTHS[0]);
+    let base = detect_at_every_width(&small_sbm(), &cfg);
     assert!(base.levels.len() > 1, "stopped after one level");
-    for &w in &WIDTHS[1..] {
-        let r = run(w);
-        assert!(r.assignment == base.assignment, "assignment at width {w}");
-        assert_eq!(r.level_maps, base.level_maps, "level maps at width {w}");
-        assert_eq!(
-            r.modularity.to_bits(),
-            base.modularity.to_bits(),
-            "Q at width {w}"
-        );
-    }
+}
+
+#[test]
+fn default_detection_on_dense_rmat_is_bit_identical_across_widths() {
+    // Every level keeps at most `SEQ_CUTOFF` vertices, so the
+    // unmatched-list matcher's passes leave the caller only where they
+    // are split by bucket length: the liveness, propose and keep passes.
+    let cfg = Config::default().with_recorded_levels();
+    let base = detect_at_every_width(&dense_rmat(), &cfg);
+    assert!(base.levels.len() > 1, "stopped after one level");
 }
