@@ -13,8 +13,29 @@ pub enum ScorerKind {
     Modularity,
     /// Negated change in conductance (minimisation turned maximisation).
     Conductance,
-    /// Raw edge weight — plain heavy-edge coarsening, a useful ablation.
-    HeavyEdge,
+}
+
+impl ScorerKind {
+    /// Every scorer, in `--list-kernels` order.
+    pub const ALL: [ScorerKind; 2] = [ScorerKind::Modularity, ScorerKind::Conductance];
+
+    /// Stable name: the `--scorer` spelling and the `--list-kernels` entry.
+    pub fn name(self) -> &'static str {
+        match self {
+            ScorerKind::Modularity => "modularity",
+            ScorerKind::Conductance => "conductance",
+        }
+    }
+
+    /// One-line description for `--list-kernels`.
+    pub fn description(self) -> &'static str {
+        match self {
+            ScorerKind::Modularity => "change in Newman-Girvan modularity (paper primary metric)",
+            ScorerKind::Conductance => {
+                "negated change in conductance (minimisation as maximisation)"
+            }
+        }
+    }
 }
 
 /// Which matching kernel merges communities.
@@ -27,14 +48,44 @@ pub enum MatcherKind {
     EdgeSweep,
     /// Sequential greedy (oracle / single-thread reference).
     Sequential,
-    /// Synchronous label propagation guiding an unmatched-list matching:
-    /// labels converge (or hit the watchdog round cap) and the matcher
-    /// then prefers intra-label edges.
-    LabelProp,
     /// Louvain-style synchronous move phase guiding an unmatched-list
     /// matching: parallel best-neighbor moves with deterministic
     /// tie-breaking and sequential conflict-free commits.
     LouvainMove,
+}
+
+impl MatcherKind {
+    /// Every matcher, in `--list-kernels` order.
+    pub const ALL: [MatcherKind; 4] = [
+        MatcherKind::UnmatchedList,
+        MatcherKind::EdgeSweep,
+        MatcherKind::Sequential,
+        MatcherKind::LouvainMove,
+    ];
+
+    /// Stable name: the `--matcher` spelling and the `--list-kernels` entry.
+    pub fn name(self) -> &'static str {
+        match self {
+            MatcherKind::UnmatchedList => "unmatched-list",
+            MatcherKind::EdgeSweep => "edge-sweep",
+            MatcherKind::Sequential => "sequential",
+            MatcherKind::LouvainMove => "louvain",
+        }
+    }
+
+    /// One-line description for `--list-kernels`.
+    pub fn description(self) -> &'static str {
+        match self {
+            MatcherKind::UnmatchedList => {
+                "paper's improved unmatched-vertex-list matching (sec. IV-B)"
+            }
+            MatcherKind::EdgeSweep => "2011 full-edge-sweep baseline matcher",
+            MatcherKind::Sequential => "sequential greedy oracle matcher (single-thread reference)",
+            MatcherKind::LouvainMove => {
+                "synchronous Louvain move phase guiding an intra-label-first maximal matching"
+            }
+        }
+    }
 }
 
 /// Which contraction kernel builds the next community graph.
@@ -55,6 +106,90 @@ pub enum ContractorKind {
     Linked,
     /// Sequential hash-map oracle.
     Sequential,
+}
+
+impl ContractorKind {
+    /// Every contractor, in `--list-kernels` order.
+    pub const ALL: [ContractorKind; 5] = [
+        ContractorKind::Bucket,
+        ContractorKind::BucketFetchAdd,
+        ContractorKind::Radix,
+        ContractorKind::Linked,
+        ContractorKind::Sequential,
+    ];
+
+    /// Stable name: the `--contractor` spelling and the `--list-kernels`
+    /// entry.
+    pub fn name(self) -> &'static str {
+        match self {
+            ContractorKind::Bucket => "bucket",
+            ContractorKind::BucketFetchAdd => "bucket-fetch-add",
+            ContractorKind::Radix => "radix",
+            ContractorKind::Linked => "linked",
+            ContractorKind::Sequential => "sequential",
+        }
+    }
+
+    /// One-line description for `--list-kernels`.
+    pub fn description(self) -> &'static str {
+        match self {
+            ContractorKind::Bucket => {
+                "paper's bucket-sort contraction, prefix-sum placement (sec. IV-C)"
+            }
+            ContractorKind::BucketFetchAdd => {
+                "bucket-sort contraction with fetch-and-add placement"
+            }
+            ContractorKind::Radix => {
+                "radix-sort contraction: prefix-sum placement + LSD row accumulation"
+            }
+            ContractorKind::Linked => "2011 linked-list hash-chain baseline contractor",
+            ContractorKind::Sequential => "sequential hash-map oracle contractor",
+        }
+    }
+}
+
+/// Looks `name` up among `all` by `name_of`, failing with a
+/// [`PcdError::Config`] that lists the valid names.
+fn parse_kind<K: Copy>(
+    what: &str,
+    name: &str,
+    all: &[K],
+    name_of: fn(K) -> &'static str,
+) -> Result<K, PcdError> {
+    all.iter()
+        .copied()
+        .find(|&k| name_of(k) == name)
+        .ok_or_else(|| {
+            let names: Vec<&str> = all.iter().map(|&k| name_of(k)).collect();
+            PcdError::config(format!(
+                "unknown {what} '{name}' (expected one of: {})",
+                names.join(", ")
+            ))
+        })
+}
+
+impl std::str::FromStr for ScorerKind {
+    type Err = PcdError;
+
+    fn from_str(s: &str) -> Result<Self, PcdError> {
+        parse_kind("scorer", s, &ScorerKind::ALL, ScorerKind::name)
+    }
+}
+
+impl std::str::FromStr for MatcherKind {
+    type Err = PcdError;
+
+    fn from_str(s: &str) -> Result<Self, PcdError> {
+        parse_kind("matcher", s, &MatcherKind::ALL, MatcherKind::name)
+    }
+}
+
+impl std::str::FromStr for ContractorKind {
+    type Err = PcdError;
+
+    fn from_str(s: &str) -> Result<Self, PcdError> {
+        parse_kind("contractor", s, &ContractorKind::ALL, ContractorKind::name)
+    }
 }
 
 /// How much the driver distrusts its own kernels at runtime.
@@ -340,19 +475,6 @@ impl Config {
         }
         Ok(())
     }
-
-    /// Validates, then resolves the three kernel kinds against the static
-    /// registry ([`crate::kernel`]) — once, up front. The engine dispatches
-    /// through the returned [`KernelSet`](crate::kernel::KernelSet) for the
-    /// whole run instead of re-matching on the enums every level.
-    pub fn resolve(&self) -> Result<crate::kernel::KernelSet, PcdError> {
-        self.validate()?;
-        Ok(crate::kernel::KernelSet::from_kinds(
-            self.scorer,
-            self.matcher,
-            self.contractor,
-        ))
-    }
 }
 
 #[cfg(test)]
@@ -445,15 +567,121 @@ mod tests {
     }
 
     #[test]
-    fn resolve_yields_matching_kernels_and_validates() {
-        let set = Config::legacy_2011().resolve().unwrap();
-        assert_eq!(set.scorer.kind(), ScorerKind::Modularity);
-        assert_eq!(set.matcher.kind(), MatcherKind::EdgeSweep);
-        assert_eq!(set.contractor.kind(), ContractorKind::Linked);
-        assert!(Config::default()
-            .with_max_match_rounds(0)
-            .resolve()
-            .is_err());
+    fn legacy_2011_selects_the_2011_kernels() {
+        let c = Config::legacy_2011();
+        assert_eq!(c.scorer, ScorerKind::Modularity);
+        assert_eq!(c.matcher, MatcherKind::EdgeSweep);
+        assert_eq!(c.contractor, ContractorKind::Linked);
+    }
+
+    /// Checks one kind enum's registry: `slot` is an exhaustive `match`
+    /// giving each variant its index in `ALL`, and `variants` is the number
+    /// of its arms. A new variant does not compile until it has an arm,
+    /// and then fails here until `ALL` lists it exactly once.
+    fn check_kind_registry<K>(
+        all: &[K],
+        variants: usize,
+        slot: fn(K) -> usize,
+        name: fn(K) -> &'static str,
+        description: fn(K) -> &'static str,
+    ) where
+        K: Copy + PartialEq + std::fmt::Debug + std::str::FromStr<Err = PcdError>,
+    {
+        let mut seen = vec![0; variants];
+        for &k in all {
+            seen[slot(k)] += 1;
+        }
+        assert!(
+            seen.iter().all(|&n| n == 1),
+            "ALL lists {seen:?} per variant"
+        );
+        for (i, &k) in all.iter().enumerate() {
+            assert!(
+                all[..i].iter().all(|&other| name(other) != name(k)),
+                "duplicate kernel name {}",
+                name(k)
+            );
+            assert_eq!(name(k).parse::<K>().unwrap(), k, "{k:?}");
+            let desc = description(k);
+            assert!(!desc.is_empty() && !desc.contains('\n'), "{k:?}: {desc:?}");
+        }
+        let err = "nope".parse::<K>().unwrap_err();
+        assert!(matches!(err, PcdError::Config { .. }), "{err:?}");
+        assert!(err.to_string().contains("unknown"), "{err}");
+        assert!(err.to_string().contains("'nope'"), "{err}");
+        for &k in all {
+            assert!(err.to_string().contains(name(k)), "{err}");
+        }
+    }
+
+    #[test]
+    fn scorer_registry_is_complete_and_round_trips() {
+        check_kind_registry(
+            &ScorerKind::ALL,
+            2,
+            |k| match k {
+                ScorerKind::Modularity => 0,
+                ScorerKind::Conductance => 1,
+            },
+            ScorerKind::name,
+            ScorerKind::description,
+        );
+        assert_eq!(ScorerKind::ALL[0], ScorerKind::default());
+    }
+
+    #[test]
+    fn matcher_registry_is_complete_and_round_trips() {
+        check_kind_registry(
+            &MatcherKind::ALL,
+            4,
+            |k| match k {
+                MatcherKind::UnmatchedList => 0,
+                MatcherKind::EdgeSweep => 1,
+                MatcherKind::Sequential => 2,
+                MatcherKind::LouvainMove => 3,
+            },
+            MatcherKind::name,
+            MatcherKind::description,
+        );
+        assert_eq!(MatcherKind::ALL[0], MatcherKind::default());
+    }
+
+    #[test]
+    fn contractor_registry_is_complete_and_round_trips() {
+        check_kind_registry(
+            &ContractorKind::ALL,
+            5,
+            |k| match k {
+                ContractorKind::Bucket => 0,
+                ContractorKind::BucketFetchAdd => 1,
+                ContractorKind::Radix => 2,
+                ContractorKind::Linked => 3,
+                ContractorKind::Sequential => 4,
+            },
+            ContractorKind::name,
+            ContractorKind::description,
+        );
+        assert_eq!(ContractorKind::ALL[0], ContractorKind::default());
+    }
+
+    #[test]
+    fn unknown_kind_errors_name_the_phase() {
+        // A matcher and a contractor may share a name ("sequential"), so
+        // each phase resolves against its own list.
+        assert_eq!(
+            "sequential".parse::<MatcherKind>().unwrap(),
+            MatcherKind::Sequential
+        );
+        assert_eq!(
+            "sequential".parse::<ContractorKind>().unwrap(),
+            ContractorKind::Sequential
+        );
+        let err = "bucket".parse::<MatcherKind>().unwrap_err().to_string();
+        assert!(err.contains("unknown matcher 'bucket'"), "{err}");
+        let err = "louvain".parse::<ContractorKind>().unwrap_err().to_string();
+        assert!(err.contains("unknown contractor 'louvain'"), "{err}");
+        let err = "heavy".parse::<ScorerKind>().unwrap_err().to_string();
+        assert!(err.contains("unknown scorer 'heavy'"), "{err}");
     }
 
     #[test]
@@ -487,10 +715,6 @@ mod tests {
         assert!(c.vertex_following);
         assert_eq!(c.contractor, ContractorKind::Radix);
         assert!(c.validate().is_ok());
-        assert_eq!(
-            c.resolve().unwrap().contractor.kind(),
-            ContractorKind::Radix
-        );
         assert!(!c.with_vertex_following(false).vertex_following);
     }
 

@@ -2,8 +2,8 @@
 //!
 //! The loop itself lives in [`crate::engine`]. With [`Config::sharding`]
 //! off (the default), [`detect`] and [`try_detect`] construct a throwaway
-//! [`crate::Detector`] per call, which resolves the configuration's kernel
-//! kinds through the trait registry ([`crate::kernel`]) and runs score →
+//! [`crate::Detector`] per call, which dispatches each phase on the
+//! configuration's kernel kinds ([`crate::kernel`]) and runs score →
 //! match → contract until a local maximum or an external criterion; with
 //! sharding on, they go through the [`crate::shard`] pipeline, where
 //! connected components run concurrently on warm per-worker engines and
@@ -256,15 +256,17 @@ mod tests {
     fn watchdog_degradation_recorded_in_level_stats() {
         // All-even vertex ids → same-parity storage: (2,4) and (2,6) share
         // bucket 2, (4,8) sits in bucket 4, so level 1 needs two parallel
-        // rounds under heavy-edge scoring. A cap of 1 must expire, fall
+        // rounds under modularity scoring. A cap of 1 must expire, fall
         // back to the sequential completion, and flag the level.
         let g = pcd_graph::GraphBuilder::new(9)
             .add_edge(2, 4, 5)
             .add_edge(2, 6, 1)
             .add_edge(4, 8, 10)
             .build();
+        let uncapped = try_detect(g.clone(), &Config::default()).unwrap();
+        assert_eq!(uncapped.levels[0].match_rounds, 2);
+        assert!(!uncapped.levels[0].matcher_degraded);
         let cfg = Config::default()
-            .with_scorer(ScorerKind::HeavyEdge)
             .with_max_match_rounds(1)
             .with_paranoia(Paranoia::Full);
         let r = try_detect(g, &cfg).expect("degraded run must still succeed");
@@ -346,10 +348,9 @@ mod tests {
         let g = pcd_gen::classic::clique_ring(16, 4);
         let r = detect(
             g,
-            &Config::default()
-                .with_scorer(ScorerKind::HeavyEdge)
-                .with_criterion(Criterion::MinCommunities(20)),
+            &Config::default().with_criterion(Criterion::MinCommunities(20)),
         );
-        assert!(r.num_communities <= 20 || r.stop_reason != StopReason::Criterion);
+        assert_eq!(r.stop_reason, StopReason::Criterion);
+        assert!(r.num_communities <= 20);
     }
 }

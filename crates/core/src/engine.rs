@@ -1,30 +1,29 @@
 //! The reusable detection engine.
 //!
 //! [`Detector`] is the long-lived form of the agglomerative main loop
-//! (§III): it resolves a [`Config`]'s kernel kinds once into a
-//! [`KernelSet`] and owns the [`LevelScratch`] arenas (including the
-//! ping-pong [`pcd_graph::GraphParts`] shadow storage), so repeated
-//! [`Detector::run`] calls reuse warm buffers instead of reallocating the
-//! whole arena per detection. [`crate::detect`] / [`crate::try_detect`]
-//! are thin one-shot wrappers; [`detect_many_observed`] is the one batch
-//! loop — independent graphs across worker threads with one warm
-//! `Detector` per worker — under [`detect_many`], the sharded detect stage
-//! and traced batches.
+//! (§III): it holds a validated [`Config`] and owns the [`LevelScratch`]
+//! arenas (including the ping-pong [`pcd_graph::GraphParts`] shadow
+//! storage), so repeated [`Detector::run`] calls reuse warm buffers
+//! instead of reallocating the whole arena per detection.
+//! [`crate::detect`] / [`crate::try_detect`] are thin one-shot wrappers;
+//! [`detect_many_observed`] is the one batch loop — independent graphs
+//! across worker threads with one warm `Detector` per worker — under
+//! [`detect_many`], the sharded detect stage and traced batches.
 //!
 //! The level loop itself is three typed phase functions —
 //! `score_phase`, `match_phase`, `contract_phase` — each owning one
-//! kernel call plus its fault-injection hook and paranoia guard, with the
-//! phase timer wrapped around exactly the work the monolithic driver
-//! timed. A [`LevelObserver`] fires at phase boundaries (outside the
+//! kernel call (dispatched on the config's kind enum, [`crate::kernel`])
+//! plus its fault-injection hook and paranoia guard, with the phase timer
+//! wrapped around exactly the work the monolithic driver timed. A [`LevelObserver`] fires at phase boundaries (outside the
 //! timers); the default no-op observer makes an unobserved run identical
 //! to the pre-refactor driver, bit for bit.
 
 use crate::budget::breach_detail;
 use crate::config::{default_match_round_cap, Config, Paranoia};
-use crate::kernel::KernelSet;
+use crate::kernel::{contract_level, match_level};
 use crate::observer::{LevelObserver, NoopObserver};
 use crate::result::{DetectionResult, LevelStats, StopReason, Termination};
-use crate::scorer::{any_positive, mask_oversized};
+use crate::scorer::{any_positive, mask_oversized, score_all_into};
 use crate::scratch::LevelScratch;
 use crate::termination::{any_stops, LevelState};
 use pcd_graph::Graph;
@@ -34,18 +33,18 @@ use pcd_util::sync::{as_atomic_u64, RELAXED};
 use pcd_util::timing::Timer;
 use pcd_util::{PcdError, Phase, VertexId, Weight};
 
-/// A reusable detection engine: resolved kernels + warm scratch arenas.
+/// A reusable detection engine: a validated configuration + warm scratch
+/// arenas.
 ///
-/// Construction validates the configuration and resolves kernel kinds
-/// against the static registry; [`Detector::run`] then executes the level
-/// loop with zero per-level dispatch on the kind enums. A single
-/// `Detector` may run any number of graphs in sequence — every run
-/// re-initialises the scratch state it reads (score context, per-level
-/// buffers), so outputs are bit-identical to a fresh engine (proven by
-/// `tests/dispatch_parity.rs`); only buffer *capacity* carries over.
+/// Construction validates the configuration; [`Detector::run`] then
+/// executes the level loop, dispatching each phase on the config's kind
+/// enum. A single `Detector` may run any number of graphs in sequence —
+/// every run re-initialises the scratch state it reads (score context,
+/// per-level buffers), so outputs are bit-identical to a fresh engine
+/// (proven by `tests/dispatch_parity.rs`); only buffer *capacity* carries
+/// over.
 pub struct Detector {
     config: Config,
-    kernels: KernelSet,
     scratch: LevelScratch,
 }
 
@@ -54,18 +53,16 @@ impl std::fmt::Debug for Detector {
         // The scratch arenas hold buffers, not state worth printing.
         f.debug_struct("Detector")
             .field("config", &self.config)
-            .field("kernels", &self.kernels)
             .finish_non_exhaustive()
     }
 }
 
 impl Detector {
-    /// Validates `config` and resolves its kernel kinds once.
+    /// Validates `config` and builds an engine with empty arenas.
     pub fn new(config: Config) -> Result<Self, PcdError> {
-        let kernels = config.resolve()?;
+        config.validate()?;
         Ok(Detector {
             config,
-            kernels,
             scratch: LevelScratch::new(),
         })
     }
@@ -73,11 +70,6 @@ impl Detector {
     /// The configuration this engine was built from.
     pub fn config(&self) -> &Config {
         &self.config
-    }
-
-    /// The resolved kernel backends.
-    pub fn kernels(&self) -> KernelSet {
-        self.kernels
     }
 
     /// Runs agglomerative detection over `graph`, consuming it as level 0
@@ -95,12 +87,7 @@ impl Detector {
         graph: Graph,
         observer: &mut dyn LevelObserver,
     ) -> Result<DetectionResult, PcdError> {
-        let Detector {
-            config,
-            kernels,
-            scratch,
-        } = self;
-        let kernels = *kernels;
+        let Detector { config, scratch } = self;
         let n0 = graph.num_vertices();
         let ne0 = graph.num_edges();
         // Run hooks fire outside the total-time clock, like phase hooks
@@ -206,7 +193,7 @@ impl Detector {
             observer.on_level_start(level, nv, ne);
 
             // --- Phase 1: score.
-            let scored = score_phase(kernels, config, level, &g, &counts, scratch)?;
+            let scored = score_phase(config, level, &g, &counts, scratch)?;
             observer.on_phase_end(level, Phase::Score, scored.secs);
             if !scored.any_positive {
                 stop_reason = StopReason::LocalMaximum;
@@ -224,7 +211,7 @@ impl Detector {
             let score_secs = scored.secs;
 
             // --- Phase 2: match.
-            let matched = match_phase(kernels, config, level, &g, scratch)?;
+            let matched = match_phase(config, level, &g, scratch)?;
             observer.on_phase_end(level, Phase::Match, matched.secs);
             if matched.matching.is_empty() {
                 stop_reason = StopReason::NoMatches;
@@ -250,7 +237,7 @@ impl Detector {
             // --- Phase 3: contract. The next graph scatters into the
             // shadow storage (the graph retired two levels ago); the
             // old→new map lands in the contract scratch.
-            let contracted = contract_phase(kernels, config, level, &g, &matching, scratch)?;
+            let contracted = contract_phase(config, level, &g, &matching, scratch)?;
             observer.on_phase_end(level, Phase::Contract, contracted.secs);
             let ContractPhase {
                 next,
@@ -501,7 +488,6 @@ struct ScorePhase {
 /// local-maximum exit test outside it, exactly as the monolithic driver
 /// did.
 fn score_phase(
-    kernels: KernelSet,
     config: &Config,
     level: usize,
     g: &Graph,
@@ -509,9 +495,7 @@ fn score_phase(
     scratch: &mut LevelScratch,
 ) -> Result<ScorePhase, PcdError> {
     let t = Timer::start();
-    kernels
-        .scorer
-        .score_into(g, &scratch.ctx, &mut scratch.scores);
+    score_all_into(config.scorer, g, &scratch.ctx, &mut scratch.scores);
     if let Some(max_size) = config.max_community_size {
         mask_oversized(g, &mut scratch.scores, counts, max_size);
     }
@@ -540,7 +524,6 @@ struct MatchPhase {
 /// matching verification, all inside the phase timer. The degraded flag
 /// reports whether the watchdog fell back to sequential completion.
 fn match_phase(
-    kernels: KernelSet,
     config: &Config,
     level: usize,
     g: &Graph,
@@ -556,7 +539,7 @@ fn match_phase(
         ..
     } = scratch;
     #[allow(unused_mut)]
-    let mut out = kernels.matcher.match_level(g, scores, cap, match_scratch);
+    let mut out = match_level(config.matcher, g, scores, cap, match_scratch);
     #[cfg(feature = "fault-injection")]
     config.fault.stall_match(level);
     debug_assert_eq!(
@@ -589,7 +572,6 @@ struct ContractPhase {
 /// guards, all inside the phase timer. The old→new map stays in the
 /// contract scratch for the engine's fold step.
 fn contract_phase(
-    kernels: KernelSet,
     config: &Config,
     level: usize,
     g: &Graph,
@@ -602,9 +584,7 @@ fn contract_phase(
     let parts = scratch.take_parts();
     #[allow(unused_mut)]
     let (mut next, mut num_new) =
-        kernels
-            .contractor
-            .contract_level(g, matching, &mut scratch.contract, parts);
+        contract_level(config.contractor, g, matching, &mut scratch.contract, parts);
     #[cfg(feature = "fault-injection")]
     {
         // The fault hook mutates a `Contraction`; round-trip through one
@@ -737,7 +717,6 @@ fn guard_contraction(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{ContractorKind, MatcherKind};
 
     #[test]
     fn run_matches_try_detect() {
@@ -818,15 +797,14 @@ mod tests {
     }
 
     #[test]
-    fn engine_exposes_resolved_kernels() {
+    fn engine_exposes_its_config() {
         let det = Detector::new(
             Config::default()
-                .with_matcher(MatcherKind::EdgeSweep)
-                .with_contractor(ContractorKind::Linked),
+                .with_matcher(crate::MatcherKind::EdgeSweep)
+                .with_contractor(crate::ContractorKind::Linked),
         )
         .unwrap();
-        assert_eq!(det.kernels().matcher.name(), "edge-sweep");
-        assert_eq!(det.kernels().contractor.name(), "linked");
-        assert_eq!(det.config().matcher, MatcherKind::EdgeSweep);
+        assert_eq!(det.config().matcher.name(), "edge-sweep");
+        assert_eq!(det.config().contractor.name(), "linked");
     }
 }

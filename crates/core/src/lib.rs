@@ -12,10 +12,11 @@
 //! while tracking the original-vertex → community mapping, per-community
 //! vertex counts, per-level quality and phase timings.
 //!
-//! The loop dispatches through the [`kernel`] trait layer: a [`Config`]'s
-//! kind enums resolve once into a [`kernel::KernelSet`], and the
-//! [`engine::Detector`] owns that set plus the warm scratch arenas so
-//! repeated detections reuse buffers.
+//! Each phase's kernel is a kind enum in [`Config`] ([`ScorerKind`],
+//! [`MatcherKind`], [`ContractorKind`]), dispatched by one exhaustive
+//! `match` per phase call ([`kernel`]); the [`engine::Detector`] owns the
+//! config plus the warm scratch arenas so repeated detections reuse
+//! buffers.
 //!
 //! ```
 //! use pcd_core::{Config, Detector};
@@ -53,7 +54,6 @@ pub use engine::{detect_many, detect_many_observed, Detector};
 #[cfg(feature = "fault-injection")]
 pub use fault::FaultPlan;
 pub use follow::{follow_map_into, FollowScratch};
-pub use kernel::{Contractor, KernelSet, Matcher, Scorer};
 pub use louvain::{synchronous_move_phase, MoveStats};
 pub use multilevel::{refine_multilevel, MultilevelOutcome};
 pub use observer::{LevelObserver, NoopObserver, Tee};

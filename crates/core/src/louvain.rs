@@ -24,13 +24,12 @@
 //!   the argmax tie-breaks on the label id, and the commit pass runs in
 //!   vertex order — results are bit-identical for any thread count.
 //!
-//! The move phase produces labels, not merges; [`matchers`] feeds them to
+//! The move phase produces labels, not merges; the louvain arm of
+//! [`crate::kernel::match_level`] feeds them to
 //! [`pcd_matching::match_within_labels`], which prefers intra-label edges
 //! while remaining a valid maximal matching over the positive real
 //! scores, so the move phase folds into the ordinary contract pipeline
 //! and reuses [`crate::LevelScratch`] via the matcher's [`LabelScratch`].
-//!
-//! [`matchers`]: crate::kernel
 
 use pcd_graph::Graph;
 use pcd_matching::labelprop::GAIN_EPS;

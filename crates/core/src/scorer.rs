@@ -64,13 +64,12 @@ pub fn score_edge(kind: ScorerKind, g: &Graph, ctx: &ScoreContext, e: usize) -> 
             let cut_j = vj - 2 * g.self_loop(j);
             neg_delta_conductance(2 * ctx.m, w, cut_i, cut_j, vi, vj)
         }
-        ScorerKind::HeavyEdge => w as f64,
     }
 }
 
-/// Scores every edge in parallel, writing into a reused buffer (cleared
-/// first; capacity is retained, so steady-state scoring allocates
-/// nothing). The old allocating `score_all` was removed — callers that
+/// Scores every edge in parallel under `kind`, writing into a reused
+/// buffer (cleared first; capacity is retained, so steady-state scoring
+/// allocates nothing). This is the engine's scorer dispatch. Callers that
 /// want a fresh `Vec` pass `&mut Vec::new()`.
 pub fn score_all_into(kind: ScorerKind, g: &Graph, ctx: &ScoreContext, out: &mut Vec<f64>) {
     out.clear();
@@ -146,21 +145,6 @@ mod tests {
     }
 
     #[test]
-    fn heavy_edge_scores_are_weights() {
-        let g = GraphBuilder::new(3)
-            .add_edge(0, 1, 7)
-            .add_edge(1, 2, 2)
-            .build();
-        let ctx = ScoreContext::new(&g);
-        let s = score_all(ScorerKind::HeavyEdge, &g, &ctx);
-        let mut ws: Vec<f64> = g.weights().iter().map(|&w| w as f64).collect();
-        let mut got = s.clone();
-        ws.sort_by(f64::total_cmp);
-        got.sort_by(f64::total_cmp);
-        assert_eq!(got, ws);
-    }
-
-    #[test]
     fn conductance_scorer_rewards_dense_merges() {
         let g = pcd_gen::classic::two_cliques(5);
         let ctx = ScoreContext::new(&g);
@@ -183,7 +167,7 @@ mod tests {
     fn mask_oversized_blocks_merges() {
         let g = GraphBuilder::new(2).add_edge(0, 1, 1).build();
         let ctx = ScoreContext::new(&g);
-        let mut s = score_all(ScorerKind::HeavyEdge, &g, &ctx);
+        let mut s = score_all(ScorerKind::Modularity, &g, &ctx);
         assert!(any_positive(&s));
         mask_oversized(&g, &mut s, &[3, 3], 5);
         assert!(!any_positive(&s));

@@ -17,16 +17,12 @@
 //! output is identical for every thread count.
 
 pub mod classic;
-pub mod er;
 pub mod lfr;
 pub mod rmat;
 pub mod sbm;
-pub mod smallworld;
 pub mod web;
 
-pub use er::erdos_renyi;
 pub use lfr::{lfr_graph, LfrGraph, LfrParams};
 pub use rmat::{rmat_edges, rmat_graph, RmatParams};
 pub use sbm::{sbm_graph, SbmParams};
-pub use smallworld::watts_strogatz;
 pub use web::{web_graph, WebParams};

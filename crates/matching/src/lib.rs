@@ -34,7 +34,7 @@ pub mod parallel;
 pub mod seq;
 pub mod verify;
 
-pub use labelprop::{match_labelprop_scratch, match_within_labels, propagate_labels, LabelScratch};
+pub use labelprop::{match_within_labels, LabelScratch};
 pub use parallel::{
     match_unmatched_list, match_unmatched_list_capped, match_unmatched_list_scratch, MatchScratch,
 };

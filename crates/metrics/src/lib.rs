@@ -19,14 +19,12 @@
 pub mod conductance;
 pub mod modularity;
 pub mod nmi;
-pub mod pairwise;
 pub mod report;
 pub mod sizes;
 
 pub use conductance::{community_conductances, conductance_stats, ConductanceStats};
 pub use modularity::{community_graph_modularity, community_graph_modularity_with_vol, modularity};
 pub use nmi::{adjusted_rand_index, normalized_mutual_information};
-pub use pairwise::{pairwise_scores, split_join_distance, PairwiseScores};
 pub use report::{community_reports, largest_communities, CommunityReport};
 pub use sizes::{community_sizes, coverage, SizeStats};
 

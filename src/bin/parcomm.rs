@@ -10,7 +10,7 @@
 
 use parcomm::core::refine::refine_detected;
 use parcomm::core::result::LevelStats;
-use parcomm::core::{kernel, DetectionResult, Paranoia, Tee};
+use parcomm::core::{DetectionResult, Paranoia, Tee};
 use parcomm::prelude::*;
 use parcomm::trace::TraceObserver;
 use parcomm::util::PcdError;
@@ -21,7 +21,7 @@ use std::process::ExitCode;
 
 const USAGE: &str = "\
 usage: parcomm <command> [options]
-       parcomm --list-kernels [--json]   enumerate registered kernel backends
+       parcomm --list-kernels [--json]   enumerate the kernel backends
 
 commands:
   gen <rmat|sbm|planted|web|lfr|clique-ring|karate> [options] -o <file>
@@ -44,7 +44,7 @@ gen options:
   -o, --out FILE   output path (required)
 
 detect options:
-  --scorer modularity|conductance|heavy
+  --scorer NAME    edge score metric (see --list-kernels; default modularity)
   --matcher NAME   matching kernel (see --list-kernels; default unmatched-list)
   --contractor NAME  contraction kernel (see --list-kernels; default bucket)
   --sharded        detect each connected component independently (warm
@@ -164,37 +164,65 @@ fn exit_code_for(e: &PcdError) -> ExitCode {
     }
 }
 
-/// Enumerates the kernel registry (`parcomm --list-kernels`): one line per
+/// The kernel inventory, one `(name, description)` list per phase, read
+/// off the kind enums' `ALL`.
+fn kernel_lists() -> [(&'static str, Vec<(&'static str, &'static str)>); 3] {
+    [
+        (
+            "scorers",
+            ScorerKind::ALL
+                .map(|k| (k.name(), k.description()))
+                .to_vec(),
+        ),
+        (
+            "matchers",
+            MatcherKind::ALL
+                .map(|k| (k.name(), k.description()))
+                .to_vec(),
+        ),
+        (
+            "contractors",
+            ContractorKind::ALL
+                .map(|k| (k.name(), k.description()))
+                .to_vec(),
+        ),
+    ]
+}
+
+/// Enumerates the kernels (`parcomm --list-kernels`): one line per
 /// backend, grouped by phase, names matching the `detect` flag spellings.
 fn print_kernels() {
-    println!("scorers (--scorer):");
-    for s in kernel::SCORERS {
-        println!("  {:<18} {}", s.name(), s.description());
-    }
-    println!("matchers:");
-    for m in kernel::MATCHERS {
-        println!("  {:<18} {}", m.name(), m.description());
-    }
-    println!("contractors:");
-    for c in kernel::CONTRACTORS {
-        println!("  {:<18} {}", c.name(), c.description());
+    for (phase, entries) in kernel_lists() {
+        let flag = if phase == "scorers" {
+            " (--scorer)"
+        } else {
+            ""
+        };
+        println!("{phase}{flag}:");
+        for (name, desc) in entries {
+            println!("  {name:<18} {desc}");
+        }
     }
 }
 
 /// `parcomm --list-kernels --json`: the same inventory as a single JSON
 /// object `{"scorers": [{"name", "description"}, ...], "matchers": ...,
 /// "contractors": ...}`, for scripts (the CI quality-smoke job iterates
-/// the matcher list). Registry names and descriptions are static ASCII
+/// the matcher list). Kernel names and descriptions are static ASCII
 /// without quotes or backslashes — asserted here so the hand-rolled
 /// serialization stays honest.
 fn print_kernels_json() {
-    fn arr(out: &mut String, key: &str, entries: &[(&str, &str)]) {
-        out.push_str(&format!("  \"{key}\": [\n"));
+    let mut out = String::from("{\n");
+    for (p, (phase, entries)) in kernel_lists().iter().enumerate() {
+        if p > 0 {
+            out.push_str(",\n");
+        }
+        out.push_str(&format!("  \"{phase}\": [\n"));
         for (i, (name, desc)) in entries.iter().enumerate() {
             for s in [name, desc] {
                 assert!(
                     !s.contains(['"', '\\']) && s.is_ascii(),
-                    "kernel registry strings must be plain ASCII"
+                    "kernel names and descriptions must be plain ASCII"
                 );
             }
             let comma = if i + 1 == entries.len() { "" } else { "," };
@@ -204,24 +232,6 @@ fn print_kernels_json() {
         }
         out.push_str("  ]");
     }
-    let mut out = String::from("{\n");
-    let scorers: Vec<(&str, &str)> = kernel::SCORERS
-        .iter()
-        .map(|s| (s.name(), s.description()))
-        .collect();
-    let matchers: Vec<(&str, &str)> = kernel::MATCHERS
-        .iter()
-        .map(|m| (m.name(), m.description()))
-        .collect();
-    let contractors: Vec<(&str, &str)> = kernel::CONTRACTORS
-        .iter()
-        .map(|c| (c.name(), c.description()))
-        .collect();
-    arr(&mut out, "scorers", &scorers);
-    out.push_str(",\n");
-    arr(&mut out, "matchers", &matchers);
-    out.push_str(",\n");
-    arr(&mut out, "contractors", &contractors);
     out.push_str("\n}");
     println!("{out}");
 }
@@ -506,31 +516,14 @@ fn cmd_detect(args: &[String]) -> Result<(), PcdError> {
     let g = load(path)?;
 
     let mut config = Config::default();
-    match f.get("--scorer").unwrap_or("modularity") {
-        "modularity" => {}
-        "conductance" => config = config.with_scorer(ScorerKind::Conductance),
-        "heavy" => config = config.with_scorer(ScorerKind::HeavyEdge),
-        other => return Err(usage(format!("unknown scorer '{other}'"))),
+    if let Some(name) = f.get("--scorer") {
+        config = config.with_scorer(name.parse()?);
     }
     if let Some(name) = f.get("--matcher") {
-        let m = kernel::matcher_by_name(name).ok_or_else(|| {
-            let known: Vec<&str> = kernel::MATCHERS.iter().map(|m| m.name()).collect();
-            usage(format!(
-                "unknown matcher '{name}' (known: {})",
-                known.join(", ")
-            ))
-        })?;
-        config = config.with_matcher(m.kind());
+        config = config.with_matcher(name.parse()?);
     }
     if let Some(name) = f.get("--contractor") {
-        let c = kernel::contractor_by_name(name).ok_or_else(|| {
-            let known: Vec<&str> = kernel::CONTRACTORS.iter().map(|c| c.name()).collect();
-            usage(format!(
-                "unknown contractor '{name}' (known: {})",
-                known.join(", ")
-            ))
-        })?;
-        config = config.with_contractor(c.kind());
+        config = config.with_contractor(name.parse()?);
     }
     if f.has("--vertex-following") {
         config = config.with_vertex_following(true);

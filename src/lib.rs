@@ -22,10 +22,11 @@
 //! assert!(result.modularity > 0.5);
 //! ```
 //!
-//! The engine owns the resolved kernel set and the warm scratch arenas, so
-//! further `engine.run(...)` calls reuse buffers; `detect(graph, &config)`
-//! remains as a one-shot wrapper, and `detect_many` batches independent
-//! graphs across worker threads with one warm engine per worker.
+//! The engine owns the validated configuration and the warm scratch
+//! arenas, so further `engine.run(...)` calls reuse buffers;
+//! `detect(graph, &config)` remains as a one-shot wrapper, and
+//! `detect_many` batches independent graphs across worker threads with
+//! one warm engine per worker.
 //!
 //! See the `examples/` directory for realistic end-to-end scenarios and
 //! `pcd-bench`'s `repro` binary for the paper's tables and figures.

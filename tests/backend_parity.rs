@@ -1,19 +1,20 @@
-//! Backend parity for the label-driven matchers: the label-propagation
-//! and Louvain-move backends must produce valid matchings over the real
-//! scores, improve modularity monotonically (Louvain, per sweep), stay
-//! bit-deterministic across pool sizes, and ride the batch and sharded
-//! entry points with zero output drift versus solo runs.
+//! Backend parity for the label-driven matcher: the Louvain-move backend
+//! must produce valid matchings over the real scores, improve modularity
+//! monotonically per sweep, stay bit-deterministic across pool sizes, and
+//! ride the batch and sharded entry points with zero output drift versus
+//! solo runs.
 
+use parcomm::core::kernel::match_level;
 use parcomm::core::{synchronous_move_phase, DetectionResult};
 use parcomm::gen::{rmat_graph, sbm_graph, RmatParams, SbmParams};
 use parcomm::matching::verify::verify_matching;
-use parcomm::matching::{match_labelprop_scratch, LabelScratch, MatchScratch};
+use parcomm::matching::{LabelScratch, MatchScratch};
 use parcomm::metrics::modularity;
 use parcomm::prelude::*;
 use parcomm::util::pool::with_threads;
 
 const POOLS: [usize; 3] = [1, 2, 8];
-const BACKENDS: [MatcherKind; 2] = [MatcherKind::LabelProp, MatcherKind::LouvainMove];
+const BACKEND: MatcherKind = MatcherKind::LouvainMove;
 
 /// Bit-exact equality on every non-timing field.
 fn assert_same(a: &DetectionResult, b: &DetectionResult, what: &str) {
@@ -66,8 +67,8 @@ fn parity_graphs() -> Vec<(String, Graph)> {
 }
 
 #[test]
-fn labelprop_proposals_are_always_a_valid_matching() {
-    // Whatever the propagation proposes, the emitted matching must verify
+fn louvain_proposals_are_always_a_valid_matching() {
+    // Whatever the move phase proposes, the emitted matching must verify
     // against the *real* scores: strictly pairwise, positive real score
     // on every matched edge, maximal over the positive-score subgraph —
     // including when some scores are negative or the cap bites.
@@ -82,7 +83,7 @@ fn labelprop_proposals_are_always_a_valid_matching() {
         for (tag, scores) in [("all-pos", &all_pos), ("mixed-sign", &mixed)] {
             for cap in [1usize, 4, 256] {
                 let mut scratch = MatchScratch::new();
-                let out = match_labelprop_scratch(&g, scores, cap, &mut scratch);
+                let out = match_level(BACKEND, &g, scores, cap, &mut scratch);
                 assert!(
                     verify_matching(&g, scores, &out.matching).is_ok(),
                     "{name}/{tag} cap={cap}: {:?}",
@@ -127,25 +128,23 @@ fn louvain_move_phase_never_decreases_modularity_per_sweep() {
 
 #[test]
 fn backends_are_bit_deterministic_across_pool_sizes() {
+    let cfg = Config::default()
+        .with_matcher(BACKEND)
+        .with_recorded_levels();
     for (name, g) in parity_graphs() {
-        for backend in BACKENDS {
-            let cfg = Config::default()
-                .with_matcher(backend)
-                .with_recorded_levels();
-            let runs: Vec<DetectionResult> = POOLS
-                .iter()
-                .map(|&threads| {
-                    let (g, cfg) = (g.clone(), cfg.clone());
-                    with_threads(threads, move || try_detect(g, &cfg)).expect("run")
-                })
-                .collect();
-            for (r, &threads) in runs[1..].iter().zip(&POOLS[1..]) {
-                assert_same(
-                    &runs[0],
-                    r,
-                    &format!("{name}/{backend:?} t={} vs t={threads}", POOLS[0]),
-                );
-            }
+        let runs: Vec<DetectionResult> = POOLS
+            .iter()
+            .map(|&threads| {
+                let (g, cfg) = (g.clone(), cfg.clone());
+                with_threads(threads, move || try_detect(g, &cfg)).expect("run")
+            })
+            .collect();
+        for (r, &threads) in runs[1..].iter().zip(&POOLS[1..]) {
+            assert_same(
+                &runs[0],
+                r,
+                &format!("{name} t={} vs t={threads}", POOLS[0]),
+            );
         }
     }
 }
@@ -155,16 +154,14 @@ fn detect_many_agrees_with_solo_for_label_backends() {
     let graphs: Vec<Graph> = (0..4)
         .map(|i| rmat_graph(&RmatParams::paper(7, 30 + i)))
         .collect();
-    for backend in BACKENDS {
-        let cfg = Config::default()
-            .with_matcher(backend)
-            .with_recorded_levels();
-        let batch = detect_many(graphs.clone(), &cfg).expect("batch run");
-        assert_eq!(batch.len(), graphs.len());
-        for (i, (g, r)) in graphs.iter().zip(&batch).enumerate() {
-            let solo = detect(g.clone(), &cfg);
-            assert_same(r, &solo, &format!("{backend:?} batch graph #{i}"));
-        }
+    let cfg = Config::default()
+        .with_matcher(BACKEND)
+        .with_recorded_levels();
+    let batch = detect_many(graphs.clone(), &cfg).expect("batch run");
+    assert_eq!(batch.len(), graphs.len());
+    for (i, (g, r)) in graphs.iter().zip(&batch).enumerate() {
+        let solo = detect(g.clone(), &cfg);
+        assert_same(r, &solo, &format!("batch graph #{i}"));
     }
 }
 
@@ -187,47 +184,45 @@ fn sharded_detection_agrees_with_solo_components_for_label_backends() {
     }
     let union = parcomm::graph::builder::from_edges(nv, edges);
 
-    for backend in BACKENDS {
-        let cfg = Config::default()
-            .with_matcher(backend)
-            .with_recorded_levels();
-        // Component-by-component parity against solo runs on the
-        // extracted subgraphs.
-        let outcomes =
-            parcomm::core::detect_sharded_outcomes(union.clone(), &cfg).expect("sharded run");
-        assert_eq!(outcomes.len(), parts.len(), "{backend:?}: component count");
-        for o in &outcomes {
-            let mut keep = vec![false; union.num_vertices()];
-            for &old in &o.old_of_new {
-                keep[old as usize] = true;
-            }
-            let solo = try_detect(parcomm::graph::subgraph::induce(&union, &keep).graph, &cfg)
-                .expect("solo run");
-            let sharded = o.outcome.as_ref().expect("component succeeds");
-            assert_same(
-                sharded,
-                &solo,
-                &format!("{backend:?} component rep={}", o.representative()),
-            );
+    let cfg = Config::default()
+        .with_matcher(BACKEND)
+        .with_recorded_levels();
+    // Component-by-component parity against solo runs on the extracted
+    // subgraphs.
+    let outcomes =
+        parcomm::core::detect_sharded_outcomes(union.clone(), &cfg).expect("sharded run");
+    assert_eq!(outcomes.len(), parts.len(), "component count");
+    for o in &outcomes {
+        let mut keep = vec![false; union.num_vertices()];
+        for &old in &o.old_of_new {
+            keep[old as usize] = true;
         }
-        // Merged run: pool-independent, and the reported quality really
-        // describes the merged assignment on the original graph.
-        let merged_cfg = cfg.with_sharding(true);
-        let runs: Vec<DetectionResult> = POOLS
-            .iter()
-            .map(|&threads| {
-                let (g, cfg) = (union.clone(), merged_cfg.clone());
-                with_threads(threads, move || try_detect(g, &cfg)).expect("merged run")
-            })
-            .collect();
-        for (r, &threads) in runs[1..].iter().zip(&POOLS[1..]) {
-            assert_same(&runs[0], r, &format!("{backend:?} merged t={threads}"));
-        }
-        let q = modularity(&union, &runs[0].assignment);
-        assert!(
-            (q - runs[0].modularity).abs() < 1e-9,
-            "{backend:?}: reported Q {} vs direct {q}",
-            runs[0].modularity
+        let solo = try_detect(parcomm::graph::subgraph::induce(&union, &keep).graph, &cfg)
+            .expect("solo run");
+        let sharded = o.outcome.as_ref().expect("component succeeds");
+        assert_same(
+            sharded,
+            &solo,
+            &format!("component rep={}", o.representative()),
         );
     }
+    // Merged run: pool-independent, and the reported quality really
+    // describes the merged assignment on the original graph.
+    let merged_cfg = cfg.with_sharding(true);
+    let runs: Vec<DetectionResult> = POOLS
+        .iter()
+        .map(|&threads| {
+            let (g, cfg) = (union.clone(), merged_cfg.clone());
+            with_threads(threads, move || try_detect(g, &cfg)).expect("merged run")
+        })
+        .collect();
+    for (r, &threads) in runs[1..].iter().zip(&POOLS[1..]) {
+        assert_same(&runs[0], r, &format!("merged t={threads}"));
+    }
+    let q = modularity(&union, &runs[0].assignment);
+    assert!(
+        (q - runs[0].modularity).abs() < 1e-9,
+        "reported Q {} vs direct {q}",
+        runs[0].modularity
+    );
 }

@@ -1,32 +1,13 @@
-//! Dispatch parity: the kernel trait layer and the reusable `Detector`
+//! Dispatch parity: the kernel dispatch and the reusable `Detector`
 //! engine must change zero output bits. Every (scorer × matcher ×
-//! contractor) combination is run through the old free-function wrappers
-//! and the new engine — fresh and warm — and compared field by field
-//! (everything except wall-clock timings, which legitimately vary).
+//! contractor) combination in the kind enums' `ALL` lists is run through
+//! the one-shot wrappers and the engine — fresh and warm — and compared
+//! field by field (everything except wall-clock timings, which
+//! legitimately vary).
 
 use parcomm::core::DetectionResult;
 use parcomm::gen::{rmat_graph, sbm_graph, RmatParams, SbmParams};
 use parcomm::prelude::*;
-
-const SCORERS: [ScorerKind; 3] = [
-    ScorerKind::Modularity,
-    ScorerKind::Conductance,
-    ScorerKind::HeavyEdge,
-];
-const MATCHERS: [MatcherKind; 5] = [
-    MatcherKind::UnmatchedList,
-    MatcherKind::EdgeSweep,
-    MatcherKind::Sequential,
-    MatcherKind::LabelProp,
-    MatcherKind::LouvainMove,
-];
-const CONTRACTORS: [ContractorKind; 5] = [
-    ContractorKind::Bucket,
-    ContractorKind::BucketFetchAdd,
-    ContractorKind::Radix,
-    ContractorKind::Linked,
-    ContractorKind::Sequential,
-];
 
 /// Bit-exact equality on every non-timing field.
 fn assert_same(a: &DetectionResult, b: &DetectionResult, what: &str) {
@@ -61,9 +42,9 @@ fn assert_same(a: &DetectionResult, b: &DetectionResult, what: &str) {
 #[test]
 fn every_kernel_combo_agrees_through_wrapper_fresh_and_warm_engine() {
     let g = rmat_graph(&RmatParams::paper(7, 11));
-    for scorer in SCORERS {
-        for matcher in MATCHERS {
-            for contractor in CONTRACTORS {
+    for scorer in ScorerKind::ALL {
+        for matcher in MatcherKind::ALL {
+            for contractor in ContractorKind::ALL {
                 let cfg = Config::default()
                     .with_scorer(scorer)
                     .with_matcher(matcher)
@@ -89,9 +70,9 @@ fn attached_trace_observer_changes_zero_bits() {
     // bit for bit — from running with the NoopObserver, for every kernel
     // combination.
     let g = rmat_graph(&RmatParams::paper(7, 11));
-    for scorer in SCORERS {
-        for matcher in MATCHERS {
-            for contractor in CONTRACTORS {
+    for scorer in ScorerKind::ALL {
+        for matcher in MatcherKind::ALL {
+            for contractor in ContractorKind::ALL {
                 let cfg = Config::default()
                     .with_scorer(scorer)
                     .with_matcher(matcher)
@@ -135,9 +116,9 @@ fn unarmed_and_non_binding_budgets_change_zero_bits() {
     // deadline, huge caps, a live cancel token nobody cancels) must all
     // be bit-identical — and all converge, never reporting a breach.
     let g = rmat_graph(&RmatParams::paper(7, 11));
-    for scorer in SCORERS {
-        for matcher in MATCHERS {
-            for contractor in CONTRACTORS {
+    for scorer in ScorerKind::ALL {
+        for matcher in MatcherKind::ALL {
+            for contractor in ContractorKind::ALL {
                 let base = Config::default()
                     .with_scorer(scorer)
                     .with_matcher(matcher)

@@ -34,14 +34,16 @@ fn test_graph() -> Graph {
 fn base_config() -> Config {
     let mut cfg = Config::default();
     if let Ok(name) = std::env::var("PARCOMM_TEST_CONTRACTOR") {
-        let c = parcomm::core::kernel::contractor_by_name(&name)
-            .unwrap_or_else(|| panic!("PARCOMM_TEST_CONTRACTOR: unknown contractor '{name}'"));
-        cfg = cfg.with_contractor(c.kind());
+        let c = name
+            .parse()
+            .unwrap_or_else(|e| panic!("PARCOMM_TEST_CONTRACTOR: {e}"));
+        cfg = cfg.with_contractor(c);
     }
     if let Ok(name) = std::env::var("PARCOMM_TEST_MATCHER") {
-        let m = parcomm::core::kernel::matcher_by_name(&name)
-            .unwrap_or_else(|| panic!("PARCOMM_TEST_MATCHER: unknown matcher '{name}'"));
-        cfg = cfg.with_matcher(m.kind());
+        let m = name
+            .parse()
+            .unwrap_or_else(|e| panic!("PARCOMM_TEST_MATCHER: {e}"));
+        cfg = cfg.with_matcher(m);
     }
     if std::env::var("PARCOMM_TEST_SHARDED").as_deref() == Ok("1") {
         cfg = cfg.with_sharding(true);

@@ -69,7 +69,6 @@ fn watchdog_expiry_degrades_gracefully_end_to_end() {
         .add_edge(4, 8, 10)
         .build();
     let cfg = Config::default()
-        .with_scorer(ScorerKind::HeavyEdge)
         .with_max_match_rounds(1)
         .with_paranoia(Paranoia::Full);
     let r = try_detect(g, &cfg).expect("degraded run must still complete");

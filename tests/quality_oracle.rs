@@ -1,5 +1,5 @@
-//! Differential quality oracle: every registered matching backend is
-//! measured against (a) planted ground truth on an easy SBM — NMI must
+//! Differential quality oracle: every matching backend in
+//! `MatcherKind::ALL` is measured against (a) planted ground truth on an easy SBM — NMI must
 //! clear 0.9 — and (b) the dependency-free sequential Louvain reference
 //! in `pcd-baseline` — the detect + refine pipeline must hold 95% of the
 //! reference modularity on every fixture.
@@ -9,30 +9,11 @@ use parcomm::gen::{rmat_graph, sbm_graph, RmatParams, SbmParams};
 use parcomm::metrics::{adjusted_rand_index, modularity, normalized_mutual_information};
 use parcomm::prelude::*;
 
-/// Every matcher in the kernel registry, spelled as `MatcherKind` so a
-/// registry addition that forgets this list fails `registry_is_covered`.
-const BACKENDS: [MatcherKind; 5] = [
-    MatcherKind::UnmatchedList,
-    MatcherKind::EdgeSweep,
-    MatcherKind::Sequential,
-    MatcherKind::LabelProp,
-    MatcherKind::LouvainMove,
-];
-
-#[test]
-fn registry_is_covered() {
-    assert_eq!(
-        BACKENDS.len(),
-        parcomm::core::kernel::MATCHERS.len(),
-        "a registered matcher is missing from the quality oracle"
-    );
-}
-
 #[test]
 fn every_backend_recovers_the_planted_partition() {
     let s = sbm_graph(&SbmParams::planted_partition(1_024, 16, 42));
     let truth = &s.ground_truth;
-    for backend in BACKENDS {
+    for backend in MatcherKind::ALL {
         let cfg = Config::default().with_matcher(backend);
         let r = detect(s.graph.clone(), &cfg);
         let nmi = normalized_mutual_information(&r.assignment, truth);
@@ -77,7 +58,7 @@ fn every_backend_holds_95pct_of_the_sequential_reference() {
     for (name, g) in &fixtures {
         let reference = modularity(g, &parcomm::baseline::louvain(g));
         assert!(reference > 0.0, "{name}: degenerate reference");
-        for backend in BACKENDS {
+        for backend in MatcherKind::ALL {
             let cfg = Config::default().with_matcher(backend);
             let r = detect(g.clone(), &cfg);
             let refined = refine(g, &r.assignment, 10);

@@ -55,7 +55,7 @@ fn reuse_matches_fresh_across_kernels() {
         // threads scratch through, not just the default path.
         let g = parcomm::gen::rmat_graph(&parcomm::gen::RmatParams::paper(7, seed));
         for cfg in [
-            Config::default().with_scorer(ScorerKind::HeavyEdge),
+            Config::default().with_scorer(ScorerKind::Conductance),
             Config::default().with_contractor(ContractorKind::BucketFetchAdd),
             Config::default()
                 .with_matcher(MatcherKind::EdgeSweep)

@@ -15,7 +15,7 @@ use parcomm::prelude::*;
 use parcomm::util::pool::with_threads;
 
 const POOLS: [usize; 3] = [1, 2, 8];
-const CONTRACTORS: [ContractorKind; 2] = [ContractorKind::Bucket, ContractorKind::Radix];
+const SHARDED_CONTRACTORS: [ContractorKind; 2] = [ContractorKind::Bucket, ContractorKind::Radix];
 
 /// Bit-exact equality on every non-timing field.
 fn assert_same(a: &DetectionResult, b: &DetectionResult, what: &str) {
@@ -77,7 +77,7 @@ fn disconnected_graph() -> Graph {
 #[test]
 fn components_match_solo_detection_for_all_kernels_and_pools() {
     let g = disconnected_graph();
-    for contractor in CONTRACTORS {
+    for contractor in SHARDED_CONTRACTORS {
         let cfg = Config::default()
             .with_contractor(contractor)
             .with_recorded_levels();
@@ -121,7 +121,7 @@ fn components_match_solo_detection_for_all_kernels_and_pools() {
 #[test]
 fn merged_result_is_pool_size_independent() {
     let g = disconnected_graph();
-    for contractor in CONTRACTORS {
+    for contractor in SHARDED_CONTRACTORS {
         let cfg = Config::default()
             .with_contractor(contractor)
             .with_recorded_levels()

@@ -21,11 +21,13 @@
 //!   also runs the default pipeline end to end, so the matcher's carried
 //!   proposals and weighted scans are compared over every level.
 //!
+//! The first-level check runs every kernel in the kind enums' `ALL`
+//! lists, the sequential oracles and the 2011 baselines included.
 //! The CI ThreadSanitizer job runs it too.
 
 use parcomm::contract::ContractScratch;
-use parcomm::core::kernel::{contractor_for, matcher_for, scorer_for};
-use parcomm::core::{DetectionResult, ScoreContext};
+use parcomm::core::kernel::{contract_level, match_level};
+use parcomm::core::{score_all_into, DetectionResult, ScoreContext};
 use parcomm::gen::{rmat_graph, sbm_graph, RmatParams, SbmParams};
 use parcomm::graph::GraphParts;
 use parcomm::matching::verify::verify_matching;
@@ -37,16 +39,6 @@ use parcomm::util::pool::with_threads;
 const WIDTHS: [usize; 3] = [1, 2, 8];
 /// Levels the end-to-end check runs before its level cap stops it.
 const LEVELS: usize = 3;
-const MATCHERS: [MatcherKind; 3] = [
-    MatcherKind::UnmatchedList,
-    MatcherKind::LabelProp,
-    MatcherKind::LouvainMove,
-];
-const CONTRACTORS: [ContractorKind; 3] = [
-    ContractorKind::Bucket,
-    ContractorKind::BucketFetchAdd,
-    ContractorKind::Radix,
-];
 
 /// R-MAT at scale 17 with edge factor 2: the paper's power-law hubs, and
 /// more than `SEQ_CUTOFF` vertices and edges at a fraction of the cost of
@@ -94,12 +86,12 @@ type LevelBits = (
 fn one_level(g: &Graph) -> LevelBits {
     let ctx = ScoreContext::new(g);
     let mut scores = Vec::new();
-    scorer_for(ScorerKind::Modularity).score_into(g, &ctx, &mut scores);
+    score_all_into(ScorerKind::Modularity, g, &ctx, &mut scores);
 
     let mut matchings = Vec::new();
     let mut fingerprints = Vec::new();
-    for kind in MATCHERS {
-        let out = matcher_for(kind).match_level(g, &scores, usize::MAX, &mut MatchScratch::new());
+    for kind in MatcherKind::ALL {
+        let out = match_level(kind, g, &scores, usize::MAX, &mut MatchScratch::new());
         assert_eq!(
             verify_matching(g, &scores, &out.matching),
             Ok(()),
@@ -110,13 +102,18 @@ fn one_level(g: &Graph) -> LevelBits {
         matchings.push(out.matching);
     }
 
-    // Contract along the unmatched-list matching, the default pipeline's.
+    // Contract along the default pipeline's matching.
+    let default = MatcherKind::ALL
+        .iter()
+        .position(|&k| k == MatcherKind::default())
+        .unwrap();
     let mut contracted = Vec::new();
-    for kind in CONTRACTORS {
+    for kind in ContractorKind::ALL {
         let mut scratch = ContractScratch::new();
-        let (next, num_new) = contractor_for(kind).contract_level(
+        let (next, num_new) = contract_level(
+            kind,
             g,
-            &matchings[0],
+            &matchings[default],
             &mut scratch,
             GraphParts::default(),
         );
@@ -147,7 +144,7 @@ fn first_level_kernels_are_bit_identical_across_widths() {
         for &w in &WIDTHS[1..] {
             let got = with_threads(w, || one_level(&g));
             assert!(got.0 == base.0, "{name}: scores differ at width {w}");
-            for (k, kind) in MATCHERS.iter().enumerate() {
+            for (k, kind) in MatcherKind::ALL.iter().enumerate() {
                 assert!(
                     got.1[k] == base.1[k],
                     "{name}: {kind:?} matching differs at width {w}"

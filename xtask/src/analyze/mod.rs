@@ -13,7 +13,7 @@
 //! | `lex`          | file must lex cleanly           | no       |
 //! | `atomics`      | no bare std atomics / orderings outside the sync shim (ported) | no |
 //! | `unsafe-budget`| per-file `unsafe` keyword budget (ported) | via budget table |
-//! | `kernel-fence` | drivers dispatch only through the kernel trait layer (ported) | no |
+//! | `kernel-fence` | the level loop and drivers call kernels only through the kind-enum dispatch (ported) | no |
 //! | `alloc`        | no allocating constructs on hot paths | yes |
 //! | `panic`        | no `unwrap`/`expect`/`panic!`-family in library code | yes |
 //! | `ordering`     | atomic call sites name a shim ordering constant and carry an `// ORDERING:` rationale | yes |
@@ -68,7 +68,6 @@ pub(crate) const WAIVER_BUDGETS: &[(&str, &str, usize)] = &[
     ("crates/core/src/engine.rs", "panic", 4),
     ("crates/core/src/fault.rs", "panic", 1),
     ("crates/core/src/follow.rs", "alloc", 1),
-    ("crates/core/src/kernel/mod.rs", "panic", 1),
     ("crates/core/src/louvain.rs", "alloc", 2),
     ("crates/core/src/scorer.rs", "alloc", 1),
     ("crates/core/src/shard.rs", "panic", 2),
@@ -76,7 +75,7 @@ pub(crate) const WAIVER_BUDGETS: &[(&str, &str, usize)] = &[
     ("crates/graph/src/components.rs", "panic", 1),
     ("crates/graph/src/stats.rs", "panic", 2),
     ("crates/matching/src/edge_sweep.rs", "alloc", 4),
-    ("crates/matching/src/labelprop.rs", "alloc", 4),
+    ("crates/matching/src/labelprop.rs", "alloc", 2),
     ("crates/matching/src/parallel.rs", "alloc", 3),
     ("crates/matching/src/seq.rs", "panic", 1),
     ("crates/metrics/src/sizes.rs", "panic", 2),
@@ -594,10 +593,25 @@ mod tests {
     #[test]
     fn driver_may_not_call_concrete_kernels() {
         let src = "fn run() { pcd_matching::parallel::match_unmatched_list(); }\n";
-        let v = analyze_file("crates/core/src/driver.rs", src);
-        assert!(rules_of(&v).contains(&"kernel-fence"), "{v:?}");
-        // The same call elsewhere is fine (kernels may call each other).
-        let v = analyze_file(LIB, src);
+        // The level loop and the one-shot drivers are all fenced.
+        for driver in [
+            "crates/core/src/driver.rs",
+            "crates/core/src/engine.rs",
+            "crates/core/src/multilevel.rs",
+        ] {
+            let v = analyze_file(driver, src);
+            assert!(rules_of(&v).contains(&"kernel-fence"), "{driver}: {v:?}");
+        }
+        // The same call elsewhere is fine: the dispatch file and kernels
+        // may call each other.
+        for free in ["crates/core/src/kernel.rs", LIB] {
+            let v = analyze_file(free, src);
+            assert!(!rules_of(&v).contains(&"kernel-fence"), "{free}: {v:?}");
+        }
+        // The scorer dispatch and the kind-enum dispatch are allowed.
+        let src = "fn run() { score_all_into(k, g, c, o); \
+                   crate::kernel::match_level(k, g, s, 1, m); }\n";
+        let v = analyze_file("crates/core/src/engine.rs", src);
         assert!(!rules_of(&v).contains(&"kernel-fence"), "{v:?}");
     }
 

@@ -1,14 +1,16 @@
-//! Rule `kernel-fence` (ported): drivers dispatch through the trait
-//! layer only.
+//! Rule `kernel-fence` (ported): drivers dispatch on the kind enums
+//! only.
 //!
-//! The detection drivers (`crates/core/src/driver.rs`,
-//! `crates/core/src/multilevel.rs`) may not call concrete kernel
-//! functions or name the concrete kernel modules of
-//! `pcd-matching`/`pcd-contract` — all score/match/contract work must
-//! go through the `pcd_core::kernel` trait layer, so a backend swap is
-//! one registry entry, never a driver edit. The trait impls under
-//! `crates/core/src/kernel/` are the one sanctioned wrapper site and
-//! are exempt (they are simply not in [`KERNEL_CALLERS`]).
+//! The detection drivers — the engine's level loop
+//! (`crates/core/src/engine.rs`), the one-shot entry points
+//! (`crates/core/src/driver.rs`) and `crates/core/src/multilevel.rs` —
+//! may not call concrete kernel functions or name the concrete kernel
+//! modules of `pcd-matching`/`pcd-contract`. They score with
+//! `score_all_into` and match and contract through
+//! `pcd_core::kernel::{match_level, contract_level}`, which take the
+//! config's kind enum, so a backend swap is an enum edit, never a driver
+//! edit. `crates/core/src/kernel.rs` is the one sanctioned dispatch site
+//! and is exempt (it is simply not in [`KERNEL_CALLERS`]).
 //!
 //! Identifier-token matching makes this boundary-aware for free:
 //! `contract_secs` never matches the `contract_seq` ban, and commented
@@ -17,13 +19,16 @@
 use crate::analyze::{FileCtx, Violation};
 
 /// Driver files fenced off from concrete kernels.
-pub(crate) const KERNEL_CALLERS: &[&str] =
-    &["crates/core/src/driver.rs", "crates/core/src/multilevel.rs"];
+pub(crate) const KERNEL_CALLERS: &[&str] = &[
+    "crates/core/src/driver.rs",
+    "crates/core/src/engine.rs",
+    "crates/core/src/multilevel.rs",
+];
 
 /// Concrete kernel entry points (whole-identifier match).
+/// `score_all_into` is not one: it is the scorer dispatch.
 pub(crate) const CONCRETE_KERNEL_FNS: &[&str] = &[
     "score_edge",
-    "score_all_into",
     "match_unmatched_list",
     "match_unmatched_list_scratch",
     "match_edge_sweep",
@@ -57,8 +62,8 @@ pub(crate) fn check(ctx: &FileCtx, out: &mut Vec<Violation>) {
                 line: ctx.line(i),
                 rule: "kernel-fence",
                 msg: format!(
-                    "direct concrete-kernel call `{text}` — dispatch through the \
-                     pcd_core::kernel trait layer"
+                    "direct concrete-kernel call `{text}` — dispatch on the kind \
+                     enum through pcd_core::kernel"
                 ),
             });
         }
@@ -69,8 +74,8 @@ pub(crate) fn check(ctx: &FileCtx, out: &mut Vec<Violation>) {
                     line: ctx.line(i),
                     rule: "kernel-fence",
                     msg: format!(
-                        "concrete kernel module `{krate}::{module}` — drivers use the \
-                         pcd_core::kernel trait layer"
+                        "concrete kernel module `{krate}::{module}` — drivers dispatch \
+                         on the kind enum through pcd_core::kernel"
                     ),
                 });
             }
