@@ -1,60 +1,82 @@
-//! The paper's bucket-sort contraction (§IV-C).
+//! The bucket-sort contraction pipeline (§IV-C): relabel → scatter by new
+//! first endpoint → sort and accumulate each bucket → copy back.
 //!
-//! Pipeline, all phases parallel:
+//! All phases are parallel:
 //!
-//! 1. **Relabel** every edge's endpoints to new community ids and
-//!    re-canonicalise under the parity hash; edges whose endpoints
-//!    coincide fold into the new vertex's self-loop.
-//! 2. **Bucket** surviving edges by their new stored-first endpoint.
-//!    Placement of buckets in the output array follows one of the two
-//!    policies the paper describes (see [`Placement`]).
-//! 3. **Sort & accumulate** within each bucket by the second endpoint,
-//!    merging duplicate edges and shortening the bucket.
+//! 1. **Relabel** every edge's endpoints through an old→new vertex map
+//!    and re-canonicalise under the parity hash; edges whose endpoints
+//!    coincide fold into the new vertex's self-loop. Contracting a
+//!    matching runs the pipeline on the map [`relabel_into`] derives from
+//!    it, so each matched edge folds here like any other coinciding edge.
+//! 2. **Bucket** surviving edges by their new stored-first endpoint: a
+//!    histogram of new-source degrees, a [`Placement`] of the buckets in
+//!    the scatter arena, and a cache-blocked scatter.
+//! 3. **Sort & accumulate** each bucket by its second endpoint with the
+//!    chosen [`RowSort`], merging duplicate edges and shortening the
+//!    bucket.
 //! 4. **Compact** the shortened buckets into dense storage ("copied back
 //!    out into the original graph's storage").
+//!
+//! The placement and the row sort are the paper's ablations, and they
+//! change only the work done, never the output. Compaction writes row `v`
+//! at `final_off[v]`, a prefix over new-vertex order; destinations ascend
+//! within a row; duplicate weights merge by exact integer addition. So
+//! every choice emits the same graph bit for bit, at any thread count.
 
-use crate::{contracted_self_loops_into, relabel_into, Contraction};
+use crate::{relabel_into, Contraction};
 use pcd_graph::{canonical_order, Graph, GraphParts};
 use pcd_matching::Matching;
+use pcd_util::par;
 use pcd_util::scan::exclusive_prefix_sum;
 use pcd_util::sync::{
     as_atomic_u32, as_atomic_u64, as_atomic_usize, AtomicUsize, SendPtr, RELAXED,
 };
 use pcd_util::VertexId;
 
-use pcd_util::par;
+/// How the row pass sorts a bucket by destination before merging
+/// duplicate destinations.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RowSort {
+    /// Stable LSD counting sort over the 8-bit digits a destination id can
+    /// occupy, ping-ponging between the bucket and its slice of the output
+    /// graph's `dst`/`weight` storage: the default `radix` contractor.
+    Radix,
+    /// In-place tandem heapsort of destinations and weights: the paper's
+    /// per-bucket sort, kept as the `bucket` ablation.
+    Heapsort,
+}
 
-/// Bucket placement policy in the scatter phase.
+/// Where the scatter places each bucket in its arena.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Placement {
-    /// Deterministic: per-vertex counts + parallel prefix sum give each
-    /// bucket a fixed offset; buckets appear in ascending vertex order.
-    /// ("Storing the buckets contiguously requires synchronizing on a
-    /// prefix sum.")
+    /// Per-vertex counts and a parallel prefix sum give each bucket a
+    /// fixed offset, in ascending vertex order. ("Storing the buckets
+    /// contiguously requires synchronizing on a prefix sum.")
     PrefixSum,
-    /// Paper-faithful racy variant: buckets claim space with one global
-    /// fetch-and-add, in whatever order threads arrive. The resulting
-    /// layout is schedule-dependent (the *graph* is the same up to edge
-    /// order); the paper notes this needs no synchronisation "beyond an
-    /// atomic fetch-and-add".
+    /// The paper's placement ablation: buckets claim their extents off one
+    /// global fetch-and-add cursor, in whatever order threads arrive, with
+    /// no synchronisation "beyond an atomic fetch-and-add". Only the
+    /// scatter arena's layout follows the schedule; the emitted graph is
+    /// the same as under [`Placement::PrefixSum`].
     FetchAdd,
 }
 
-/// Contracts `g` along matching `m` with the default deterministic
-/// placement.
-pub fn contract(g: &Graph, m: &Matching) -> Contraction {
-    contract_with_policy(g, m, Placement::PrefixSum)
-}
+/// Rows at or below this length take an insertion sort under either
+/// [`RowSort`]: neither a counting pass nor a heap beats it there.
+const INSERTION_CUTOFF: usize = 24;
 
-/// Contracts `g` along matching `m` with an explicit placement policy.
-///
-/// Owning convenience wrapper over [`contract_into`]: allocates a fresh
-/// [`ContractScratch`] and empty output storage per call. The driver's
-/// level loop uses [`contract_into`] directly; this entry point stays for
-/// ablations, oracles, and one-shot callers.
-pub fn contract_with_policy(g: &Graph, m: &Matching, placement: Placement) -> Contraction {
+/// Edge-block length for the cache-blocked scatter: each task claims one
+/// contiguous block of the relabelled edge arrays, so its reads stream
+/// and only the per-bucket cursor bumps go through shared cache lines.
+const SCATTER_BLOCK: usize = 1 << 12;
+
+/// Contracts `g` along matching `m`: owning wrapper over [`contract_into`]
+/// for oracles, ablations and one-shot callers. Allocates a fresh
+/// [`ContractScratch`] and empty output storage per call.
+pub fn contract(g: &Graph, m: &Matching, sort: RowSort, placement: Placement) -> Contraction {
     let mut scratch = ContractScratch::new();
-    let (graph, num_new) = contract_into(g, m, placement, &mut scratch, GraphParts::default());
+    let (graph, num_new) =
+        contract_into(g, m, sort, placement, &mut scratch, GraphParts::default());
     Contraction {
         graph,
         new_of_old: scratch.take_new_of_old(),
@@ -62,12 +84,13 @@ pub fn contract_with_policy(g: &Graph, m: &Matching, placement: Placement) -> Co
     }
 }
 
-/// Reusable working storage for [`contract_into`]: the relabel map and its
-/// prefix-sum buffer, the matched-edge bitset, relabelled endpoints, bucket
-/// counts/offsets/cursors, the bucketed temp arrays, the radix kernel's
-/// ping-pong arena ([`crate::radix`]), and the shortened buckets' offsets.
-/// Every buffer is cleared and logically resized per call; capacity only
-/// grows, so steady-state contraction allocates nothing.
+/// Reusable working storage for the pipeline: the relabel map and its
+/// prefix-sum buffer, relabelled endpoints, bucket counts/offsets/cursors,
+/// the scatter arena, and the shortened buckets' offsets. Every buffer is
+/// cleared and logically resized per call; capacity only grows, so
+/// steady-state contraction allocates nothing. The radix row sort's
+/// second arena is not here: it is the output graph's `dst`/`weight`
+/// storage, which compaction overwrites only after the row pass.
 ///
 /// `bucket_off` and `final_off` hold `num_new + 1` entries: under
 /// prefix-sum placement both are row-offset prefixes ending in their
@@ -75,19 +98,16 @@ pub fn contract_with_policy(g: &Graph, m: &Matching, placement: Placement) -> Co
 /// length ([`par::for_each_mut_init_weighted`]).
 #[derive(Debug, Default)]
 pub struct ContractScratch {
-    pub(crate) is_leader: Vec<usize>,
-    pub(crate) new_of_old: Vec<VertexId>,
-    pub(crate) matched_bits: Vec<u64>,
-    pub(crate) new_src: Vec<u32>,
-    pub(crate) new_dst: Vec<u32>,
-    pub(crate) counts: Vec<usize>,
-    pub(crate) bucket_off: Vec<usize>,
-    pub(crate) cursor: Vec<usize>,
-    pub(crate) tmp_dst: Vec<u32>,
-    pub(crate) tmp_w: Vec<u64>,
-    pub(crate) radix_dst: Vec<u32>,
-    pub(crate) radix_w: Vec<u64>,
-    pub(crate) final_off: Vec<usize>,
+    is_leader: Vec<usize>,
+    new_of_old: Vec<VertexId>,
+    new_src: Vec<u32>,
+    new_dst: Vec<u32>,
+    counts: Vec<usize>,
+    bucket_off: Vec<usize>,
+    cursor: Vec<usize>,
+    tmp_dst: Vec<u32>,
+    tmp_w: Vec<u64>,
+    final_off: Vec<usize>,
 }
 
 impl ContractScratch {
@@ -117,7 +137,6 @@ impl ContractScratch {
         use std::mem::size_of;
         self.is_leader.capacity() * size_of::<usize>()
             + self.new_of_old.capacity() * size_of::<VertexId>()
-            + self.matched_bits.capacity() * size_of::<u64>()
             + self.new_src.capacity() * size_of::<u32>()
             + self.new_dst.capacity() * size_of::<u32>()
             + self.counts.capacity() * size_of::<usize>()
@@ -125,8 +144,6 @@ impl ContractScratch {
             + self.cursor.capacity() * size_of::<usize>()
             + self.tmp_dst.capacity() * size_of::<u32>()
             + self.tmp_w.capacity() * size_of::<u64>()
-            + self.radix_dst.capacity() * size_of::<u32>()
-            + self.radix_w.capacity() * size_of::<u64>()
             + self.final_off.capacity() * size_of::<usize>()
     }
 }
@@ -137,21 +154,67 @@ impl ContractScratch {
 /// buffer. Returns the contracted graph and `num_new`; the old→new map is
 /// left in `scratch` ([`ContractScratch::new_of_old`]).
 ///
-/// The emitted graph is bit-identical to [`contract_with_policy`]'s for
-/// either placement policy and any thread count. Total weight is conserved
-/// by construction, so the output graph inherits the parent's total
-/// without a reduction pass (debug builds re-verify).
+/// The emitted graph is the same for every `sort`, `placement` and
+/// thread count, and equals [`contract_map_into`] on the matching's
+/// relabel map. Total weight is conserved by construction, so the output
+/// graph inherits the parent's total without a reduction pass (debug
+/// builds re-verify).
 pub fn contract_into(
     g: &Graph,
     m: &Matching,
+    sort: RowSort,
+    placement: Placement,
+    scratch: &mut ContractScratch,
+    parts: GraphParts,
+) -> (Graph, usize) {
+    let num_new = relabel_into(g, m, &mut scratch.is_leader, &mut scratch.new_of_old);
+    let new_of_old = std::mem::take(&mut scratch.new_of_old);
+    let graph = contract_rows(g, &new_of_old, num_new, sort, placement, scratch, parts);
+    scratch.new_of_old = new_of_old;
+    (graph, num_new)
+}
+
+/// Contracts `g` through an arbitrary old→new vertex map with radix rows
+/// and prefix-sum placement: every old vertex maps somewhere in
+/// `[0, num_new)`, and any number of old vertices may share a new id
+/// (unlike a matching's pair merges). Edges whose endpoints coincide under
+/// the map fold into the new vertex's self-loop, as do all old self-loops.
+/// Returns the contracted graph; `new_of_old` is the caller's (it is *not*
+/// deposited in `scratch`).
+///
+/// This is the vertex-following pre-pass's workhorse (a whole star of
+/// degree-1 hair contracts into its center in one call), and it builds
+/// the multilevel and refined community graphs.
+pub fn contract_map_into(
+    g: &Graph,
+    new_of_old: &[VertexId],
+    num_new: usize,
+    scratch: &mut ContractScratch,
+    parts: GraphParts,
+) -> Graph {
+    contract_rows(
+        g,
+        new_of_old,
+        num_new,
+        RowSort::Radix,
+        Placement::PrefixSum,
+        scratch,
+        parts,
+    )
+}
+
+/// The pipeline behind both entry points (module docs, phases 1–4).
+fn contract_rows(
+    g: &Graph,
+    new_of_old: &[VertexId],
+    num_new: usize,
+    sort: RowSort,
     placement: Placement,
     scratch: &mut ContractScratch,
     mut parts: GraphParts,
-) -> (Graph, usize) {
+) -> Graph {
+    assert_eq!(new_of_old.len(), g.num_vertices());
     let ContractScratch {
-        is_leader,
-        new_of_old,
-        matched_bits,
         new_src,
         new_dst,
         counts,
@@ -159,50 +222,42 @@ pub fn contract_into(
         cursor,
         tmp_dst,
         tmp_w,
-        radix_dst: _,
-        radix_w: _,
         final_off,
+        ..
     } = scratch;
-
-    let num_new = relabel_into(g, m, is_leader, new_of_old);
-    contracted_self_loops_into(g, m, new_of_old, num_new, &mut parts.self_loop);
-    let new_of_old: &[VertexId] = new_of_old;
-
     let ne = g.num_edges();
 
-    // Phase 1: relabel + re-canonicalise. Dead edges (now internal to a new
-    // vertex) are marked with NO_VERTEX and their weight folded into the
-    // self-loop array. Matched edges were already folded by
-    // `contracted_self_loops_into`, so they are simply marked dead here.
-    // Membership lives in a bitset: |E|/64 words instead of |E| bools.
-    matched_bits.clear();
-    matched_bits.resize(ne.div_ceil(64), 0);
-    for &e in m.matched_edges() {
-        matched_bits[e >> 6] |= 1 << (e & 63);
-    }
-    let matched = |e: usize| matched_bits[e >> 6] >> (e & 63) & 1 == 1;
+    // Phase 1: old self-loops fold through the map, then every edge is
+    // relabelled and re-canonicalised. An edge whose endpoints coincide is
+    // marked dead (`NO_VERTEX` in `new_src`) and its weight folded into
+    // the new vertex's self-loop.
+    parts.self_loop.clear();
+    parts.self_loop.resize(num_new, 0);
     new_src.clear();
     new_src.resize(ne, 0);
     new_dst.clear();
     new_dst.resize(ne, 0);
     {
+        let self_c = as_atomic_u64(&mut parts.self_loop);
+        // ORDERING: RELAXED — pure weight accumulation (atomicity only);
+        // the join barrier publishes the totals.
+        par::for_each(g.num_vertices(), |v| {
+            let s = g.self_loop(v as u32);
+            if s > 0 {
+                self_c[new_of_old[v] as usize].fetch_add(s, RELAXED);
+            }
+        });
         let src_c = as_atomic_u32(new_src);
         let dst_c = as_atomic_u32(new_dst);
-        let self_c = as_atomic_u64(&mut parts.self_loop);
         par::for_each(ne, |e| {
-            // ORDERING: RELAXED suffices for every access in this loop —
-            // slot `e` is written by exactly this task (self-loops use
-            // fetch_add for the only cross-task accumulation, which needs
-            // atomicity but no ordering) and the region's join barrier
-            // publishes all writes before the sequential reads below.
+            // ORDERING: RELAXED — slot `e` has exactly one writer (the
+            // self-loop fetch_add is the only cross-task accumulation and
+            // needs atomicity only); the join barrier publishes everything
+            // to the passes that follow.
             let (i, j, w) = g.edge(e);
             let (ni, nj) = (new_of_old[i as usize], new_of_old[j as usize]);
             if ni == nj {
-                // Internal to a merged pair. The matched edge itself was
-                // already folded; any other coinciding edge folds here.
-                if !matched(e) {
-                    self_c[ni as usize].fetch_add(w, RELAXED);
-                }
+                self_c[ni as usize].fetch_add(w, RELAXED);
                 src_c[e].store(pcd_util::NO_VERTEX, RELAXED);
             } else {
                 let (a, b) = canonical_order(ni, nj);
@@ -214,7 +269,7 @@ pub fn contract_into(
     let new_src: &[u32] = new_src;
     let new_dst: &[u32] = new_dst;
 
-    // Phase 2: size buckets.
+    // Phase 2: histogram new-source degrees.
     counts.clear();
     counts.resize(num_new, 0);
     {
@@ -229,9 +284,12 @@ pub fn contract_into(
         });
     }
     let counts: &[usize] = counts;
-    let live: usize = counts.iter().sum();
+    let (live, longest) = counts
+        .iter()
+        .fold((0, 0), |(sum, max), &c| (sum + c, max.max(c)));
 
-    // Bucket offsets per placement policy.
+    // Bucket offsets per placement. The prefix sum's trailing entry holds
+    // the total, so its offsets are also the row passes' work prefix.
     bucket_off.clear();
     match placement {
         Placement::PrefixSum => {
@@ -240,8 +298,6 @@ pub fn contract_into(
             exclusive_prefix_sum(bucket_off);
         }
         Placement::FetchAdd => {
-            // One global cursor; buckets claim their extent on first touch
-            // by any thread, in arrival order.
             // ORDERING: RELAXED — the fetch_add only needs a unique extent
             // (atomicity); each `off[v]` slot has a single writer and is
             // read only after the join barrier publishes it.
@@ -249,18 +305,20 @@ pub fn contract_into(
             let global = AtomicUsize::new(0);
             let off = as_atomic_usize(&mut bucket_off[..num_new]);
             par::for_each(num_new, |v| {
-                if counts[v] > 0 {
-                    let at = global.fetch_add(counts[v], RELAXED);
-                    off[v].store(at, RELAXED);
+                let at = if counts[v] > 0 {
+                    global.fetch_add(counts[v], RELAXED)
                 } else {
-                    off[v].store(0, RELAXED);
-                }
+                    0
+                };
+                off[v].store(at, RELAXED);
             });
         }
     }
     let bucket_off: &[usize] = bucket_off;
 
-    // Phase 2b: scatter into the bucketed temp arrays.
+    // Phase 2b: cache-blocked scatter into the bucketed arena. Within-row
+    // order follows the schedule (per-row cursors race), which the row
+    // sort below erases.
     cursor.clear();
     // analyze: allow(alloc, reason = "copy into a recycled scratch buffer; capacity amortizes to the level ceiling")
     cursor.extend_from_slice(&bucket_off[..num_new]);
@@ -272,46 +330,77 @@ pub fn contract_into(
         let cur = as_atomic_usize(cursor);
         let dst_c = as_atomic_u32(tmp_dst);
         let w_c = as_atomic_u64(tmp_w);
-        par::for_each(ne, |e| {
-            let s = new_src[e];
-            if s != pcd_util::NO_VERTEX {
-                // ORDERING: RELAXED — fetch_add hands each task a distinct
-                // `pos`, so the stores have one writer per slot; the join
-                // barrier publishes them to the dedup pass that follows.
-                let pos = cur[s as usize].fetch_add(1, RELAXED);
-                dst_c[pos].store(new_dst[e], RELAXED);
-                w_c[pos].store(g.weights()[e], RELAXED);
+        let weights = g.weights();
+        par::for_ranges(ne, SCATTER_BLOCK, |_, range| {
+            let base = range.start;
+            for (k, &s) in new_src[range].iter().enumerate() {
+                if s != pcd_util::NO_VERTEX {
+                    let e = base + k;
+                    // ORDERING: RELAXED — fetch_add hands each edge a
+                    // distinct `pos`, so the stores have one writer per
+                    // slot; the join barrier publishes them to the row
+                    // pass that follows.
+                    let pos = cur[s as usize].fetch_add(1, RELAXED);
+                    dst_c[pos].store(new_dst[e], RELAXED);
+                    w_c[pos].store(weights[e], RELAXED);
+                }
             }
         });
     }
 
-    // Phase 3: per-bucket sort + accumulate (shortening buckets), each
-    // bucket's shortened length landing in `final_off[v]`. Buckets are
-    // disjoint ranges of tmp arrays; raw-pointer access is safe. Under
-    // prefix-sum placement the offsets are a prefix of bucket lengths, so
-    // chunks are cut by bucket length; fetch-and-add extents are not.
+    // Phase 3: sort and accumulate each row, its shortened length landing
+    // in `final_off[v]`. Radix rows above the insertion cutoff ping-pong
+    // through the output graph's `dst`/`weight` storage, sized to the live
+    // edges; compaction overwrites it only after this pass, when every
+    // sorted row is back in the scatter arena. Under prefix-sum placement
+    // chunks are cut by row length; fetch-and-add extents are no prefix,
+    // so that pass is split by row count.
+    let arena = sort == RowSort::Radix && longest > INSERTION_CUTOFF;
+    if arena {
+        parts.dst.clear();
+        parts.dst.resize(live, 0);
+        parts.weight.clear();
+        parts.weight.resize(live, 0);
+    }
+    let digits = digits_for(num_new);
     final_off.clear();
     final_off.resize(num_new + 1, 0);
     {
         let dst_ptr = SendPtr(tmp_dst.as_mut_ptr());
         let w_ptr = SendPtr(tmp_w.as_mut_ptr());
+        let alt_dst_ptr = SendPtr(parts.dst.as_mut_ptr());
+        let alt_w_ptr = SendPtr(parts.weight.as_mut_ptr());
         let shorten = |v: usize, u: &mut usize| {
             let (b, len) = (bucket_off[v], counts[v]);
             if len == 0 {
                 return;
             }
             let (dst_ptr, w_ptr) = (&dst_ptr, &w_ptr);
-            // SAFETY: `bucket_off` is the exclusive prefix sum of
-            // `counts` (or the FetchAdd equivalent: disjoint extents
-            // claimed off one cursor), so each vertex's range
-            // `[b, b + len)` is disjoint from every other task's and
-            // in-bounds for the bucket arrays; the arrays are exclusively
-            // borrowed for the duration of the parallel region.
-            unsafe {
-                let d = std::slice::from_raw_parts_mut(dst_ptr.0.add(b), len);
-                let w = std::slice::from_raw_parts_mut(w_ptr.0.add(b), len);
-                *u = sort_accumulate(d, w);
+            let (alt_dst_ptr, alt_w_ptr) = (&alt_dst_ptr, &alt_w_ptr);
+            let radix = arena && len > INSERTION_CUTOFF;
+            // SAFETY: every row's extent `[b, b + len)` is disjoint from
+            // every other row's — `bucket_off` is the exclusive prefix sum
+            // of `counts`, or extents claimed off one fetch-and-add cursor
+            // — and lies inside the scatter arena, which is `live` long.
+            // The output arena is `live` long whenever `radix` can hold.
+            // All four arrays are exclusively borrowed for the region.
+            let (d, w, alt) = unsafe {
+                (
+                    std::slice::from_raw_parts_mut(dst_ptr.0.add(b), len),
+                    std::slice::from_raw_parts_mut(w_ptr.0.add(b), len),
+                    radix.then(|| {
+                        (
+                            std::slice::from_raw_parts_mut(alt_dst_ptr.0.add(b), len),
+                            std::slice::from_raw_parts_mut(alt_w_ptr.0.add(b), len),
+                        )
+                    }),
+                )
+            };
+            match alt {
+                Some((alt_d, alt_w)) => radix_sort(d, w, alt_d, alt_w, digits),
+                None => tandem_sort(d, w),
             }
+            *u = merge_duplicates(d, w);
         };
         let rows = &mut final_off[..num_new];
         match placement {
@@ -321,25 +410,21 @@ pub fn contract_into(
             Placement::FetchAdd => par::for_each_mut(rows, shorten),
         }
     }
-    let tmp_dst: &[u32] = tmp_dst;
-    let tmp_w: &[u64] = tmp_w;
 
-    // Phase 4: compact shortened buckets into dense final storage. The
-    // final bucket order matches the placement policy's bucket order.
+    // Phase 4: compact shortened rows into dense final storage.
     exclusive_prefix_sum(final_off);
     compact_rows(bucket_off, final_off, tmp_dst, tmp_w, &mut parts);
 
     // Contraction conserves Σw + Σself exactly, so the parent's total
     // carries over; debug builds re-verify inside `from_recycled_parts`.
-    let graph = Graph::from_recycled_parts(num_new, parts, g.total_weight());
-    (graph, num_new)
+    Graph::from_recycled_parts(num_new, parts, g.total_weight())
 }
 
-/// Phase 4, shared with the radix kernel: copies row `v`'s first
-/// `final_off[v + 1] - final_off[v]` entries, starting at `from_off[v]`
-/// in the bucketed arrays, to `final_off[v]` in dense storage, and sets
-/// the output rows' bounds. Chunks are cut by output row length.
-pub(crate) fn compact_rows(
+/// Phase 4: copies row `v`'s first `final_off[v + 1] - final_off[v]`
+/// entries, starting at `from_off[v]` in the bucketed arrays, to
+/// `final_off[v]` in dense storage, and sets the output rows' bounds.
+/// Chunks are cut by output row length.
+fn compact_rows(
     from_off: &[usize],
     final_off: &[usize],
     tmp_dst: &[u32],
@@ -381,20 +466,12 @@ pub(crate) fn compact_rows(
     parts.bucket_begin.extend_from_slice(&final_off[..num_new]);
 }
 
-/// Sorts a bucket by destination and accumulates duplicate destinations in
-/// place; returns the number of unique entries (the shortened length).
-///
-/// The sort is a tandem in-place sort (insertion sort for short buckets,
-/// heapsort above that) that swaps `dst` and `w` together — no permutation
-/// buffer, no heap allocation, O(1) extra space. Equal destinations may
-/// land in any relative order, but their weights are summed with exact
-/// integer addition, so the accumulated output is order-independent.
-pub(crate) fn sort_accumulate(dst: &mut [u32], w: &mut [u64]) -> usize {
+/// Merges runs of equal destinations in a row sorted by destination,
+/// summing their weights in place; returns the number of unique entries
+/// (the shortened length). Weights merge by exact integer addition, so
+/// the result does not depend on how a sort ordered equal destinations.
+fn merge_duplicates(dst: &mut [u32], w: &mut [u64]) -> usize {
     let len = dst.len();
-    if len == 0 {
-        return 0;
-    }
-    tandem_sort(dst, w);
     let mut out = 0usize;
     let mut k = 0usize;
     while k < len {
@@ -414,15 +491,12 @@ pub(crate) fn sort_accumulate(dst: &mut [u32], w: &mut [u64]) -> usize {
     out
 }
 
-/// Insertion-sort cutoff for [`tandem_sort`]; buckets at or below this
-/// length skip the heap machinery.
-const TANDEM_INSERTION_CUTOFF: usize = 24;
-
 /// Sorts `dst` ascending, applying the identical permutation to `w`,
-/// entirely in place.
+/// entirely in place: insertion sort at or below [`INSERTION_CUTOFF`],
+/// heapsort above it. No permutation buffer, no heap allocation.
 fn tandem_sort(dst: &mut [u32], w: &mut [u64]) {
     let n = dst.len();
-    if n <= TANDEM_INSERTION_CUTOFF {
+    if n <= INSERTION_CUTOFF {
         for i in 1..n {
             let (d, wi) = (dst[i], w[i]);
             let mut j = i;
@@ -464,16 +538,89 @@ fn sift_down(dst: &mut [u32], w: &mut [u64], mut root: usize, end: usize) {
     }
 }
 
+/// How many 8-bit digits a destination id below `num_new` can occupy.
+fn digits_for(num_new: usize) -> u32 {
+    let bits = usize::BITS - num_new.saturating_sub(1).leading_zeros();
+    bits.div_ceil(8).max(1)
+}
+
+/// Sorts one row ascending by destination with a stable LSD counting sort
+/// over `digits` 8-bit digits, skipping passes where every key shares the
+/// digit, and leaves the sorted row in `dst`/`w`. `alt_dst`/`alt_w` are
+/// the ping-pong buffers, as long as the row. The histograms live on the
+/// stack — no allocation.
+fn radix_sort(dst: &mut [u32], w: &mut [u64], alt_dst: &mut [u32], alt_w: &mut [u64], digits: u32) {
+    let len = dst.len();
+    debug_assert!(alt_dst.len() == len && alt_w.len() == len);
+    let mut in_main = true;
+    for pass in 0..digits {
+        let shift = pass * 8;
+        let (from_d, from_w, to_d, to_w): (&[u32], &[u64], &mut [u32], &mut [u64]) = if in_main {
+            (&*dst, &*w, &mut *alt_dst, &mut *alt_w)
+        } else {
+            (&*alt_dst, &*alt_w, &mut *dst, &mut *w)
+        };
+        let mut hist = [0u32; 256];
+        for &d in from_d.iter() {
+            hist[(d >> shift) as usize & 0xff] += 1;
+        }
+        if hist.iter().any(|&c| c as usize == len) {
+            // Every key shares this digit: the pass is the identity.
+            continue;
+        }
+        let mut sum = 0u32;
+        for h in hist.iter_mut() {
+            let c = *h;
+            *h = sum;
+            sum += c;
+        }
+        for k in 0..len {
+            let d = from_d[k];
+            let slot = &mut hist[(d >> shift) as usize & 0xff];
+            let at = *slot as usize;
+            *slot += 1;
+            to_d[at] = d;
+            to_w[at] = from_w[k];
+        }
+        in_main = !in_main;
+    }
+    if !in_main {
+        dst.copy_from_slice(alt_dst);
+        w.copy_from_slice(alt_w);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::edge_fingerprint;
     use pcd_matching::seq::match_sequential_greedy;
 
+    /// Every (row sort, placement) pair the contractor kinds reach.
+    const CHOICES: [(RowSort, Placement); 3] = [
+        (RowSort::Radix, Placement::PrefixSum),
+        (RowSort::Heapsort, Placement::PrefixSum),
+        (RowSort::Heapsort, Placement::FetchAdd),
+    ];
+
+    fn weighted_matching(g: &Graph) -> Matching {
+        let s: Vec<f64> = g.weights().iter().map(|&w| w as f64).collect();
+        match_sequential_greedy(g, &s)
+    }
+
     fn contract_uniform(g: &Graph) -> Contraction {
         let s = vec![1.0; g.num_edges()];
         let m = match_sequential_greedy(g, &s);
-        contract(g, &m)
+        contract(g, &m, RowSort::Radix, Placement::PrefixSum)
+    }
+
+    fn assert_same_bits(a: &Contraction, b: &Contraction, what: &str) {
+        assert_eq!(a.num_new, b.num_new, "{what}");
+        assert_eq!(a.new_of_old, b.new_of_old, "{what}");
+        assert_eq!(a.graph.srcs(), b.graph.srcs(), "{what}");
+        assert_eq!(a.graph.dsts(), b.graph.dsts(), "{what}");
+        assert_eq!(a.graph.weights(), b.graph.weights(), "{what}");
+        assert_eq!(a.graph.self_loops(), b.graph.self_loops(), "{what}");
     }
 
     #[test]
@@ -515,49 +662,58 @@ mod tests {
             .collect();
         let m = match_sequential_greedy(&g, &s);
         assert_eq!(m.len(), 2);
-        let c = contract(&g, &m);
-        assert_eq!(c.num_new, 2);
-        assert_eq!(c.graph.num_edges(), 1);
-        assert_eq!(c.graph.weights(), &[2]);
-        assert_eq!(c.graph.total_weight(), g.total_weight());
+        for (sort, placement) in CHOICES {
+            let c = contract(&g, &m, sort, placement);
+            assert_eq!(c.num_new, 2);
+            assert_eq!(c.graph.num_edges(), 1);
+            assert_eq!(c.graph.weights(), &[2]);
+            assert_eq!(c.graph.total_weight(), g.total_weight());
+        }
     }
 
     #[test]
     fn empty_matching_is_isomorphic_copy() {
         let g = pcd_gen::classic::clique_ring(3, 4);
         let m = pcd_matching::Matching::empty(g.num_vertices());
-        let c = contract(&g, &m);
+        let c = contract(&g, &m, RowSort::Radix, Placement::PrefixSum);
         assert_eq!(c.num_new, g.num_vertices());
         assert_eq!(edge_fingerprint(&c.graph), edge_fingerprint(&g));
         assert_eq!(c.graph.self_loops(), g.self_loops());
     }
 
     #[test]
-    fn fetch_add_placement_same_graph() {
-        let p = pcd_gen::RmatParams::paper(9, 17);
-        let g = pcd_gen::rmat_graph(&p);
-        let s: Vec<f64> = g.weights().iter().map(|&w| w as f64).collect();
-        let m = match_sequential_greedy(&g, &s);
-        let a = contract_with_policy(&g, &m, Placement::PrefixSum);
-        let b = contract_with_policy(&g, &m, Placement::FetchAdd);
-        assert_eq!(a.num_new, b.num_new);
-        assert_eq!(edge_fingerprint(&a.graph), edge_fingerprint(&b.graph));
-        assert_eq!(a.graph.self_loops(), b.graph.self_loops());
-        assert_eq!(b.graph.validate(), Ok(()));
+    fn every_choice_is_bit_identical_on_rmat() {
+        // R-MAT's hub rows run well past the insertion cutoff, so the
+        // radix passes and the heapsort both run.
+        let g = pcd_gen::rmat_graph(&pcd_gen::RmatParams::paper(12, 17));
+        let m = weighted_matching(&g);
+        let (map, num_new) = crate::relabel_from_matching(&g, &m);
+        let mut rows = vec![0usize; num_new];
+        for (i, j, _) in g.edges() {
+            let (a, b) = (map[i as usize], map[j as usize]);
+            if a != b {
+                rows[canonical_order(a, b).0 as usize] += 1;
+            }
+        }
+        let longest = rows.into_iter().max().unwrap();
+        assert!(longest > INSERTION_CUTOFF, "longest row {longest}");
+        let reference = contract(&g, &m, CHOICES[0].0, CHOICES[0].1);
+        assert_eq!(reference.graph.validate(), Ok(()));
+        for (sort, placement) in &CHOICES[1..] {
+            let c = contract(&g, &m, *sort, *placement);
+            assert_same_bits(&reference, &c, &format!("{sort:?}/{placement:?}"));
+        }
     }
 
     #[test]
     fn deterministic_across_thread_counts() {
-        let p = pcd_gen::RmatParams::paper(9, 23);
-        let g = pcd_gen::rmat_graph(&p);
-        let s: Vec<f64> = g.weights().iter().map(|&w| w as f64).collect();
-        let m = match_sequential_greedy(&g, &s);
-        let c1 = pcd_util::pool::with_threads(1, || contract(&g, &m));
-        let c4 = pcd_util::pool::with_threads(4, || contract(&g, &m));
-        assert_eq!(c1.graph.srcs(), c4.graph.srcs());
-        assert_eq!(c1.graph.dsts(), c4.graph.dsts());
-        assert_eq!(c1.graph.weights(), c4.graph.weights());
-        assert_eq!(c1.new_of_old, c4.new_of_old);
+        let g = pcd_gen::rmat_graph(&pcd_gen::RmatParams::paper(12, 23));
+        let m = weighted_matching(&g);
+        for (sort, placement) in CHOICES {
+            let c1 = pcd_util::pool::with_threads(1, || contract(&g, &m, sort, placement));
+            let c4 = pcd_util::pool::with_threads(4, || contract(&g, &m, sort, placement));
+            assert_same_bits(&c1, &c4, &format!("{sort:?}/{placement:?}"));
+        }
     }
 
     #[test]
@@ -566,19 +722,112 @@ mod tests {
         let g = pcd_gen::rmat_graph(&p);
         let s: Vec<f64> = g.weights().iter().map(|&w| w as f64).collect();
         let m = pcd_matching::match_unmatched_list(&g, &s);
-        let c = contract(&g, &m);
+        let c = contract(&g, &m, RowSort::Radix, Placement::PrefixSum);
         assert_eq!(c.graph.total_weight(), g.total_weight());
         assert_eq!(c.graph.validate(), Ok(()));
         assert_eq!(c.num_new, g.num_vertices() - m.len());
     }
 
     #[test]
-    fn sort_accumulate_merges_runs() {
+    fn row_sorts_agree_on_random_rows() {
+        let mut rng = 0x243F6A8885A308D3u64;
+        let mut next = move || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng
+        };
+        for len in [5usize, 25, 64, 300, 1000] {
+            for &bound in &[7u32, 200, 70_000, 20_000_000] {
+                let dst: Vec<u32> = (0..len).map(|_| (next() as u32) % bound).collect();
+                let w: Vec<u64> = (0..len).map(|_| next() % 100 + 1).collect();
+                let (mut d1, mut w1) = (dst.clone(), w.clone());
+                tandem_sort(&mut d1, &mut w1);
+                let n1 = merge_duplicates(&mut d1, &mut w1);
+                let (mut d2, mut w2) = (dst.clone(), w.clone());
+                let (mut alt_d, mut alt_w) = (vec![0u32; len], vec![0u64; len]);
+                let digits = digits_for(bound as usize);
+                radix_sort(&mut d2, &mut w2, &mut alt_d, &mut alt_w, digits);
+                let n2 = merge_duplicates(&mut d2, &mut w2);
+                assert_eq!(n1, n2, "len {len} bound {bound}");
+                assert_eq!(&d1[..n1], &d2[..n2], "len {len} bound {bound}");
+                assert_eq!(&w1[..n1], &w2[..n2], "len {len} bound {bound}");
+                assert!(d1[..n1].windows(2).all(|p| p[0] < p[1]));
+            }
+        }
+    }
+
+    #[test]
+    fn merge_duplicates_sums_runs() {
         let mut d = vec![5u32, 3, 5, 3, 9];
         let mut w = vec![1u64, 2, 3, 4, 5];
-        let n = sort_accumulate(&mut d, &mut w);
+        tandem_sort(&mut d, &mut w);
+        let n = merge_duplicates(&mut d, &mut w);
         assert_eq!(n, 3);
         assert_eq!(&d[..n], &[3, 5, 9]);
         assert_eq!(&w[..n], &[6, 4, 5]);
+    }
+
+    #[test]
+    fn digits_for_covers_ranges() {
+        assert_eq!(digits_for(0), 1);
+        assert_eq!(digits_for(1), 1);
+        assert_eq!(digits_for(256), 1);
+        assert_eq!(digits_for(257), 2);
+        assert_eq!(digits_for(1 << 16), 2);
+        assert_eq!(digits_for((1 << 16) + 1), 3);
+        assert_eq!(digits_for(1 << 24), 3);
+        assert_eq!(digits_for((1 << 24) + 1), 4);
+    }
+
+    #[test]
+    fn contract_map_matches_matching_contraction() {
+        // Feeding a matching's relabel map through the map entry point
+        // must reproduce the matching's contraction exactly.
+        let g = pcd_gen::rmat_graph(&pcd_gen::RmatParams::paper(11, 29));
+        let m = weighted_matching(&g);
+        let (map, num_new) = crate::relabel_from_matching(&g, &m);
+        let via_matching = contract(&g, &m, RowSort::Radix, Placement::PrefixSum);
+        let mut scratch = ContractScratch::new();
+        let via_map = contract_map_into(&g, &map, num_new, &mut scratch, GraphParts::default());
+        assert_eq!(via_matching.graph.srcs(), via_map.srcs());
+        assert_eq!(via_matching.graph.dsts(), via_map.dsts());
+        assert_eq!(via_matching.graph.weights(), via_map.weights());
+        assert_eq!(via_matching.graph.self_loops(), via_map.self_loops());
+    }
+
+    #[test]
+    fn contract_map_star_collapses_to_center() {
+        // Star: center 0, leaves 1..=5, every leaf following the center.
+        let mut b = pcd_graph::GraphBuilder::new(6);
+        for leaf in 1..6u32 {
+            b = b.add_edge(0, leaf, leaf as u64);
+        }
+        let g = b.build();
+        let map = vec![0u32; 6];
+        let mut scratch = ContractScratch::new();
+        let pruned = contract_map_into(&g, &map, 1, &mut scratch, GraphParts::default());
+        assert_eq!(pruned.num_vertices(), 1);
+        assert_eq!(pruned.num_edges(), 0);
+        assert_eq!(pruned.self_loop(0), 1 + 2 + 3 + 4 + 5);
+        assert_eq!(pruned.total_weight(), g.total_weight());
+        assert_eq!(pruned.validate(), Ok(()));
+    }
+
+    #[test]
+    fn contract_map_identity_is_isomorphic_copy() {
+        let g = pcd_gen::classic::clique_ring(3, 4);
+        let map: Vec<u32> = (0..g.num_vertices() as u32).collect();
+        let mut scratch = ContractScratch::new();
+        let c = contract_map_into(
+            &g,
+            &map,
+            g.num_vertices(),
+            &mut scratch,
+            GraphParts::default(),
+        );
+        assert_eq!(edge_fingerprint(&c), edge_fingerprint(&g));
+        assert_eq!(c.self_loops(), g.self_loops());
+        assert_eq!(c.validate(), Ok(()));
     }
 }

@@ -11,17 +11,14 @@
 //!
 //! Implementations:
 //!
-//! * [`bucket`] — the paper's new bucket-sort contraction, with both bucket
-//!   placement policies the paper discusses: a racy global fetch-and-add
-//!   (no barrier, nondeterministic layout) and a prefix-sum placement
-//!   (deterministic layout). The paper "ha\[s\] not timed the difference";
-//!   our ablation bench does.
-//! * [`radix`] — the profile-driven rewrite of the bucket hot path:
-//!   prefix-sum placement, cache-blocked scatter, and stable LSD
-//!   counting-sort accumulation of parallel edges, bit-identical to
-//!   [`bucket`] with prefix-sum placement (DESIGN.md §15). Also hosts
-//!   [`contract_map_into`], the generic map-based contraction the
-//!   vertex-following pre-pass uses.
+//! * [`bucket`] — the paper's bucket-sort contraction as one pipeline
+//!   with two ablation choices: the per-row sort ([`RowSort`]: LSD radix,
+//!   the default, or the tandem heapsort) and the bucket placement
+//!   ([`Placement`]: prefix sum, or the racy global fetch-and-add the
+//!   paper "ha\[s\] not timed"). Every choice emits the same graph bit for
+//!   bit (DESIGN.md §15). Its map entry point [`contract_map_into`]
+//!   contracts along any many-to-one vertex map: vertex following,
+//!   multilevel and refined community graphs.
 //! * [`linked`] — the 2011 baseline: hash-chain merging in the style of
 //!   John T. Feo's full/empty-bit linked lists, rendered honestly on Intel
 //!   hardware as mutex-guarded chains ("infeasible" under OpenMP — the
@@ -30,11 +27,9 @@
 
 pub mod bucket;
 pub mod linked;
-pub mod radix;
 pub mod seq;
 
-pub use bucket::{contract, contract_into, contract_with_policy, ContractScratch, Placement};
-pub use radix::contract_map_into;
+pub use bucket::{contract, contract_into, contract_map_into, ContractScratch, Placement, RowSort};
 
 use pcd_graph::Graph;
 use pcd_matching::Matching;
@@ -110,24 +105,9 @@ pub fn contracted_self_loops(
     new_of_old: &[VertexId],
     num_new: usize,
 ) -> Vec<Weight> {
-    let mut self_loop = Vec::new();
-    contracted_self_loops_into(g, m, new_of_old, num_new, &mut self_loop);
-    self_loop
-}
-
-/// As [`contracted_self_loops`], writing into a reused buffer (cleared
-/// first; capacity is retained).
-pub fn contracted_self_loops_into(
-    g: &Graph,
-    m: &Matching,
-    new_of_old: &[VertexId],
-    num_new: usize,
-    self_loop: &mut Vec<Weight>,
-) {
-    self_loop.clear();
-    self_loop.resize(num_new, 0);
+    let mut self_loop = vec![0; num_new];
     {
-        let cells = as_atomic_u64(self_loop);
+        let cells = as_atomic_u64(&mut self_loop);
         // ORDERING: RELAXED — both loops are pure weight accumulations
         // (atomicity only, no cross-thread publication through the cells);
         // the regions' joins publish the totals to the caller.
@@ -143,6 +123,7 @@ pub fn contracted_self_loops_into(
             cells[new_of_old[i as usize] as usize].fetch_add(w, RELAXED);
         });
     }
+    self_loop
 }
 
 /// Canonical multiset of a graph's edges as `(min, max, w)` sorted — a

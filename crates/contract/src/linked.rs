@@ -114,7 +114,7 @@ pub fn contract_linked(g: &Graph, m: &Matching) -> Contraction {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{bucket::contract, edge_fingerprint};
+    use crate::{contract, edge_fingerprint, Placement, RowSort};
     use pcd_matching::seq::match_sequential_greedy;
 
     #[test]
@@ -124,7 +124,7 @@ mod tests {
             let g = pcd_gen::rmat_graph(&p);
             let s: Vec<f64> = g.weights().iter().map(|&w| w as f64).collect();
             let m = match_sequential_greedy(&g, &s);
-            let a = contract(&g, &m);
+            let a = contract(&g, &m, RowSort::Radix, Placement::PrefixSum);
             let b = contract_linked(&g, &m);
             assert_eq!(a.num_new, b.num_new, "seed {seed}");
             assert_eq!(edge_fingerprint(&a.graph), edge_fingerprint(&b.graph));

@@ -88,20 +88,22 @@ impl MatcherKind {
     }
 }
 
-/// Which contraction kernel builds the next community graph.
+/// Which contraction kernel builds the next community graph. The three
+/// bucket-sort kinds are one pipeline (`pcd_contract::bucket`) with two
+/// ablation choices, the row sort and the bucket placement, and emit the
+/// same graph bit for bit (DESIGN.md §15).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ContractorKind {
-    /// The paper's bucket-sort contraction, deterministic prefix-sum
-    /// placement (§IV-C).
+    /// Bucket-sort contraction with prefix-sum placement and LSD radix
+    /// row sorts: the production default.
     #[default]
-    Bucket,
-    /// Bucket-sort with the racy fetch-and-add placement the paper
-    /// mentions but never timed.
-    BucketFetchAdd,
-    /// Counting/radix-sort contraction: prefix-sum placement,
-    /// cache-blocked scatter, and per-row LSD counting accumulation —
-    /// bit-identical to [`ContractorKind::Bucket`] (DESIGN.md §15).
     Radix,
+    /// The paper's bucket-sort contraction with heapsort rows and
+    /// deterministic prefix-sum placement (§IV-C): the row-sort ablation.
+    Bucket,
+    /// Heapsort rows with the fetch-and-add placement the paper mentions
+    /// but never timed: the placement ablation.
+    BucketFetchAdd,
     /// The 2011 linked-list hash-chain baseline.
     Linked,
     /// Sequential hash-map oracle.
@@ -111,9 +113,9 @@ pub enum ContractorKind {
 impl ContractorKind {
     /// Every contractor, in `--list-kernels` order.
     pub const ALL: [ContractorKind; 5] = [
+        ContractorKind::Radix,
         ContractorKind::Bucket,
         ContractorKind::BucketFetchAdd,
-        ContractorKind::Radix,
         ContractorKind::Linked,
         ContractorKind::Sequential,
     ];
@@ -122,9 +124,9 @@ impl ContractorKind {
     /// entry.
     pub fn name(self) -> &'static str {
         match self {
+            ContractorKind::Radix => "radix",
             ContractorKind::Bucket => "bucket",
             ContractorKind::BucketFetchAdd => "bucket-fetch-add",
-            ContractorKind::Radix => "radix",
             ContractorKind::Linked => "linked",
             ContractorKind::Sequential => "sequential",
         }
@@ -133,14 +135,14 @@ impl ContractorKind {
     /// One-line description for `--list-kernels`.
     pub fn description(self) -> &'static str {
         match self {
+            ContractorKind::Radix => {
+                "bucket-sort contraction: prefix-sum placement + LSD radix row sorts"
+            }
             ContractorKind::Bucket => {
-                "paper's bucket-sort contraction, prefix-sum placement (sec. IV-C)"
+                "paper's bucket-sort contraction: heapsort rows, prefix-sum placement (sec. IV-C)"
             }
             ContractorKind::BucketFetchAdd => {
-                "bucket-sort contraction with fetch-and-add placement"
-            }
-            ContractorKind::Radix => {
-                "radix-sort contraction: prefix-sum placement + LSD row accumulation"
+                "bucket-sort contraction: heapsort rows, fetch-and-add placement"
             }
             ContractorKind::Linked => "2011 linked-list hash-chain baseline contractor",
             ContractorKind::Sequential => "sequential hash-map oracle contractor",
@@ -486,7 +488,7 @@ mod tests {
         let c = Config::default();
         assert_eq!(c.scorer, ScorerKind::Modularity);
         assert_eq!(c.matcher, MatcherKind::UnmatchedList);
-        assert_eq!(c.contractor, ContractorKind::Bucket);
+        assert_eq!(c.contractor, ContractorKind::Radix);
         assert!(c.criteria.is_empty());
         assert!(!c.budget.is_armed());
     }
@@ -652,9 +654,9 @@ mod tests {
             &ContractorKind::ALL,
             5,
             |k| match k {
-                ContractorKind::Bucket => 0,
-                ContractorKind::BucketFetchAdd => 1,
-                ContractorKind::Radix => 2,
+                ContractorKind::Radix => 0,
+                ContractorKind::Bucket => 1,
+                ContractorKind::BucketFetchAdd => 2,
                 ContractorKind::Linked => 3,
                 ContractorKind::Sequential => 4,
             },

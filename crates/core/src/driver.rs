@@ -159,12 +159,7 @@ mod tests {
             MatcherKind::EdgeSweep,
             MatcherKind::Sequential,
         ] {
-            for contractor in [
-                ContractorKind::Bucket,
-                ContractorKind::BucketFetchAdd,
-                ContractorKind::Linked,
-                ContractorKind::Sequential,
-            ] {
+            for contractor in ContractorKind::ALL {
                 let cfg = Config::default()
                     .with_matcher(matcher)
                     .with_contractor(contractor);
@@ -302,12 +297,7 @@ mod tests {
     #[test]
     fn paranoia_guards_pass_on_all_kernels() {
         let g = pcd_gen::classic::clique_ring(6, 5);
-        for contractor in [
-            ContractorKind::Bucket,
-            ContractorKind::BucketFetchAdd,
-            ContractorKind::Linked,
-            ContractorKind::Sequential,
-        ] {
+        for contractor in ContractorKind::ALL {
             let cfg = Config::default()
                 .with_contractor(contractor)
                 .with_paranoia(Paranoia::Full);

@@ -25,7 +25,7 @@
 
 use crate::config::{ContractorKind, MatcherKind};
 use crate::louvain::synchronous_move_phase;
-use pcd_contract::{bucket, linked, radix, seq as contract_seq, ContractScratch, Placement};
+use pcd_contract::{bucket, linked, seq as contract_seq, ContractScratch, Placement, RowSort};
 use pcd_graph::{Graph, GraphParts};
 use pcd_matching::{
     edge_sweep, match_within_labels, parallel, seq as match_seq, MatchOutcome, MatchScratch,
@@ -89,10 +89,11 @@ pub fn match_level(
 ///
 /// Leaves the dense old→new vertex map in `scratch` (the engine folds
 /// assignments, counts, and volumes through it). `parts` is the storage
-/// of the graph retired two levels ago (possibly empty): the bucket and
-/// radix kernels scatter into it, the baseline and oracle kernels go
-/// through the owning API, drop it and deposit their map into `scratch`
-/// afterwards, so the engine's fold path is uniform.
+/// of the graph retired two levels ago (possibly empty): the bucket-sort
+/// pipeline scatters into it, the baseline and oracle kernels go through
+/// the owning API, drop it and deposit their map into `scratch`
+/// afterwards, so the engine's fold path is uniform. The three
+/// bucket-sort kinds are the pipeline's row sort and placement choices.
 pub fn contract_level(
     kind: ContractorKind,
     g: &Graph,
@@ -100,25 +101,22 @@ pub fn contract_level(
     scratch: &mut ContractScratch,
     parts: GraphParts,
 ) -> (Graph, usize) {
-    match kind {
-        ContractorKind::Bucket => {
-            bucket::contract_into(g, matching, Placement::PrefixSum, scratch, parts)
-        }
-        ContractorKind::BucketFetchAdd => {
-            bucket::contract_into(g, matching, Placement::FetchAdd, scratch, parts)
-        }
-        ContractorKind::Radix => radix::contract_into(g, matching, scratch, parts),
+    let (sort, placement) = match kind {
+        ContractorKind::Radix => (RowSort::Radix, Placement::PrefixSum),
+        ContractorKind::Bucket => (RowSort::Heapsort, Placement::PrefixSum),
+        ContractorKind::BucketFetchAdd => (RowSort::Heapsort, Placement::FetchAdd),
         ContractorKind::Linked => {
             let c = linked::contract_linked(g, matching);
             scratch.set_new_of_old(c.new_of_old);
-            (c.graph, c.num_new)
+            return (c.graph, c.num_new);
         }
         ContractorKind::Sequential => {
             let c = contract_seq::contract_seq(g, matching);
             scratch.set_new_of_old(c.new_of_old);
-            (c.graph, c.num_new)
+            return (c.graph, c.num_new);
         }
-    }
+    };
+    bucket::contract_into(g, matching, sort, placement, scratch, parts)
 }
 
 #[cfg(test)]

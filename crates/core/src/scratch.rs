@@ -10,11 +10,12 @@
 //!   recomputed) and the `|E|`-long score array,
 //! * the matcher's proposal registers, live list, and compaction buffers
 //!   ([`MatchScratch`]),
-//! * the contractor's relabel map, matched-edge bitset, bucket
-//!   counts/offsets, and bucketed temp arrays ([`ContractScratch`]),
+//! * the contractor's relabel map, bucket counts/offsets, and bucketed
+//!   temp arrays ([`ContractScratch`]),
 //! * a recycled [`GraphParts`] — the *shadow graph*: contraction scatters
-//!   the next level's graph into the previous level's storage, so the two
-//!   graphs ping-pong across levels instead of allocating anew,
+//!   the next level's graph into the previous level's storage (its radix
+//!   row sorts ping-pong through that storage first), so the two graphs
+//!   ping-pong across levels instead of allocating anew,
 //! * the fold buffers for per-community volumes and original-vertex
 //!   counts.
 //!

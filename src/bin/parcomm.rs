@@ -46,7 +46,7 @@ gen options:
 detect options:
   --scorer NAME    edge score metric (see --list-kernels; default modularity)
   --matcher NAME   matching kernel (see --list-kernels; default unmatched-list)
-  --contractor NAME  contraction kernel (see --list-kernels; default bucket)
+  --contractor NAME  contraction kernel (see --list-kernels; default radix)
   --sharded        detect each connected component independently (warm
                    engines across the pool) and merge deterministically;
                    incompatible with --trace (no value)

@@ -1,7 +1,8 @@
 //! Allocation-regression harness (`--features alloc-stats`).
 //!
 //! Drives the level loop's three kernels directly through a
-//! [`LevelScratch`] arena on pinned R-MAT instances and counts the heap
+//! [`LevelScratch`] arena on pinned R-MAT instances, contracting with the
+//! default contractor through the engine's dispatch, and counts the heap
 //! traffic of score, match, contract, and the volume/ping-pong fold on
 //! every level after the first: level 1 sizes every buffer to its
 //! high-water mark, and the community graph only shrinks from there.
@@ -26,9 +27,9 @@
 
 #![cfg(feature = "alloc-stats")]
 
-use parcomm::contract::{bucket, Placement};
+use parcomm::core::kernel::contract_level;
 use parcomm::core::scorer::{any_positive, score_all_into};
-use parcomm::core::{LevelScratch, ScorerKind};
+use parcomm::core::{ContractorKind, LevelScratch, ScorerKind};
 use parcomm::gen::RmatParams;
 use parcomm::matching::parallel::match_unmatched_list_scratch;
 use parcomm::util::alloc_stats::{snapshot, AllocSnapshot, CountingAlloc};
@@ -98,10 +99,10 @@ fn steady_state_phases(params: &RmatParams, width: usize) -> Vec<PhaseAllocs> {
 
             let before = snapshot();
             let parts = scratch.take_parts();
-            let (next, num_new) = bucket::contract_into(
+            let (next, num_new) = contract_level(
+                ContractorKind::default(),
                 &g,
                 &matching,
-                Placement::PrefixSum,
                 &mut scratch.contract,
                 parts,
             );

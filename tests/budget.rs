@@ -124,10 +124,11 @@ fn tiny_memory_ceiling_stops_after_one_level() {
 
 #[test]
 fn memory_ceiling_fires_under_radix_kernel() {
-    // The scratch-bytes ledger must account for the radix kernel's extra
-    // arenas (and the vertex-following scratch): a ceiling the bucket
-    // kernel would also breach must still terminate cleanly with a
-    // best-effort partition when the radix contractor owns the hot path.
+    // The scratch-bytes ledger covers the radix contractor's working set
+    // (its row sorts ping-pong through the shadow graph's storage, not
+    // through scratch) and the vertex-following scratch: a 1-byte ceiling
+    // must still terminate cleanly with a best-effort partition when the
+    // radix contractor owns the hot path.
     let g = paper_graph();
     let cfg = Config::default()
         .with_contractor(ContractorKind::Radix)

@@ -174,10 +174,10 @@ fn warm_engine_across_different_graphs_matches_fresh_engines() {
     }
 }
 
-/// Inputs chosen to stress the radix contractor off its delegation path
-/// (> `RADIX_FALLBACK_EDGES` edges): a hub star (one giant row), a dense
+/// Inputs chosen to stress the radix row sort against the heapsort rows
+/// of the `bucket` ablation: a hub star (one giant row), a dense
 /// parallel-edge multigraph (long per-row duplicate runs), an R-MAT graph
-/// big enough to stay above the fallback cutoff for several levels, and
+/// whose hub rows outgrow the insertion cutoff for several levels, and
 /// degenerate empties.
 fn adversarial_graphs() -> Vec<(String, Graph)> {
     let star_edges: Vec<(u32, u32, u64)> = (1..=5000u32).map(|v| (0, v, 1)).collect();

@@ -1,7 +1,7 @@
 //! Property-based tests over the core invariants, on arbitrary random
 //! multigraphs (duplicates, self-loops, weights included).
 
-use parcomm::contract::{bucket, edge_fingerprint, linked, radix, seq as cseq, Placement};
+use parcomm::contract::{contract, edge_fingerprint, linked, seq as cseq, Placement, RowSort};
 use parcomm::core::{score_all_into, ScoreContext, ScorerKind};
 use parcomm::graph::{builder, components};
 use parcomm::matching::{edge_sweep, parallel, seq as mseq, verify::verify_matching};
@@ -84,8 +84,8 @@ fn contractors_agree_and_conserve_weight() {
         let scores = score_all(ScorerKind::Modularity, &g, &ctx);
         let m = parallel::match_unmatched_list(&g, &scores);
 
-        let a = bucket::contract_with_policy(&g, &m, Placement::PrefixSum);
-        let b = bucket::contract_with_policy(&g, &m, Placement::FetchAdd);
+        let a = contract(&g, &m, RowSort::Radix, Placement::PrefixSum);
+        let b = contract(&g, &m, RowSort::Heapsort, Placement::FetchAdd);
         let c = linked::contract_linked(&g, &m);
         let d = cseq::contract_seq(&g, &m);
 
@@ -117,7 +117,7 @@ fn modularity_telescopes_through_contraction() {
         let m = parallel::match_unmatched_list(&g, &scores);
         let q0 = parcomm::metrics::community_graph_modularity(&g);
         let dq: f64 = m.matched_edges().iter().map(|&e| scores[e]).sum();
-        let contracted = bucket::contract(&g, &m);
+        let contracted = contract(&g, &m, RowSort::Radix, Placement::PrefixSum);
         let q1 = parcomm::metrics::community_graph_modularity(&contracted.graph);
         assert!(
             (q1 - (q0 + dq)).abs() < 1e-9,
@@ -147,22 +147,66 @@ fn detection_never_panics_and_is_consistent() {
     });
 }
 
+/// The contraction pipeline's insertion cutoff: rows at or below it take
+/// the insertion sort under every row sort.
+const INSERTION_CUTOFF: usize = 24;
+
+/// A random multigraph on 300–600 vertices plus a hub joined to 80–160
+/// random vertices, so that some contracted row outgrows the insertion
+/// cutoff; with more than 256 contracted vertices, its destinations also
+/// take a second radix digit.
+fn arb_hub_graph(rng: &mut ChaCha8Rng) -> parcomm::graph::Graph {
+    let (nv, mut edges) = prop::edges(rng, 300..600, 0..600, 1..4);
+    let hub = rng.gen_range(0..nv as u32);
+    for _ in 0..rng.gen_range(80..160usize) {
+        let j = rng.gen_range(0..nv as u32);
+        edges.push((hub, j, rng.gen_range(1..4u64)));
+    }
+    builder::from_edges(nv, edges)
+}
+
+/// The longest row the contraction along `m` sorts: relabelled live edges
+/// per new stored-first endpoint, duplicates included.
+fn longest_contracted_row(g: &parcomm::graph::Graph, m: &parcomm::matching::Matching) -> usize {
+    let (map, num_new) = parcomm::contract::relabel_from_matching(g, m);
+    let mut rows = vec![0usize; num_new];
+    for (i, j, _) in g.edges() {
+        let (a, b) = (map[i as usize], map[j as usize]);
+        if a != b {
+            rows[parcomm::graph::canonical_order(a, b).0 as usize] += 1;
+        }
+    }
+    rows.into_iter().max().unwrap_or(0)
+}
+
 #[test]
 fn radix_contractor_agrees_with_bucket() {
+    // Radix rows, heapsort rows and the fetch-and-add placement must emit
+    // the same graph bit for bit, on inputs whose rows really take the
+    // radix passes.
     check(64, |rng| {
-        let (nv, edges) = arb_graph_input(rng);
-        let g = builder::from_edges(nv, edges);
+        let g = arb_hub_graph(rng);
         let ctx = ScoreContext::new(&g);
         let scores = score_all(ScorerKind::Modularity, &g, &ctx);
         let m = parallel::match_unmatched_list(&g, &scores);
+        let longest = longest_contracted_row(&g, &m);
+        assert!(longest > INSERTION_CUTOFF, "longest row {longest}");
 
-        let a = bucket::contract_with_policy(&g, &m, Placement::PrefixSum);
-        let r = radix::contract(&g, &m);
-        assert_eq!(edge_fingerprint(&a.graph), edge_fingerprint(&r.graph));
-        assert_eq!(a.graph.self_loops(), r.graph.self_loops());
-        assert_eq!(a.num_new, r.num_new);
-        assert_eq!(r.graph.total_weight(), g.total_weight());
+        let r = contract(&g, &m, RowSort::Radix, Placement::PrefixSum);
         assert_eq!(r.graph.validate(), Ok(()));
+        assert_eq!(r.graph.total_weight(), g.total_weight());
+        for (sort, placement) in [
+            (RowSort::Heapsort, Placement::PrefixSum),
+            (RowSort::Heapsort, Placement::FetchAdd),
+        ] {
+            let b = contract(&g, &m, sort, placement);
+            let what = format!("{sort:?}/{placement:?}");
+            assert_eq!(r.graph.srcs(), b.graph.srcs(), "{what}");
+            assert_eq!(r.graph.dsts(), b.graph.dsts(), "{what}");
+            assert_eq!(r.graph.weights(), b.graph.weights(), "{what}");
+            assert_eq!(r.graph.self_loops(), b.graph.self_loops(), "{what}");
+            assert_eq!(r.new_of_old, b.new_of_old, "{what}");
+        }
     });
 }
 

@@ -1,7 +1,8 @@
 //! Sharded parity: the WCC-sharded pipeline (decompose → per-component
 //! warm engines → deterministic merge) must be bit-identical, component
 //! by component, to whole-graph detection on each *extracted* component
-//! — for bucket and radix contractor kernels and for every pool size.
+//! — for the radix (default) and bucket contractor kernels and for every
+//! pool size.
 //! The comparison is deliberately per-component: a component detected
 //! solo sees its own total weight in the modularity normalizer, so the
 //! whole-graph partition may legitimately differ, but detection on

@@ -35,7 +35,6 @@ pub(crate) const CONCRETE_KERNEL_FNS: &[&str] = &[
     "match_edge_sweep_stats",
     "match_sequential_greedy",
     "contract_into",
-    "contract_with_policy",
     "contract_linked",
     "contract_seq",
 ];

@@ -18,7 +18,6 @@ use crate::analyze::{FileCtx, Violation};
 /// `// SAFETY:` comment; see the files themselves.
 pub(crate) const UNSAFE_BUDGET: &[(&str, usize)] = &[
     ("crates/contract/src/bucket.rs", 1),
-    ("crates/contract/src/radix.rs", 1),
     ("crates/graph/src/csr.rs", 1),
     ("crates/graph/src/reorder.rs", 1),
     ("crates/util/src/alloc_stats.rs", 9),
