@@ -1,16 +1,24 @@
 //! The bucket-sort contraction pipeline (§IV-C): relabel → scatter by new
 //! first endpoint → sort and accumulate each bucket → copy back.
 //!
-//! All phases are parallel:
+//! All phases are parallel, and no edge takes an atomic read-modify-write
+//! unless it folds into a self-loop:
 //!
-//! 1. **Relabel** every edge's endpoints through an old→new vertex map
-//!    and re-canonicalise under the parity hash; edges whose endpoints
-//!    coincide fold into the new vertex's self-loop. Contracting a
-//!    matching runs the pipeline on the map [`relabel_into`] derives from
-//!    it, so each matched edge folds here like any other coinciding edge.
-//! 2. **Bucket** surviving edges by their new stored-first endpoint: a
-//!    histogram of new-source degrees, a [`Placement`] of the buckets in
-//!    the scatter arena, and a cache-blocked scatter.
+//! 1. **Relabel and count.** The edges are cut into stripes, one per
+//!    thread the pass runs on. Each stripe relabels its edges' endpoints
+//!    through an old→new vertex map and re-canonicalises them under the
+//!    parity hash; an edge whose endpoints coincide folds into the new
+//!    vertex's self-loop, and every other edge bumps its stripe's own
+//!    counter for its new stored-first endpoint. Contracting a matching
+//!    runs the pipeline on the map [`relabel_into`] derives from it, so
+//!    each matched edge folds here like any other coinciding edge.
+//! 2. **Bucket** the surviving edges by their new stored-first endpoint:
+//!    the stripes' counts sum to each bucket's length, a [`Placement`]
+//!    lays the buckets out in the scatter arena, and each stripe's
+//!    counters become its cursors inside them. Each stripe then relabels
+//!    its edges again and writes them through its own cursors, so every
+//!    arena slot has one writer. The relabelled endpoints are never
+//!    stored.
 //! 3. **Sort & accumulate** each bucket by its second endpoint with the
 //!    chosen [`RowSort`], merging duplicate edges and shortening the
 //!    bucket.
@@ -18,10 +26,11 @@
 //!    out into the original graph's storage").
 //!
 //! The placement and the row sort are the paper's ablations, and they
-//! change only the work done, never the output. Compaction writes row `v`
-//! at `final_off[v]`, a prefix over new-vertex order; destinations ascend
-//! within a row; duplicate weights merge by exact integer addition. So
-//! every choice emits the same graph bit for bit, at any thread count.
+//! change only the work done, never the output; so does the stripe count,
+//! which follows the width. Compaction writes row `v` at `final_off[v]`, a
+//! prefix over new-vertex order; destinations ascend within a row;
+//! duplicate weights merge by exact integer addition. So every choice
+//! emits the same graph bit for bit, at any thread count.
 
 use crate::{relabel_into, Contraction};
 use pcd_graph::{canonical_order, Graph, GraphParts};
@@ -65,11 +74,6 @@ pub enum Placement {
 /// [`RowSort`]: neither a counting pass nor a heap beats it there.
 const INSERTION_CUTOFF: usize = 24;
 
-/// Edge-block length for the cache-blocked scatter: each task claims one
-/// contiguous block of the relabelled edge arrays, so its reads stream
-/// and only the per-bucket cursor bumps go through shared cache lines.
-const SCATTER_BLOCK: usize = 1 << 12;
-
 /// Contracts `g` along matching `m`: owning wrapper over [`contract_into`]
 /// for oracles, ablations and one-shot callers. Allocates a fresh
 /// [`ContractScratch`] and empty output storage per call.
@@ -85,26 +89,26 @@ pub fn contract(g: &Graph, m: &Matching, sort: RowSort, placement: Placement) ->
 }
 
 /// Reusable working storage for the pipeline: the relabel map and its
-/// prefix-sum buffer, relabelled endpoints, bucket counts/offsets/cursors,
+/// prefix-sum buffer, the stripes' counters, bucket counts and offsets,
 /// the scatter arena, and the shortened buckets' offsets. Every buffer is
 /// cleared and logically resized per call; capacity only grows, so
 /// steady-state contraction allocates nothing. The radix row sort's
 /// second arena is not here: it is the output graph's `dst`/`weight`
 /// storage, which compaction overwrites only after the row pass.
 ///
-/// `bucket_off` and `final_off` hold `num_new + 1` entries: under
-/// prefix-sum placement both are row-offset prefixes ending in their
-/// total, which is what lets the per-row passes cut their chunks by row
-/// length ([`par::for_each_mut_init_weighted`]).
+/// `stripe_counts` is a stripes × `num_new` matrix, row `b` belonging to
+/// the edges of stripe `b`: first its per-bucket edge counts, then its
+/// cursors into the buckets. `bucket_off` and `final_off` hold
+/// `num_new + 1` entries: under prefix-sum placement both are row-offset
+/// prefixes ending in their total, which is what lets the per-row passes
+/// cut their chunks by row length ([`par::for_each_mut_init_weighted`]).
 #[derive(Debug, Default)]
 pub struct ContractScratch {
     is_leader: Vec<usize>,
     new_of_old: Vec<VertexId>,
-    new_src: Vec<u32>,
-    new_dst: Vec<u32>,
+    stripe_counts: Vec<usize>,
     counts: Vec<usize>,
     bucket_off: Vec<usize>,
-    cursor: Vec<usize>,
     tmp_dst: Vec<u32>,
     tmp_w: Vec<u64>,
     final_off: Vec<usize>,
@@ -137,11 +141,9 @@ impl ContractScratch {
         use std::mem::size_of;
         self.is_leader.capacity() * size_of::<usize>()
             + self.new_of_old.capacity() * size_of::<VertexId>()
-            + self.new_src.capacity() * size_of::<u32>()
-            + self.new_dst.capacity() * size_of::<u32>()
+            + self.stripe_counts.capacity() * size_of::<usize>()
             + self.counts.capacity() * size_of::<usize>()
             + self.bucket_off.capacity() * size_of::<usize>()
-            + self.cursor.capacity() * size_of::<usize>()
             + self.tmp_dst.capacity() * size_of::<u32>()
             + self.tmp_w.capacity() * size_of::<u64>()
             + self.final_off.capacity() * size_of::<usize>()
@@ -215,28 +217,29 @@ fn contract_rows(
 ) -> Graph {
     assert_eq!(new_of_old.len(), g.num_vertices());
     let ContractScratch {
-        new_src,
-        new_dst,
+        stripe_counts,
         counts,
         bucket_off,
-        cursor,
         tmp_dst,
         tmp_w,
         final_off,
         ..
     } = scratch;
     let ne = g.num_edges();
+    // Stripe `b` is chunk `b` of a region over the edges cut into one chunk
+    // per thread the region runs on; both edge passes cut the same chunks.
+    let stripe = ne.div_ceil(par::width_for(ne)).max(1);
+    let stripes = ne.div_ceil(stripe);
 
-    // Phase 1: old self-loops fold through the map, then every edge is
-    // relabelled and re-canonicalised. An edge whose endpoints coincide is
-    // marked dead (`NO_VERTEX` in `new_src`) and its weight folded into
-    // the new vertex's self-loop.
+    // Phase 1: old self-loops fold through the map, then each stripe
+    // relabels and re-canonicalises its edges. An edge whose endpoints
+    // coincide folds its weight into the new vertex's self-loop; every
+    // other edge counts towards its new source's bucket in the stripe's
+    // own row of `stripe_counts`.
     parts.self_loop.clear();
     parts.self_loop.resize(num_new, 0);
-    new_src.clear();
-    new_src.resize(ne, 0);
-    new_dst.clear();
-    new_dst.resize(ne, 0);
+    stripe_counts.clear();
+    stripe_counts.resize(stripes * num_new, 0);
     {
         let self_c = as_atomic_u64(&mut parts.self_loop);
         // ORDERING: RELAXED — pure weight accumulation (atomicity only);
@@ -247,40 +250,33 @@ fn contract_rows(
                 self_c[new_of_old[v] as usize].fetch_add(s, RELAXED);
             }
         });
-        let src_c = as_atomic_u32(new_src);
-        let dst_c = as_atomic_u32(new_dst);
-        par::for_each(ne, |e| {
-            // ORDERING: RELAXED — slot `e` has exactly one writer (the
-            // self-loop fetch_add is the only cross-task accumulation and
-            // needs atomicity only); the join barrier publishes everything
-            // to the passes that follow.
-            let (i, j, w) = g.edge(e);
-            let (ni, nj) = (new_of_old[i as usize], new_of_old[j as usize]);
-            if ni == nj {
-                self_c[ni as usize].fetch_add(w, RELAXED);
-                src_c[e].store(pcd_util::NO_VERTEX, RELAXED);
-            } else {
-                let (a, b) = canonical_order(ni, nj);
-                src_c[e].store(a, RELAXED);
-                dst_c[e].store(b, RELAXED);
+        let cells = as_atomic_usize(stripe_counts);
+        par::for_ranges(ne, stripe, |b, range| {
+            // ORDERING: RELAXED — row `b` has one writer, this stripe, so
+            // its counters take a plain load and store; the self-loop
+            // fetch_add is the only cross-stripe accumulation and needs
+            // atomicity only. The join barrier publishes both.
+            let row = &cells[b * num_new..(b + 1) * num_new];
+            for e in range {
+                let (i, j, w) = g.edge(e);
+                let (ni, nj) = (new_of_old[i as usize], new_of_old[j as usize]);
+                if ni == nj {
+                    self_c[ni as usize].fetch_add(w, RELAXED);
+                } else {
+                    let c = &row[canonical_order(ni, nj).0 as usize];
+                    c.store(c.load(RELAXED) + 1, RELAXED);
+                }
             }
         });
     }
-    let new_src: &[u32] = new_src;
-    let new_dst: &[u32] = new_dst;
 
-    // Phase 2: histogram new-source degrees.
+    // Phase 2: a bucket's length is its column sum over the stripes.
     counts.clear();
     counts.resize(num_new, 0);
     {
-        let cells = as_atomic_usize(counts);
-        par::for_each(ne, |e| {
-            let s = new_src[e];
-            if s != pcd_util::NO_VERTEX {
-                // ORDERING: RELAXED — pure counter increment; atomicity is
-                // all that matters and the join barrier publishes totals.
-                cells[s as usize].fetch_add(1, RELAXED);
-            }
+        let stripe_counts: &[usize] = stripe_counts;
+        par::for_each_mut(counts, |v, c| {
+            *c = (0..stripes).map(|b| stripe_counts[b * num_new + v]).sum();
         });
     }
     let counts: &[usize] = counts;
@@ -316,33 +312,52 @@ fn contract_rows(
     }
     let bucket_off: &[usize] = bucket_off;
 
-    // Phase 2b: cache-blocked scatter into the bucketed arena. Within-row
-    // order follows the schedule (per-row cursors race), which the row
-    // sort below erases.
-    cursor.clear();
-    // analyze: allow(alloc, reason = "copy into a recycled scratch buffer; capacity amortizes to the level ceiling")
-    cursor.extend_from_slice(&bucket_off[..num_new]);
+    // Each column of counts becomes the stripes' cursors into its bucket:
+    // stripe `b` starts at `bucket_off[v]` plus the counts of stripes
+    // `0..b`, so the stripes fill disjoint, abutting runs of the bucket.
+    {
+        let cells = as_atomic_usize(stripe_counts);
+        par::for_each(num_new, |v| {
+            // ORDERING: RELAXED — column `v` has one writer, this task;
+            // the join barrier publishes the cursors to the scatter.
+            let mut at = bucket_off[v];
+            for b in 0..stripes {
+                let c = &cells[b * num_new + v];
+                let n = c.load(RELAXED);
+                c.store(at, RELAXED);
+                at += n;
+            }
+        });
+    }
+
+    // Phase 2b: each stripe relabels its edges again and writes the
+    // survivors through its own cursors. Within a bucket the edges sit in
+    // stripe order, which follows the width; the row sort below erases it.
     tmp_dst.clear();
     tmp_dst.resize(live, 0);
     tmp_w.clear();
     tmp_w.resize(live, 0);
     {
-        let cur = as_atomic_usize(cursor);
+        let cur = as_atomic_usize(stripe_counts);
         let dst_c = as_atomic_u32(tmp_dst);
         let w_c = as_atomic_u64(tmp_w);
-        let weights = g.weights();
-        par::for_ranges(ne, SCATTER_BLOCK, |_, range| {
-            let base = range.start;
-            for (k, &s) in new_src[range].iter().enumerate() {
-                if s != pcd_util::NO_VERTEX {
-                    let e = base + k;
-                    // ORDERING: RELAXED — fetch_add hands each edge a
-                    // distinct `pos`, so the stores have one writer per
-                    // slot; the join barrier publishes them to the row
-                    // pass that follows.
-                    let pos = cur[s as usize].fetch_add(1, RELAXED);
-                    dst_c[pos].store(new_dst[e], RELAXED);
-                    w_c[pos].store(weights[e], RELAXED);
+        par::for_ranges(ne, stripe, |b, range| {
+            // ORDERING: RELAXED — row `b`'s cursors have one writer, this
+            // stripe, and hand each of its edges a distinct slot inside
+            // the stripe's own run of the bucket, so every slot has one
+            // writer; the join barrier publishes the arena to the row pass
+            // that follows.
+            let row = &cur[b * num_new..(b + 1) * num_new];
+            for e in range {
+                let (i, j, w) = g.edge(e);
+                let (ni, nj) = (new_of_old[i as usize], new_of_old[j as usize]);
+                if ni != nj {
+                    let (s, d) = canonical_order(ni, nj);
+                    let c = &row[s as usize];
+                    let pos = c.load(RELAXED);
+                    c.store(pos + 1, RELAXED);
+                    dst_c[pos].store(d, RELAXED);
+                    w_c[pos].store(w, RELAXED);
                 }
             }
         });
@@ -707,12 +722,18 @@ mod tests {
 
     #[test]
     fn deterministic_across_thread_counts() {
-        let g = pcd_gen::rmat_graph(&pcd_gen::RmatParams::paper(12, 23));
+        // More edges than `SEQ_CUTOFF`, so the edge passes leave the caller
+        // and run one stripe per thread: widths 3 and 8 scatter through
+        // three and eight stripes' cursors.
+        let g = pcd_gen::rmat_graph(&pcd_gen::RmatParams::paper(13, 23));
+        assert!(g.num_edges() > par::SEQ_CUTOFF, "{} edges", g.num_edges());
         let m = weighted_matching(&g);
         for (sort, placement) in CHOICES {
-            let c1 = pcd_util::pool::with_threads(1, || contract(&g, &m, sort, placement));
-            let c4 = pcd_util::pool::with_threads(4, || contract(&g, &m, sort, placement));
-            assert_same_bits(&c1, &c4, &format!("{sort:?}/{placement:?}"));
+            let run = |w| pcd_util::pool::with_threads(w, || contract(&g, &m, sort, placement));
+            let c1 = run(1);
+            for w in [3, 8] {
+                assert_same_bits(&c1, &run(w), &format!("{sort:?}/{placement:?} width {w}"));
+            }
         }
     }
 

@@ -51,6 +51,7 @@ fn record_dealloc(size: usize) {
 
 /// A [`GlobalAlloc`] that forwards to [`System`] and counts traffic.
 /// Zero-sized; install as the binary's `#[global_allocator]`.
+#[derive(Debug)]
 pub struct CountingAlloc;
 
 // SAFETY: every method forwards to `System`, which upholds the

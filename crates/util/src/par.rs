@@ -31,7 +31,8 @@
 //! state [`for_each_mut_init`] and its work-weighted form
 //! [`for_each_mut_init_weighted`], and [`chunks_mut`]), ordered collection
 //! ([`map`], and [`map_init`] for coarse items), [`sum`], [`any`] and
-//! [`all`].
+//! [`all`] — plus [`width_for`], which tells a caller how many threads a
+//! region over `n` items would run on.
 
 use crate::pool::current_threads;
 use crate::sync::{AtomicBool, AtomicUsize, SendPtr, RELAXED};
@@ -91,6 +92,25 @@ impl Drop for Participant<'_> {
     }
 }
 
+/// The number of threads a region that may go parallel (`parallel`) is
+/// allowed: the caller's width, or 1 inside another region.
+fn allowed_width(parallel: bool) -> usize {
+    if parallel && !IN_REGION.with(Cell::get) {
+        current_threads()
+    } else {
+        1
+    }
+}
+
+/// The number of threads a region over `n` items would run on: 1 when it
+/// runs inline — at most [`SEQ_CUTOFF`] items, started inside another
+/// region, or a width of 1 — and the caller's width otherwise. A loop that
+/// keeps one piece of state per participant ([`for_ranges`] with
+/// `n.div_ceil(width_for(n))` items per chunk) sizes that state with it.
+pub fn width_for(n: usize) -> usize {
+    allowed_width(n > SEQ_CUTOFF)
+}
+
 /// Runs chunk indices `0..nchunks`, each exactly once. Every participating
 /// thread builds its own chunk runner with `make` (per-worker state lives
 /// in it) and feeds it the chunks it claims. Inline — one runner, chunks
@@ -101,11 +121,7 @@ where
     M: Fn() -> W + Sync,
     W: FnMut(usize),
 {
-    let width = if parallel && !IN_REGION.with(Cell::get) {
-        current_threads().min(nchunks)
-    } else {
-        1
-    };
+    let width = allowed_width(parallel).min(nchunks);
     if width <= 1 {
         let mut run = make();
         (0..nchunks).for_each(&mut run);
@@ -628,6 +644,21 @@ mod tests {
         let me = thread_ordinal();
         let ords = with_threads(8, || map(SEQ_CUTOFF, |_| thread_ordinal()));
         assert!(ords.iter().all(|&o| o == me));
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore = "regions of SEQ_CUTOFF items are too slow under Miri")]
+    fn width_for_follows_the_inline_rule() {
+        let big = SEQ_CUTOFF + 1;
+        with_threads(3, || {
+            assert_eq!(width_for(0), 1);
+            assert_eq!(width_for(SEQ_CUTOFF), 1);
+            assert_eq!(width_for(big), 3);
+            // Inside a parallel region, every participant would run inline.
+            let nested = map(big, |_| width_for(big));
+            assert!(nested.iter().all(|&w| w == 1));
+        });
+        assert_eq!(with_threads(1, || width_for(big)), 1);
     }
 
     #[test]

@@ -14,7 +14,8 @@
 //! * R-MAT with more than `SEQ_CUTOFF` vertices *and* edges, so every
 //!   vertex- and edge-indexed loop (scoring, the matchers' CAS proposal
 //!   registers, the contraction's bucket placement by prefix sum and by
-//!   fetch-and-add, its blocked scatter) leaves the caller;
+//!   fetch-and-add, its striped count and scatter passes) leaves the
+//!   caller;
 //! * an R-MAT and a LiveJournal-like SBM with at most `SEQ_CUTOFF`
 //!   vertices but more edges, where only the work-weighted passes do —
 //!   the shape of every level after the first on the SBM. The R-MAT one
