@@ -1,10 +1,12 @@
 //! The benchmark gate: every arm in one table, measured on pinned
 //! instances, gated in-process, and written as one JSON report.
 //!
-//! [`ARMS`] is the whole harness. A row names an arm, the instances it
-//! runs on, what it changes against a default [`Detector`] run (a config
-//! delta, another entry point, or the trace recorder attached) and, when
-//! gated, its baseline arm, the per-cell quantity compared, and a bound.
+//! [`ARMS`] is the whole harness, and the only code in the repository
+//! that times a detection for the paper's figures. A row names an arm,
+//! the instances it runs on, what it changes against a default
+//! [`Detector`] run (a config delta, another entry point, or the trace
+//! recorder attached) and, when gated, its baseline arm, the per-cell
+//! quantity compared, and a bound.
 //! In every (instance, threads) cell the arms that run there are timed
 //! round-robin, one sample each per round, with the order reversed every
 //! other round, so slow machine epochs (frequency drift, noisy
@@ -17,20 +19,38 @@
 //! (tiny instances, one thread, one run) the ratios are reported but
 //! never gate: such timings carry no signal.
 //!
+//! The last five rows are the paper's experiments (§V), ungated, on its
+//! three graphs ([`PAPER`]): `paper`, the paper's performance setting
+//! (stop at coverage ≥ 0.5), gives Figs. 1–3, Table III
+//! (`input_edges_per_sec`) and the phase split; `paper-bucket`,
+//! `paper-fetch-add`, `paper-linked` and `paper-2011` are its kernel
+//! ablation. They come after the gated rows, so no slow arm runs between
+//! a gated arm and its baseline.
+//!
 //! Timed runs carry only what the arm measures: no observer, except on
-//! `observed`, whose point is the recorder's cost. The phase columns come
-//! from one more, untimed run per arm with the `pcd-trace` recorder
-//! attached — the `pcd_phase_seconds` sums, folded across components and
-//! batch graphs with [`merge_runs`] — so the report and `parcomm detect
-//! --metrics` read the same recorder.
+//! `observed`, whose point is the recorder's cost. After the clock stops,
+//! each run's results give its phase seconds
+//! ([`DetectionResult::phase_totals`], summed over components and batch
+//! graphs), level count and modularity, so the phase columns are medians
+//! over the same timed runs as `end_to_end_secs`, and each solo run's
+//! phases fit inside that run's time. The `pcd-trace` recorder's
+//! `pcd_phase_seconds` sums the same engine timers, so the report and
+//! `parcomm detect --metrics` agree but for one pass: the score pass that
+//! finds no positive edge, and so ends a run at its local maximum, is in
+//! the recorder but not in the level statistics. Sharded and batch
+//! records sum phase seconds over engines that run at the same time, so
+//! at width ≥ 2 they can exceed the wall time. `--metrics-out` writes the
+//! `observed` arm's last timed recorder.
 //!
 //! Report schema `parcomm-bench-v4`: `created_unix`, `smoke`, `host`
-//! (available parallelism, the region width every cell ran under —
-//! pinned at startup to the widest `--threads` entry via [`pin_global`] —
-//! alloc-stats on/off, and the process's peak RSS), `instances`,
+//! (CPU model, available parallelism, the region width every cell ran
+//! under — pinned at startup to the widest `--threads` entry via
+//! [`pin_global`] — alloc-stats on/off, and the process's peak RSS),
+//! `instances` (sizes, and `build_secs`: generation, dedup and largest
+//! component, the paper's §V-B number, at the pinned width),
 //! `results` — one record per (instance, threads, arm) with
-//! min/median/max end-to-end seconds, phase seconds, level count,
-//! modularity, and the measured run's heap allocations under
+//! min/median/max end-to-end seconds, median phase seconds, level count,
+//! modularity, and the last run's heap allocations under
 //! `--features alloc-stats` (`null` otherwise) — and `gates`, one entry
 //! per gated row with its per-cell ratios, geometric mean and verdict.
 //! Everything is emitted by hand: the harness builds without serde or
@@ -44,12 +64,12 @@ use pcd_core::{
     DetectionResult, Detector, LevelObserver, NoopObserver,
 };
 use pcd_gen::classic::clique_ring;
-use pcd_gen::{rmat_graph, sbm_graph, RmatParams, SbmParams};
+use pcd_gen::{rmat_graph, sbm_graph, web_graph, RmatParams, SbmParams, WebParams};
 use pcd_graph::{builder, Graph};
 use pcd_trace::{merge_runs, metrics_json, Registry, TraceObserver};
 use pcd_util::par;
-use pcd_util::pool::{pin_global, with_threads};
-use pcd_util::timing::{RunStats, Timer};
+use pcd_util::pool::{pin_global, sweep_thread_counts, with_threads};
+use pcd_util::timing::{timed, RunStats, Timer};
 use pcd_util::VertexId;
 
 #[cfg(feature = "alloc-stats")]
@@ -77,6 +97,10 @@ enum Inst {
     Ring,
     /// [`BATCH_SIZE`] independent R-MAT graphs.
     Batch,
+    /// The uk-2007-05 stand-in: a hierarchical web-like graph with twice
+    /// `--sbm-vertices` vertices, the largest instance (the paper's
+    /// Fig. 3 graph).
+    Web,
 }
 
 /// The entry point an arm runs.
@@ -104,7 +128,7 @@ enum Quantity {
     Min,
     /// The median end-to-end sample.
     Median,
-    /// Contract-phase seconds of the arm's recorder run.
+    /// The median contract-phase seconds over the timed runs.
     Contract,
 }
 
@@ -174,9 +198,12 @@ struct Arm {
 /// The single-graph level-loop instances.
 const SINGLE: &[Inst] = &[Inst::Rmat, Inst::Sbm];
 
+/// The paper's three evaluation graphs (Table II).
+const PAPER: &[Inst] = &[Inst::Rmat, Inst::Sbm, Inst::Web];
+
 /// Every arm the harness measures. Thresholds are the values
 /// EXPERIMENTS.md records for each gate.
-static ARMS: [Arm; 10] = [
+static ARMS: [Arm; 15] = [
     // The default engine: scratch arenas and graph buffers reused across
     // levels. The baseline of every gate but `contract-radix`.
     Arm {
@@ -291,6 +318,52 @@ static ARMS: [Arm; 10] = [
         traced: false,
         gate: None,
     },
+    // The paper's performance setting: radix rows, stop at coverage
+    // >= 0.5 (Figs. 1-3, Table III, the phase split).
+    Arm {
+        name: "paper",
+        on: PAPER,
+        config: Config::paper_performance,
+        call: Call::Solo,
+        traced: false,
+        gate: None,
+    },
+    // The 2012 kernels as published: heapsort bucket rows.
+    Arm {
+        name: "paper-bucket",
+        on: PAPER,
+        config: || Config::paper_performance().with_contractor(ContractorKind::Bucket),
+        call: Call::Solo,
+        traced: false,
+        gate: None,
+    },
+    // The bucket placement the paper did not time: fetch-and-add.
+    Arm {
+        name: "paper-fetch-add",
+        on: PAPER,
+        config: || Config::paper_performance().with_contractor(ContractorKind::BucketFetchAdd),
+        call: Call::Solo,
+        traced: false,
+        gate: None,
+    },
+    // The 2011 contraction (linked-list chains) under the 2012 matcher.
+    Arm {
+        name: "paper-linked",
+        on: PAPER,
+        config: || Config::paper_performance().with_contractor(ContractorKind::Linked),
+        call: Call::Solo,
+        traced: false,
+        gate: None,
+    },
+    // The 2011 algorithm: edge-sweep matching, linked-list contraction.
+    Arm {
+        name: "paper-2011",
+        on: PAPER,
+        config: Config::legacy_2011,
+        call: Call::Solo,
+        traced: false,
+        gate: None,
+    },
 ];
 
 /// An armed but non-binding budget: hour-long deadline, `usize::MAX`
@@ -308,7 +381,7 @@ fn unarmed_budget() -> Config {
 struct Args {
     /// R-MAT scale (2^scale vertices).
     rmat_scale: u32,
-    /// SBM vertex count.
+    /// SBM vertex count (the web instance has twice as many).
     sbm_vertices: usize,
     threads: Vec<usize>,
     runs: usize,
@@ -325,7 +398,7 @@ impl Args {
         let mut a = Args {
             rmat_scale: 16,
             sbm_vertices: 60_000,
-            threads: vec![1, 2, 8],
+            threads: sweep_thread_counts(),
             runs: 3,
             out: "target/bench_gate.json".into(),
             metrics_out: String::new(),
@@ -372,50 +445,67 @@ struct Instance {
     kind: Inst,
     name: String,
     graphs: Vec<Graph>,
+    /// Seconds its builder took: generation, dedup and, for R-MAT, the
+    /// largest component.
+    build_secs: f64,
 }
 
-/// The pinned instances, one per [`Inst`]. The batch graphs and the
-/// union's R-MAT part are two scales below the headline R-MAT, so one
-/// batch costs about as much as one single-graph cell.
+/// The pinned instances, one per [`Inst`], each builder timed. The batch
+/// graphs and the union's R-MAT part are two scales below the headline
+/// R-MAT, so one batch costs about as much as one single-graph cell.
 fn instances(scale: u32, sbm: usize) -> Vec<Instance> {
     let small = scale.saturating_sub(2).max(4);
     let ring_cliques = 1usize << scale.saturating_sub(4).max(4);
-    let one = |kind, name, graph| Instance {
+    let one = |kind, name, (graph, build_secs): (Graph, f64)| Instance {
         kind,
         name,
         graphs: vec![graph],
+        build_secs,
     };
     vec![
         one(
             Inst::Rmat,
             format!("rmat-{scale}-16"),
-            rmat_graph(&RmatParams::paper(scale, SEED)),
+            timed(|| rmat_graph(&RmatParams::paper(scale, SEED))),
         ),
         one(
             Inst::Sbm,
             format!("sbm-lj-{sbm}"),
-            sbm_graph(&SbmParams::livejournal_like(sbm, SEED + 1)).graph,
+            timed(|| sbm_graph(&SbmParams::livejournal_like(sbm, SEED + 1)).graph),
         ),
         one(
             Inst::Union,
             format!("union-rmat{small}-sbm{}", sbm / 2),
-            disjoint_union(&[
-                rmat_graph(&RmatParams::paper(small, SEED + 7)),
-                sbm_graph(&SbmParams::livejournal_like(sbm / 2, SEED + 8)).graph,
-            ]),
+            timed(|| {
+                disjoint_union(&[
+                    rmat_graph(&RmatParams::paper(small, SEED + 7)),
+                    sbm_graph(&SbmParams::livejournal_like(sbm / 2, SEED + 8)).graph,
+                ])
+            }),
         ),
         one(
             Inst::Ring,
             format!("ring-{ring_cliques}x8"),
-            clique_ring(ring_cliques, 8),
+            timed(|| clique_ring(ring_cliques, 8)),
         ),
-        Instance {
-            kind: Inst::Batch,
-            name: format!("rmat-{small}-16-x{BATCH_SIZE}"),
-            graphs: (0..BATCH_SIZE)
-                .map(|i| rmat_graph(&RmatParams::paper(small, SEED + 100 + i as u64)))
-                .collect(),
+        {
+            let (graphs, build_secs) = timed(|| {
+                (0..BATCH_SIZE)
+                    .map(|i| rmat_graph(&RmatParams::paper(small, SEED + 100 + i as u64)))
+                    .collect()
+            });
+            Instance {
+                kind: Inst::Batch,
+                name: format!("rmat-{small}-16-x{BATCH_SIZE}"),
+                graphs,
+                build_secs,
+            }
         },
+        one(
+            Inst::Web,
+            format!("web-uk-{}", 2 * sbm),
+            timed(|| web_graph(&WebParams::uk_like(2 * sbm, SEED + 2)).graph),
+        ),
     ]
 }
 
@@ -438,6 +528,18 @@ fn disjoint_union(parts: &[Graph]) -> Graph {
     builder::from_edges(nv, edges)
 }
 
+/// One timed run, read from its results after the clock stopped.
+#[derive(Clone, Copy)]
+struct Sample {
+    secs: f64,
+    /// `(score, match, contract)` seconds: the results'
+    /// [`DetectionResult::phase_totals`], summed.
+    phases: (f64, f64, f64),
+    levels: usize,
+    modularity: f64,
+    allocations: Option<u64>,
+}
+
 /// One measured (instance, threads, arm) cell.
 struct Record {
     instance: String,
@@ -446,14 +548,13 @@ struct Record {
     threads: usize,
     arm: &'static str,
     end_to_end: RunStats,
+    /// Median phase seconds over the timed runs.
     score_secs: f64,
     match_secs: f64,
     contract_secs: f64,
     levels: usize,
     modularity: f64,
     allocations: Option<u64>,
-    /// The recorder run's metrics, folded across engine runs.
-    registry: Registry,
 }
 
 fn main() -> ExitCode {
@@ -462,7 +563,7 @@ fn main() -> ExitCode {
         Err(e) => {
             eprintln!("bench_gate: {e}");
             eprintln!(
-                "usage: bench_gate [--scale N] [--sbm-vertices N] [--threads 1,2,8] \
+                "usage: bench_gate [--scale N] [--sbm-vertices N] [--threads 1,2] \
                  [--runs N] [--out FILE] [--metrics-out FILE] [--smoke]"
             );
             return ExitCode::FAILURE;
@@ -487,9 +588,14 @@ fn main() -> ExitCode {
     );
     let instances = instances(args.rmat_scale, args.sbm_vertices);
     let mut records = Vec::new();
+    let mut recorder = None;
     for inst in &instances {
         for &t in &args.threads {
-            for r in measure_cell(inst, t, args.runs) {
+            let (cell, observed) = measure_cell(inst, t, args.runs);
+            if let Some(registry) = observed {
+                recorder = Some((inst.name.as_str(), registry));
+            }
+            for r in cell {
                 eprintln!(
                     "  {} t={} {}: median {:.4}s (score {:.4} match {:.4} contract {:.4})",
                     r.instance,
@@ -523,12 +629,8 @@ fn main() -> ExitCode {
     }
     eprintln!("bench_gate: wrote {}", args.out);
     if !args.metrics_out.is_empty() {
-        let last = records
-            .iter()
-            .rev()
-            .find(|r| r.arm == "observed")
-            .expect("the observed arm always runs");
-        let doc = metrics_json(&last.registry, &last.instance, unix_now());
+        let (instance, registry) = recorder.expect("the observed arm always runs");
+        let doc = metrics_json(&registry, instance, unix_now());
         if let Err(e) = std::fs::write(&args.metrics_out, doc) {
             eprintln!("bench_gate: cannot write {}: {e}", args.metrics_out);
             return ExitCode::FAILURE;
@@ -543,12 +645,12 @@ fn main() -> ExitCode {
 }
 
 /// Times every arm that runs on `inst`, `runs` interleaved rounds at
-/// `threads` workers, then runs each arm once more with the recorder
-/// attached for its phase columns.
-fn measure_cell(inst: &Instance, threads: usize, runs: usize) -> Vec<Record> {
+/// `threads` workers, and returns one record per arm, plus the `observed`
+/// arm's last recorder when that arm runs here.
+fn measure_cell(inst: &Instance, threads: usize, runs: usize) -> (Vec<Record>, Option<Registry>) {
     let arms: Vec<&Arm> = ARMS.iter().filter(|a| a.on.contains(&inst.kind)).collect();
     let mut samples = vec![Vec::with_capacity(runs); arms.len()];
-    let mut allocations = vec![None; arms.len()];
+    let mut recorder = None;
     for round in 0..runs {
         for k in 0..arms.len() {
             let i = if round % 2 == 0 {
@@ -556,53 +658,53 @@ fn measure_cell(inst: &Instance, threads: usize, runs: usize) -> Vec<Record> {
             } else {
                 arms.len() - 1 - k
             };
-            let (secs, allocs) = if arms[i].traced {
-                time_run(arms[i], inst, threads, TraceObserver::new)
+            let sample = if arms[i].traced {
+                let (sample, results) = time_run(arms[i], inst, threads, TraceObserver::new);
+                recorder = Some(merge_runs(results.iter().flat_map(|(_, obs)| obs).map(Ok)));
+                sample
             } else {
-                time_run(arms[i], inst, threads, || NoopObserver)
+                time_run(arms[i], inst, threads, || NoopObserver).0
             };
-            samples[i].push(secs);
-            allocations[i] = allocs;
+            samples[i].push(sample);
         }
     }
-    arms.iter()
+    let records = arms
+        .iter()
         .zip(samples)
-        .zip(allocations)
-        .map(|((&arm, samples), allocations)| {
-            let graphs = inst.graphs.clone();
-            let runs = with_threads(threads, move || run(arm, graphs, TraceObserver::new));
-            let registry = merge_runs(runs.iter().flat_map(|(_, obs)| obs).map(Ok));
-            let phase = |name: &str| -> f64 {
-                registry
-                    .histograms_of("pcd_phase_seconds")
-                    .filter(|h| h.labels.iter().any(|(_, v)| v == name))
-                    .map(|h| h.sum)
-                    .sum()
-            };
+        .map(|(&arm, samples)| {
+            let median =
+                |f: fn(&Sample) -> f64| RunStats::new(samples.iter().map(f).collect()).median();
+            let last = samples[samples.len() - 1];
             Record {
                 instance: inst.name.clone(),
                 kind: inst.kind,
                 input_edges: inst.graphs.iter().map(Graph::num_edges).sum(),
                 threads,
                 arm: arm.name,
-                end_to_end: RunStats::new(samples),
-                score_secs: phase("score"),
-                match_secs: phase("match"),
-                contract_secs: phase("contract"),
-                levels: runs.iter().map(|(r, _)| r.levels.len()).sum(),
-                modularity: runs.iter().map(|(r, _)| r.modularity).sum::<f64>() / runs.len() as f64,
-                allocations,
-                registry,
+                end_to_end: RunStats::new(samples.iter().map(|s| s.secs).collect()),
+                score_secs: median(|s| s.phases.0),
+                match_secs: median(|s| s.phases.1),
+                contract_secs: median(|s| s.phases.2),
+                levels: last.levels,
+                modularity: last.modularity,
+                allocations: last.allocations,
             }
         })
-        .collect()
+        .collect();
+    (records, recorder)
 }
 
 /// One timed run of `arm`. The instance is copied before the clock
 /// starts, engine construction is timed (every arm pays it), as is the
 /// recorder's on the traced arm (`parcomm detect --metrics` builds one
-/// per run too), and the results are dropped after the clock stops.
-fn time_run<O, F>(arm: &Arm, inst: &Instance, threads: usize, make: F) -> (f64, Option<u64>)
+/// per run too). The results are read after the clock stops and returned
+/// with the observers.
+fn time_run<O, F>(
+    arm: &Arm,
+    inst: &Instance,
+    threads: usize,
+    make: F,
+) -> (Sample, Vec<(DetectionResult, Vec<O>)>)
 where
     O: LevelObserver + Send,
     F: Fn() -> O + Send + Sync,
@@ -610,9 +712,23 @@ where
     let graphs = inst.graphs.clone();
     let before = alloc_count();
     let timer = Timer::start();
-    let _results = with_threads(threads, move || run(arm, graphs, make));
+    let results = with_threads(threads, move || run(arm, graphs, make));
     let secs = timer.elapsed_secs();
-    (secs, alloc_count().zip(before).map(|(a, b)| a - b))
+    let allocations = alloc_count().zip(before).map(|(a, b)| a - b);
+    let phases = results
+        .iter()
+        .map(|(r, _)| r.phase_totals())
+        .fold((0.0, 0.0, 0.0), |(s, m, c), (ds, dm, dc)| {
+            (s + ds, m + dm, c + dc)
+        });
+    let sample = Sample {
+        secs,
+        phases,
+        levels: results.iter().map(|(r, _)| r.levels.len()).sum(),
+        modularity: results.iter().map(|(r, _)| r.modularity).sum::<f64>() / results.len() as f64,
+        allocations,
+    };
+    (sample, results)
 }
 
 /// Runs `arm` on `graphs` with one observer from `make` per engine run,
@@ -755,6 +871,20 @@ fn alloc_count() -> Option<u64> {
     }
 }
 
+/// The host CPU's model name from `/proc/cpuinfo`, or `unknown`.
+fn cpu_model() -> String {
+    std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|s| {
+            s.lines()
+                .find(|l| l.starts_with("model name"))
+                .and_then(|l| l.split_once(':'))
+                .map(|(_, model)| model.trim().to_string())
+        })
+        .filter(|model| !model.is_empty())
+        .unwrap_or_else(|| "unknown".into())
+}
+
 /// The process's peak resident set size from `/proc/self/status`
 /// (`VmHWM`, kibibytes). It only grows, so it describes the whole run,
 /// not any one cell.
@@ -784,6 +914,7 @@ fn render(
     let _ = writeln!(s, "  \"created_unix\": {},", unix_now());
     let _ = writeln!(s, "  \"smoke\": {smoke},");
     s.push_str("  \"host\": {\n");
+    let _ = writeln!(s, "    \"cpu_model\": {},", json_str(&cpu_model()));
     let _ = writeln!(
         s,
         "    \"available_parallelism\": {},",
@@ -802,10 +933,11 @@ fn render(
         .iter()
         .map(|inst| {
             format!(
-                "    {{\"name\": {}, \"vertices\": {}, \"edges\": {}}}",
+                "    {{\"name\": {}, \"vertices\": {}, \"edges\": {}, \"build_secs\": {}}}",
                 json_str(&inst.name),
                 inst.graphs.iter().map(Graph::num_vertices).sum::<usize>(),
-                inst.graphs.iter().map(Graph::num_edges).sum::<usize>()
+                inst.graphs.iter().map(Graph::num_edges).sum::<usize>(),
+                json_f64(inst.build_secs)
             )
         })
         .collect();
@@ -979,7 +1111,6 @@ mod tests {
                             levels: 0,
                             modularity: 0.0,
                             allocations: None,
-                            registry: Registry::new(),
                         });
                     }
                 }
@@ -1058,6 +1189,47 @@ mod tests {
                     "{} has no {} baseline on {inst:?}",
                     arm.name,
                     gate.baseline
+                );
+            }
+        }
+    }
+
+    /// `evaluate` and the report pair records by (arm, instance, threads),
+    /// so two rows sharing a name on one instance would silently pair with
+    /// the first. One name on disjoint instance sets (`sharded`) is fine.
+    #[test]
+    fn arm_names_are_unique_per_instance() {
+        for (i, a) in ARMS.iter().enumerate() {
+            for b in &ARMS[i + 1..] {
+                assert!(
+                    a.name != b.name || !a.on.iter().any(|inst| b.on.contains(inst)),
+                    "two {} rows share an instance",
+                    a.name
+                );
+            }
+        }
+    }
+
+    /// The phase timers nest inside the timed call, so with one run a
+    /// solo record's phase sum is at most its end-to-end time.
+    #[test]
+    fn solo_phase_columns_fit_inside_the_run() {
+        for inst in &instances(8, 600) {
+            let (records, _) = measure_cell(inst, 1, 1);
+            for r in records {
+                let arm = ARMS
+                    .iter()
+                    .find(|a| a.name == r.arm && a.on.contains(&r.kind));
+                if !matches!(arm.map(|a| a.call), Some(Call::Solo)) {
+                    continue;
+                }
+                let phases = r.score_secs + r.match_secs + r.contract_secs;
+                assert!(
+                    phases <= r.end_to_end.median(),
+                    "{} on {}: phases {phases} > run {}",
+                    r.arm,
+                    r.instance,
+                    r.end_to_end.median()
                 );
             }
         }

@@ -1,53 +1,91 @@
-//! Regenerates every table and figure of the paper's evaluation (§V).
+//! Regenerates the paper's quality comparison (§V) and the LFR mixing
+//! sweep. Timing lives in `bench_gate`, whose `paper*` rows give the
+//! paper's figures, Table III and its ablation; `repro` times nothing.
 //!
 //! ```text
 //! repro [options] <experiment...>
 //!
 //! experiments:
-//!   table1    platform characteristics (paper Table I)
-//!   table2    graph sizes (paper Table II)
-//!   table3    peak processing rates in edges/s (paper Table III)
-//!   fig1      execution time vs threads (paper Figure 1)
-//!   fig2      parallel speed-up vs threads (paper Figure 2)
-//!   fig3      largest graph time + speed-up (paper Figure 3)
-//!   graphs    graph generation + largest-component extraction (§V-B)
-//!   ablation  new vs 2011 kernels (the "20% improvement" claim, §V)
-//!   phases    per-level phase breakdown (the "40-80% contraction" claim)
 //!   quality   modularity/NMI vs sequential baselines (§V quality remark)
 //!   mixing    LFR mixing sweep: detector quality vs noise (extension;
 //!             not part of `all`)
-//!   reorder   vertex-ordering sensitivity: natural vs degree vs BFS
-//!             numbering (extension; not part of `all`)
-//!   all       everything above except `mixing`
+//!   all       quality
 //!
 //! options:
 //!   --rmat-scale N   R-MAT scale (default 15)
 //!   --sbm N          SBM stand-in vertices (default 60000)
 //!   --web N          web stand-in vertices (default 120000)
-//!   --runs N         runs per configuration (default 3, as in the paper)
-//!   --threads a,b,c  explicit thread counts (default: powers of 2 + host max)
 //! ```
 
 #![deny(unsafe_op_in_unsafe_fn)]
 
-use pcd_bench::suite::{default_suite, NamedGraph, SuiteParams};
-use pcd_bench::sweep::{run_sweep, speedups, sweep_threads, SweepPoint};
-use pcd_core::{detect, Config, ContractorKind, MatcherKind};
-use pcd_gen::{rmat_edges, web_graph, RmatParams, WebParams};
-use pcd_util::timing::{fmt_rate, fmt_secs, Timer};
+use pcd_core::{detect, Config};
+use pcd_gen::{rmat_graph, sbm_graph, web_graph, RmatParams, SbmParams, WebParams};
+use pcd_graph::Graph;
+
+/// A graph with its display name and optional planted ground truth.
+#[derive(Debug)]
+struct NamedGraph {
+    name: String,
+    graph: Graph,
+    ground_truth: Option<Vec<u32>>,
+}
+
+/// Suite scale knobs (defaults sized for a small host; raise on big iron).
+#[derive(Debug, Clone, Copy)]
+struct SuiteParams {
+    rmat_scale: u32,
+    sbm_vertices: usize,
+    web_vertices: usize,
+    seed: u64,
+}
+
+impl Default for SuiteParams {
+    fn default() -> Self {
+        SuiteParams {
+            rmat_scale: 15,
+            sbm_vertices: 60_000,
+            web_vertices: 120_000,
+            seed: 42,
+        }
+    }
+}
+
+/// The paper's three graph roles (Table II): `rmat-<s>-16`, scale-free
+/// R-MAT (largest component); `sbm-lj`, the LiveJournal stand-in
+/// (planted partition); `web-uk`, the uk-2007-05 stand-in (hierarchical
+/// web-like).
+fn default_suite(p: &SuiteParams) -> Vec<NamedGraph> {
+    let rmat = rmat_graph(&RmatParams::paper(p.rmat_scale, p.seed));
+    let sbm = sbm_graph(&SbmParams::livejournal_like(p.sbm_vertices, p.seed + 1));
+    let web = web_graph(&WebParams::uk_like(p.web_vertices, p.seed + 2));
+    vec![
+        NamedGraph {
+            name: format!("rmat-{}-16", p.rmat_scale),
+            graph: rmat,
+            ground_truth: None,
+        },
+        NamedGraph {
+            name: "sbm-lj".into(),
+            graph: sbm.graph,
+            ground_truth: Some(sbm.ground_truth),
+        },
+        NamedGraph {
+            name: "web-uk".into(),
+            graph: web.graph,
+            ground_truth: Some(web.site_of),
+        },
+    ]
+}
 
 struct Options {
     suite: SuiteParams,
-    runs: usize,
-    threads: Vec<usize>,
     experiments: Vec<String>,
 }
 
 fn parse_args() -> Options {
     let mut opts = Options {
         suite: SuiteParams::default(),
-        runs: 3,
-        threads: sweep_threads(),
         experiments: Vec::new(),
     };
     let mut args = std::env::args().skip(1);
@@ -60,13 +98,6 @@ fn parse_args() -> Options {
             "--rmat-scale" => opts.suite.rmat_scale = value("--rmat-scale").parse().unwrap(),
             "--sbm" => opts.suite.sbm_vertices = value("--sbm").parse().unwrap(),
             "--web" => opts.suite.web_vertices = value("--web").parse().unwrap(),
-            "--runs" => opts.runs = value("--runs").parse().unwrap(),
-            "--threads" => {
-                opts.threads = value("--threads")
-                    .split(',')
-                    .map(|t| t.parse().expect("bad thread count"))
-                    .collect()
-            }
             exp => opts.experiments.push(exp.to_string()),
         }
     }
@@ -78,355 +109,20 @@ fn parse_args() -> Options {
 
 fn main() {
     let opts = parse_args();
-    let all = opts.experiments.iter().any(|e| e == "all");
-    let wants = |e: &str| all || opts.experiments.iter().any(|x| x == e);
+    let wants = |e: &str| opts.experiments.iter().any(|x| x == e);
 
     println!("# Reproduction harness — Riedy/Meyerhenke/Bader IPDPSW 2012");
     println!(
-        "# suite: rmat-{}-16, sbm-lj n={}, web-uk n={}; runs={}, threads={:?}\n",
-        opts.suite.rmat_scale,
-        opts.suite.sbm_vertices,
-        opts.suite.web_vertices,
-        opts.runs,
-        opts.threads
+        "# suite: rmat-{}-16, sbm-lj n={}, web-uk n={}\n",
+        opts.suite.rmat_scale, opts.suite.sbm_vertices, opts.suite.web_vertices
     );
 
-    if wants("table1") {
-        table1(&opts);
+    if wants("all") || wants("quality") {
+        quality(&default_suite(&opts.suite));
     }
-
-    // Experiments below need the suite.
-    let needs_suite = [
-        "table2", "table3", "fig1", "fig2", "ablation", "phases", "quality",
-    ]
-    .iter()
-    .any(|e| wants(e));
-    let suite = if needs_suite {
-        let t = Timer::start();
-        let s = default_suite(&opts.suite);
-        eprintln!("[suite built in {}]", fmt_secs(t.elapsed_secs()));
-        s
-    } else {
-        Vec::new()
-    };
-
-    if wants("table2") {
-        table2(&suite);
-    }
-    if wants("graphs") {
-        graphs_experiment(&opts);
-    }
-
-    let scaling_needed = wants("table3") || wants("fig1") || wants("fig2");
-    if scaling_needed {
-        let data = run_scaling(&suite, &opts);
-        if wants("fig1") {
-            fig1(&data);
-        }
-        if wants("fig2") {
-            fig2(&data);
-        }
-        if wants("table3") {
-            table3(&data);
-        }
-    }
-    if wants("fig3") {
-        fig3(&opts);
-    }
-    if wants("ablation") {
-        ablation(&suite, &opts);
-    }
-    if wants("phases") {
-        phases(&suite);
-    }
-    if wants("quality") {
-        quality(&suite);
-    }
-    if opts.experiments.iter().any(|e| e == "mixing") {
+    if wants("mixing") {
         mixing(&opts);
     }
-    if opts.experiments.iter().any(|e| e == "reorder") {
-        reorder(&opts);
-    }
-}
-
-// ----- Table I: platform characteristics ---------------------------------
-
-fn table1(opts: &Options) {
-    println!("## Table I — processor characteristics (this host)");
-    let model = std::fs::read_to_string("/proc/cpuinfo")
-        .ok()
-        .and_then(|s| {
-            s.lines()
-                .find(|l| l.starts_with("model name"))
-                .map(|l| l.split(':').nth(1).unwrap_or("?").trim().to_string())
-        })
-        .unwrap_or_else(|| "unknown".into());
-    let logical = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    println!(
-        "{:<40} {:>8} {:>16}",
-        "Processor", "# logical", "sweep threads"
-    );
-    println!("{:<40} {:>8} {:>16?}", model, logical, opts.threads);
-    println!("(paper: Cray XMT 128p, XMT2 64p, Xeon E7-8870 4x10c, X5650 2x6c, X5570 2x4c)\n");
-}
-
-// ----- Table II: graph sizes ---------------------------------------------
-
-fn table2(suite: &[NamedGraph]) {
-    println!("## Table II — sizes of graphs used for performance evaluation");
-    println!(
-        "{:<12} {:>12} {:>14} {:>14}",
-        "graph", "|V|", "|E|", "weight"
-    );
-    for g in suite {
-        println!(
-            "{:<12} {:>12} {:>14} {:>14}",
-            g.name,
-            g.graph.num_vertices(),
-            g.graph.num_edges(),
-            g.graph.total_weight()
-        );
-    }
-    println!("(paper: rmat-24-16 15.6M/263M, soc-LiveJournal1 4.8M/69M, uk-2007-05 106M/3.3G)\n");
-}
-
-// ----- Scaling sweeps (Table III, Figures 1-2) ---------------------------
-
-struct ScalingData<'a> {
-    per_graph: Vec<(&'a NamedGraph, Vec<SweepPoint>)>,
-}
-
-fn run_scaling<'a>(suite: &'a [NamedGraph], opts: &Options) -> ScalingData<'a> {
-    let config = Config::paper_performance();
-    let per_graph = suite
-        .iter()
-        .map(|g| {
-            eprintln!("[sweeping {} ...]", g.name);
-            let pts = run_sweep(&g.graph, &config, &opts.threads, opts.runs);
-            (g, pts)
-        })
-        .collect();
-    ScalingData { per_graph }
-}
-
-fn fig1(data: &ScalingData) {
-    println!("## Figure 1 — execution time vs threads (coverage >= 0.5 rule)");
-    for (g, pts) in &data.per_graph {
-        println!("graph {}:", g.name);
-        println!(
-            "  {:>7} {:>10} {:>10} {:>10}",
-            "threads", "min", "median", "max"
-        );
-        for p in pts {
-            println!(
-                "  {:>7} {:>10} {:>10} {:>10}",
-                p.threads,
-                fmt_secs(p.secs.min()),
-                fmt_secs(p.secs.median()),
-                fmt_secs(p.secs.max())
-            );
-        }
-    }
-    println!();
-}
-
-fn fig2(data: &ScalingData) {
-    println!("## Figure 2 — parallel speed-up over one thread");
-    for (g, pts) in &data.per_graph {
-        println!("graph {}:", g.name);
-        println!("  {:>7} {:>9}", "threads", "speed-up");
-        let best = speedups(pts)
-            .into_iter()
-            .map(|(t, s)| {
-                println!("  {:>7} {:>8.2}x", t, s);
-                s
-            })
-            .fold(0.0f64, f64::max);
-        println!("  best achieved speed-up: {best:.2}x");
-    }
-    println!("(paper: up to 24.8x on 64p XMT2, 16.5x on 40-core Intel for rmat-24-16)\n");
-}
-
-fn table3(data: &ScalingData) {
-    println!("## Table III — peak processing rate (input edges/second)");
-    println!("{:<12} {:>14} {:>10}", "graph", "edges/s", "threads");
-    for (g, pts) in &data.per_graph {
-        let best = pts
-            .iter()
-            .max_by(|a, b| {
-                a.edges_per_sec(g.graph.num_edges())
-                    .total_cmp(&b.edges_per_sec(g.graph.num_edges()))
-            })
-            .expect("non-empty sweep");
-        println!(
-            "{:<12} {:>14} {:>10}",
-            g.name,
-            fmt_rate(best.edges_per_sec(g.graph.num_edges())),
-            best.threads
-        );
-    }
-    println!("(paper peaks: 6.9e6 E7-8870 soc-LJ, 5.9e6 rmat, 6.5e6 uk-2007-05)\n");
-}
-
-// ----- Figure 3: the largest graph ---------------------------------------
-
-fn fig3(opts: &Options) {
-    println!("## Figure 3 — largest graph (web-uk at 2x suite size)");
-    let n = 2 * opts.suite.web_vertices;
-    let t = Timer::start();
-    let web = web_graph(&WebParams::uk_like(n, opts.suite.seed + 3));
-    eprintln!("[web-uk-large generated in {}]", fmt_secs(t.elapsed_secs()));
-    println!(
-        "web-uk-large: |V| = {}, |E| = {}",
-        web.graph.num_vertices(),
-        web.graph.num_edges()
-    );
-    let pts = run_sweep(
-        &web.graph,
-        &Config::paper_performance(),
-        &opts.threads,
-        opts.runs,
-    );
-    println!(
-        "  {:>7} {:>10} {:>9} {:>14}",
-        "threads", "time(min)", "speed-up", "edges/s"
-    );
-    let base = pts[0].secs.min();
-    for p in &pts {
-        println!(
-            "  {:>7} {:>10} {:>8.2}x {:>14}",
-            p.threads,
-            fmt_secs(p.secs.min()),
-            base / p.secs.min(),
-            fmt_rate(p.edges_per_sec(web.graph.num_edges()))
-        );
-    }
-    println!("(paper: 504.9s on 80-thread E7-8870, 13.7x; 1063s on 64p XMT2, 29.6x)\n");
-}
-
-// ----- §V-B: graph construction ------------------------------------------
-
-fn graphs_experiment(opts: &Options) {
-    println!("## Graph construction (R-MAT generation + largest component, §V-B)");
-    let p = RmatParams::paper(opts.suite.rmat_scale, opts.suite.seed);
-    let t = Timer::start();
-    let edges = rmat_edges(&p);
-    let gen_secs = t.elapsed_secs();
-    let t = Timer::start();
-    let g = pcd_graph::builder::from_edges(p.num_vertices(), edges);
-    let build_secs = t.elapsed_secs();
-    let t = Timer::start();
-    let largest = pcd_graph::subgraph::largest_component(&g);
-    let cc_secs = t.elapsed_secs();
-    println!(
-        "  generate {} edges:        {}",
-        p.num_generated_edges(),
-        fmt_secs(gen_secs)
-    );
-    println!(
-        "  dedup/build ({} uniq):   {}",
-        g.num_edges(),
-        fmt_secs(build_secs)
-    );
-    println!(
-        "  largest component:        {}  ({} of {} vertices, {:.1}%)",
-        fmt_secs(cc_secs),
-        largest.graph.num_vertices(),
-        g.num_vertices(),
-        100.0 * largest.graph.num_vertices() as f64 / g.num_vertices() as f64
-    );
-    println!();
-}
-
-// ----- Ablation: new vs 2011 kernels --------------------------------------
-
-fn ablation(suite: &[NamedGraph], opts: &Options) {
-    println!("## Ablation — improved (2012) vs baseline (2011) kernels");
-    println!("   matching: unmatched-list vs full edge-sweep");
-    println!("   contraction: bucket-sort (prefix-sum / fetch-add) vs linked-list chains");
-    let max_threads = *opts.threads.iter().max().unwrap_or(&1);
-    let combos: [(&str, MatcherKind, ContractorKind); 4] = [
-        (
-            "new-match + bucket(prefix)",
-            MatcherKind::UnmatchedList,
-            ContractorKind::Bucket,
-        ),
-        (
-            "new-match + bucket(f&a)",
-            MatcherKind::UnmatchedList,
-            ContractorKind::BucketFetchAdd,
-        ),
-        (
-            "new-match + linked-list",
-            MatcherKind::UnmatchedList,
-            ContractorKind::Linked,
-        ),
-        (
-            "old-match + linked-list",
-            MatcherKind::EdgeSweep,
-            ContractorKind::Linked,
-        ),
-    ];
-    for g in suite {
-        println!("graph {}:", g.name);
-        println!(
-            "  {:<28} {:>10} {:>10} {:>9}",
-            "kernels", "min", "median", "vs new"
-        );
-        let mut base = None;
-        for (label, matcher, contractor) in combos {
-            let cfg = Config::paper_performance()
-                .with_matcher(matcher)
-                .with_contractor(contractor);
-            let pts = run_sweep(&g.graph, &cfg, &[max_threads], opts.runs);
-            let secs = &pts[0].secs;
-            let b = *base.get_or_insert(secs.min());
-            println!(
-                "  {:<28} {:>10} {:>10} {:>8.2}x",
-                label,
-                fmt_secs(secs.min()),
-                fmt_secs(secs.median()),
-                secs.min() / b
-            );
-        }
-    }
-    println!("(paper: ~20% end-to-end improvement over the 2011 implementation on the XMT;\n the 2011 OpenMP port 'executed too slowly to evaluate')\n");
-}
-
-// ----- Phase breakdown -----------------------------------------------------
-
-fn phases(suite: &[NamedGraph]) {
-    println!("## Phase breakdown — contraction share of kernel time (§IV-C)");
-    for g in suite {
-        let r = detect(g.graph.clone(), &Config::paper_performance());
-        let (s, m, c) = r.phase_totals();
-        println!(
-            "graph {}: score {:.0}%, match {:.0}%, contract {:.0}%  (paper: contraction 40-80%)",
-            g.name,
-            100.0 * s / (s + m + c),
-            100.0 * m / (s + m + c),
-            100.0 * c / (s + m + c)
-        );
-        println!(
-            "  {:>5} {:>10} {:>11} {:>9} {:>9} {:>9}",
-            "level", "|V|", "|E|", "score", "match", "contract"
-        );
-        for l in &r.levels {
-            println!(
-                "  {:>5} {:>10} {:>11} {:>9} {:>9} {:>9}",
-                l.level,
-                l.num_vertices,
-                l.num_edges,
-                fmt_secs(l.score_secs),
-                fmt_secs(l.match_secs),
-                fmt_secs(l.contract_secs)
-            );
-        }
-    }
-    println!();
 }
 
 // ----- LFR mixing sweep (extension) ----------------------------------------
@@ -453,44 +149,6 @@ fn mixing(opts: &Options) {
     println!("(expected shape: all methods high at mu<=0.3, degrading beyond)\n");
 }
 
-// ----- Vertex-ordering sensitivity (extension) ------------------------------
-
-fn reorder(opts: &Options) {
-    println!("## Vertex-ordering sensitivity — detection time under renumbering");
-    let web = web_graph(&WebParams::uk_like(
-        opts.suite.web_vertices,
-        opts.suite.seed + 2,
-    ));
-    let g = web.graph;
-    let orderings: Vec<(&str, pcd_graph::Graph)> = vec![
-        ("natural", g.clone()),
-        (
-            "degree-desc",
-            pcd_graph::reorder::apply(&g, &pcd_graph::reorder::degree_descending(&g)),
-        ),
-        (
-            "bfs",
-            pcd_graph::reorder::apply(&g, &pcd_graph::reorder::bfs_order(&g)),
-        ),
-    ];
-    println!("  {:<12} {:>10} {:>10}", "ordering", "min", "median");
-    for (name, graph) in orderings {
-        let pts = run_sweep(
-            &graph,
-            &Config::paper_performance(),
-            &[*opts.threads.iter().max().unwrap_or(&1)],
-            opts.runs,
-        );
-        println!(
-            "  {:<12} {:>10} {:>10}",
-            name,
-            fmt_secs(pts[0].secs.min()),
-            fmt_secs(pts[0].secs.median())
-        );
-    }
-    println!("(the parity hash is designed to tolerate hub-heavy orderings; expect\n modest spreads rather than cliffs)\n");
-}
-
 // ----- Quality vs sequential baselines -------------------------------------
 
 fn quality(suite: &[NamedGraph]) {
@@ -498,11 +156,11 @@ fn quality(suite: &[NamedGraph]) {
     for g in suite {
         println!("graph {}:", g.name);
         println!(
-            "  {:<18} {:>8} {:>8} {:>9} {:>8} {:>9}",
-            "method", "Q", "cover", "#comm", "NMI", "time"
+            "  {:<18} {:>8} {:>8} {:>9} {:>8}",
+            "method", "Q", "cover", "#comm", "NMI"
         );
         let truth = g.ground_truth.as_deref();
-        let report = |label: &str, a: &[u32], secs: f64| {
+        let report = |label: &str, a: &[u32]| {
             let (dense, k) = pcd_metrics::compact_labels(a);
             let q = pcd_metrics::modularity(&g.graph, &dense);
             let cov = pcd_metrics::coverage(&g.graph, &dense);
@@ -514,41 +172,47 @@ fn quality(suite: &[NamedGraph]) {
                     )
                 })
                 .unwrap_or_else(|| "-".into());
-            println!(
-                "  {:<18} {:>8.4} {:>8.3} {:>9} {:>8} {:>9}",
-                label,
-                q,
-                cov,
-                k,
-                nmi,
-                fmt_secs(secs)
-            );
+            println!("  {label:<18} {q:>8.4} {cov:>8.3} {k:>9} {nmi:>8}");
         };
 
-        let t = Timer::start();
         let r = detect(g.graph.clone(), &Config::default());
-        report("parallel-agglom", &r.assignment, t.elapsed_secs());
-
-        let t = Timer::start();
+        report("parallel-agglom", &r.assignment);
         let refined = pcd_core::refine::refine(&g.graph, &r.assignment, 10);
-        report("  + refinement", &refined.assignment, t.elapsed_secs());
-
-        let t = Timer::start();
-        let a = pcd_baseline::louvain(&g.graph);
-        report("louvain (seq)", &a, t.elapsed_secs());
-
-        let t = Timer::start();
-        let a = pcd_baseline::label_propagation(&g.graph, 30);
-        report("labelprop (seq)", &a, t.elapsed_secs());
-
+        report("  + refinement", &refined.assignment);
+        report("louvain (seq)", &pcd_baseline::louvain(&g.graph));
+        report(
+            "labelprop (seq)",
+            &pcd_baseline::label_propagation(&g.graph, 30),
+        );
         // CNM is O(E log E)-ish with big constants; keep it to small graphs.
         if g.graph.num_edges() <= 700_000 {
-            let t = Timer::start();
-            let a = pcd_baseline::cnm(&g.graph);
-            report("cnm (seq)", &a, t.elapsed_secs());
+            report("cnm (seq)", &pcd_baseline::cnm(&g.graph));
         } else {
             println!("  {:<18} (skipped: graph too large)", "cnm (seq)");
         }
     }
     println!("(paper: 'smaller graphs' resulting modularities appear reasonable vs SNAP')\n");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn tiny_suite_builds() {
+        let p = SuiteParams {
+            rmat_scale: 8,
+            sbm_vertices: 500,
+            web_vertices: 800,
+            seed: 1,
+        };
+        let suite = default_suite(&p);
+        assert_eq!(suite.len(), 3);
+        for g in &suite {
+            assert!(g.graph.num_edges() > 0, "{} empty", g.name);
+            assert_eq!(g.graph.validate(), Ok(()), "{} invalid", g.name);
+        }
+        assert!(suite[1].ground_truth.is_some());
+        assert!(suite[2].ground_truth.is_some());
+    }
 }

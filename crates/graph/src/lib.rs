@@ -17,14 +17,12 @@
 //!
 //! Space matches the paper: `3|V| + 3|E|` words plus scalars.
 
-pub mod bfs;
 pub mod builder;
 pub mod components;
 pub mod csr;
 pub mod edge;
 pub mod extract;
 pub mod io;
-pub mod reorder;
 pub mod stats;
 pub mod subgraph;
 pub mod triangles;

@@ -116,25 +116,6 @@ impl RunStats {
     }
 }
 
-/// Formats a duration in seconds with sensible precision (`12.3s`, `45ms`).
-pub fn fmt_secs(s: f64) -> String {
-    if s >= 100.0 {
-        format!("{s:.0}s")
-    } else if s >= 1.0 {
-        format!("{s:.2}s")
-    } else if s >= 1e-3 {
-        format!("{:.1}ms", s * 1e3)
-    } else {
-        format!("{:.1}us", s * 1e6)
-    }
-}
-
-/// Formats a rate such as edges/second in engineering notation, mirroring
-/// the paper's Table III (`6.90e6` edges/s style).
-pub fn fmt_rate(r: f64) -> String {
-    format!("{:.2e}", r)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -169,13 +150,5 @@ mod tests {
         assert!(b >= a);
         assert_eq!(TickClock::ticks_to_secs(1_500_000_000), 1.5);
         assert_eq!(TickClock::ticks_to_secs(0), 0.0);
-    }
-
-    #[test]
-    fn fmt_secs_ranges() {
-        assert_eq!(fmt_secs(123.4), "123s");
-        assert_eq!(fmt_secs(1.5), "1.50s");
-        assert_eq!(fmt_secs(0.0451), "45.1ms");
-        assert_eq!(fmt_secs(0.0000207), "20.7us");
     }
 }

@@ -7,7 +7,7 @@
 //! (IEEE IPDPSW/MTAAP 2012), including every substrate its evaluation
 //! depends on: the bucketed edge-array graph, parallel greedy matching,
 //! parallel bucket-sort contraction, graph generators, sequential
-//! baselines, quality metrics and the full benchmark harness.
+//! baselines, quality metrics and the benchmark harness.
 //!
 //! ## Quickstart
 //!
@@ -28,8 +28,10 @@
 //! `detect_many` batches independent graphs across worker threads with
 //! one warm engine per worker.
 //!
-//! See the `examples/` directory for realistic end-to-end scenarios and
-//! `pcd-bench`'s `repro` binary for the paper's tables and figures.
+//! See the `examples/` directory for realistic end-to-end scenarios,
+//! `pcd-bench`'s `bench_gate` binary, whose `paper*` rows time the
+//! paper's figures and tables, and its `repro` binary for the quality
+//! tables.
 
 pub use pcd_baseline as baseline;
 pub use pcd_contract as contract;

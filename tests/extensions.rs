@@ -1,10 +1,9 @@
 //! Integration tests for the extension features: multilevel refinement,
-//! vertex reordering, community extraction, seed expansion, and the
+//! numbering invariance, community extraction, seed expansion, and the
 //! parallel Louvain baseline — all wired through the public facade.
 
 use parcomm::core::multilevel::refine_multilevel;
 use parcomm::graph::extract::extract_communities;
-use parcomm::graph::reorder;
 use parcomm::prelude::*;
 
 #[test]
@@ -24,23 +23,47 @@ fn multilevel_improves_lfr_quality() {
     );
 }
 
+/// Relabels `g` by `new_of_old` (a bijection on its vertices).
+fn relabel(g: &Graph, new_of_old: &[u32]) -> Graph {
+    let map = |v: u32| new_of_old[v as usize];
+    let mut edges: Vec<(u32, u32, u64)> = g.edges().map(|(i, j, w)| (map(i), map(j), w)).collect();
+    edges.extend(
+        (0..g.num_vertices() as u32)
+            .filter(|&v| g.self_loop(v) > 0)
+            .map(|v| (map(v), map(v), g.self_loop(v))),
+    );
+    parcomm::graph::builder::from_edges(g.num_vertices(), edges)
+}
+
 #[test]
 fn detection_quality_is_numbering_invariant() {
-    // Relabel the graph with hub-first and BFS orders: detected community
-    // *structure* must agree up to label names with the original run.
+    // Relabel the graph hub-first and by a seeded shuffle: detected
+    // community *structure* must agree up to label names with the
+    // original run.
     let sbm = parcomm::gen::sbm_graph(&parcomm::gen::SbmParams::livejournal_like(3_000, 5));
     let g = sbm.graph;
+    let n = g.num_vertices();
     let base = detect(g.clone(), &Config::default());
 
-    for (name, perm) in [
-        ("degree", reorder::degree_descending(&g)),
-        ("bfs", reorder::bfs_order(&g)),
-    ] {
-        let h = reorder::apply(&g, &perm);
-        let r = detect(h, &Config::default());
+    // `order[k]` is the old vertex that gets new id `k`.
+    let vol = g.volumes();
+    let mut hubs_first: Vec<u32> = (0..n as u32).collect();
+    hubs_first.sort_by_key(|&v| (std::cmp::Reverse(vol[v as usize]), v));
+    let mut shuffled: Vec<u32> = (0..n as u32).collect();
+    let mut rng = parcomm::util::rng::ChaCha8Rng::seed_from_u64(11);
+    for k in (1..n).rev() {
+        shuffled.swap(k, rng.gen_range(0..=k));
+    }
+
+    for (name, order) in [("hubs-first", hubs_first), ("shuffled", shuffled)] {
+        let mut new_of_old = vec![0u32; n];
+        for (new, &old) in order.iter().enumerate() {
+            new_of_old[old as usize] = new as u32;
+        }
+        let r = detect(relabel(&g, &new_of_old), &Config::default());
         // Translate the permuted assignment back to original numbering.
-        let back: Vec<u32> = (0..g.num_vertices())
-            .map(|old| r.assignment[perm.new_of_old[old] as usize])
+        let back: Vec<u32> = (0..n)
+            .map(|old| r.assignment[new_of_old[old] as usize])
             .collect();
         // Vertex numbering feeds the parity hash and every tie-break, so
         // the matching legitimately differs — but the recovered structure

@@ -60,7 +60,6 @@ pub(crate) const API_LOCK: &str = "API.lock";
 /// a reviewed xtask edit, mirroring `UNSAFE_BUDGET`.
 pub(crate) const WAIVER_BUDGETS: &[(&str, &str, usize)] = &[
     ("crates/baseline/src/labelprop.rs", "panic", 2),
-    ("crates/bench/src/sweep.rs", "panic", 2),
     ("crates/contract/src/bucket.rs", "alloc", 1),
     ("crates/core/src/budget.rs", "panic", 1),
     ("crates/core/src/driver.rs", "panic", 1),
