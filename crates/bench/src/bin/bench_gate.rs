@@ -66,6 +66,7 @@ use pcd_core::{
 use pcd_gen::classic::clique_ring;
 use pcd_gen::{rmat_graph, sbm_graph, web_graph, RmatParams, SbmParams, WebParams};
 use pcd_graph::{builder, Graph};
+use pcd_trace::json::{json_f64, json_str};
 use pcd_trace::{merge_runs, metrics_json, Registry, TraceObserver};
 use pcd_util::par;
 use pcd_util::pool::{pin_global, sweep_thread_counts, with_threads};
@@ -1022,34 +1023,6 @@ fn render(
     s.push_str(&rows.join(",\n"));
     s.push_str("\n  ]\n}\n");
     s
-}
-
-/// JSON string literal (the harness only emits ASCII names, but escape
-/// defensively anyway).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Finite floats only: JSON has no NaN/Inf, map them to null.
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".into()
-    }
 }
 
 fn json_opt(v: Option<u64>) -> String {

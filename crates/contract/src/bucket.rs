@@ -5,7 +5,8 @@
 //! unless it folds into a self-loop:
 //!
 //! 1. **Relabel and count.** The edges are cut into stripes, one per
-//!    thread the pass runs on. Each stripe relabels its edges' endpoints
+//!    thread the pass runs on, each owning a row of counters
+//!    ([`par::Stripes`]). Each stripe relabels its edges' endpoints
 //!    through an old→new vertex map and re-canonicalises them under the
 //!    parity hash; an edge whose endpoints coincide folds into the new
 //!    vertex's self-loop, and every other edge bumps its stripe's own
@@ -13,7 +14,7 @@
 //!    runs the pipeline on the map [`relabel_into`] derives from it, so
 //!    each matched edge folds here like any other coinciding edge.
 //! 2. **Bucket** the surviving edges by their new stored-first endpoint:
-//!    the stripes' counts sum to each bucket's length, a [`Placement`]
+//!    the stripes' column sums are the buckets' lengths, a [`Placement`]
 //!    lays the buckets out in the scatter arena, and each stripe's
 //!    counters become its cursors inside them. Each stripe then relabels
 //!    its edges again and writes them through its own cursors, so every
@@ -89,24 +90,24 @@ pub fn contract(g: &Graph, m: &Matching, sort: RowSort, placement: Placement) ->
 }
 
 /// Reusable working storage for the pipeline: the relabel map and its
-/// prefix-sum buffer, the stripes' counters, bucket counts and offsets,
-/// the scatter arena, and the shortened buckets' offsets. Every buffer is
-/// cleared and logically resized per call; capacity only grows, so
-/// steady-state contraction allocates nothing. The radix row sort's
-/// second arena is not here: it is the output graph's `dst`/`weight`
-/// storage, which compaction overwrites only after the row pass.
+/// prefix-sum buffer, the stripes' counters ([`par::Stripes`]: first each
+/// stripe's per-bucket edge counts, then its cursors into the buckets),
+/// bucket counts and offsets, the scatter arena, and the shortened
+/// buckets' offsets. Every buffer is cleared and logically resized per
+/// call; capacity only grows, so steady-state contraction allocates
+/// nothing. The radix row sort's second arena is not here: it is the
+/// output graph's `dst`/`weight` storage, which compaction overwrites
+/// only after the row pass.
 ///
-/// `stripe_counts` is a stripes × `num_new` matrix, row `b` belonging to
-/// the edges of stripe `b`: first its per-bucket edge counts, then its
-/// cursors into the buckets. `bucket_off` and `final_off` hold
-/// `num_new + 1` entries: under prefix-sum placement both are row-offset
-/// prefixes ending in their total, which is what lets the per-row passes
-/// cut their chunks by row length ([`par::for_each_mut_init_weighted`]).
+/// `bucket_off` and `final_off` hold `num_new + 1` entries: under
+/// prefix-sum placement both are row-offset prefixes ending in their
+/// total, which is what lets the per-row passes cut their chunks by row
+/// length ([`par::for_each_mut_init_weighted`]).
 #[derive(Debug, Default)]
 pub struct ContractScratch {
     is_leader: Vec<usize>,
     new_of_old: Vec<VertexId>,
-    stripe_counts: Vec<usize>,
+    stripes: par::Stripes,
     counts: Vec<usize>,
     bucket_off: Vec<usize>,
     tmp_dst: Vec<u32>,
@@ -141,7 +142,7 @@ impl ContractScratch {
         use std::mem::size_of;
         self.is_leader.capacity() * size_of::<usize>()
             + self.new_of_old.capacity() * size_of::<VertexId>()
-            + self.stripe_counts.capacity() * size_of::<usize>()
+            + self.stripes.scratch_bytes()
             + self.counts.capacity() * size_of::<usize>()
             + self.bucket_off.capacity() * size_of::<usize>()
             + self.tmp_dst.capacity() * size_of::<u32>()
@@ -217,7 +218,7 @@ fn contract_rows(
 ) -> Graph {
     assert_eq!(new_of_old.len(), g.num_vertices());
     let ContractScratch {
-        stripe_counts,
+        stripes,
         counts,
         bucket_off,
         tmp_dst,
@@ -226,45 +227,34 @@ fn contract_rows(
         ..
     } = scratch;
     let ne = g.num_edges();
-    // Stripe `b` is chunk `b` of a region over the edges cut into one chunk
-    // per thread the region runs on; both edge passes cut the same chunks.
-    let stripe = ne.div_ceil(par::width_for(ne)).max(1);
-    let stripes = ne.div_ceil(stripe);
 
     // Phase 1: old self-loops fold through the map, then each stripe
     // relabels and re-canonicalises its edges. An edge whose endpoints
     // coincide folds its weight into the new vertex's self-loop; every
     // other edge counts towards its new source's bucket in the stripe's
-    // own row of `stripe_counts`.
+    // own row of counters.
     parts.self_loop.clear();
     parts.self_loop.resize(num_new, 0);
-    stripe_counts.clear();
-    stripe_counts.resize(stripes * num_new, 0);
+    stripes.reset(ne, num_new);
     {
         let self_c = as_atomic_u64(&mut parts.self_loop);
         // ORDERING: RELAXED — pure weight accumulation (atomicity only);
-        // the join barrier publishes the totals.
+        // the self-loop fetch_add is the only cross-stripe accumulation,
+        // and the join barrier publishes the totals.
         par::for_each(g.num_vertices(), |v| {
             let s = g.self_loop(v as u32);
             if s > 0 {
                 self_c[new_of_old[v] as usize].fetch_add(s, RELAXED);
             }
         });
-        let cells = as_atomic_usize(stripe_counts);
-        par::for_ranges(ne, stripe, |b, range| {
-            // ORDERING: RELAXED — row `b` has one writer, this stripe, so
-            // its counters take a plain load and store; the self-loop
-            // fetch_add is the only cross-stripe accumulation and needs
-            // atomicity only. The join barrier publishes both.
-            let row = &cells[b * num_new..(b + 1) * num_new];
+        stripes.for_each(|mut row, range| {
             for e in range {
                 let (i, j, w) = g.edge(e);
                 let (ni, nj) = (new_of_old[i as usize], new_of_old[j as usize]);
                 if ni == nj {
                     self_c[ni as usize].fetch_add(w, RELAXED);
                 } else {
-                    let c = &row[canonical_order(ni, nj).0 as usize];
-                    c.store(c.load(RELAXED) + 1, RELAXED);
+                    row.bump(canonical_order(ni, nj).0 as usize);
                 }
             }
         });
@@ -273,12 +263,7 @@ fn contract_rows(
     // Phase 2: a bucket's length is its column sum over the stripes.
     counts.clear();
     counts.resize(num_new, 0);
-    {
-        let stripe_counts: &[usize] = stripe_counts;
-        par::for_each_mut(counts, |v, c| {
-            *c = (0..stripes).map(|b| stripe_counts[b * num_new + v]).sum();
-        });
-    }
+    stripes.column_sums(counts);
     let counts: &[usize] = counts;
     let (live, longest) = counts
         .iter()
@@ -312,50 +297,31 @@ fn contract_rows(
     }
     let bucket_off: &[usize] = bucket_off;
 
-    // Each column of counts becomes the stripes' cursors into its bucket:
-    // stripe `b` starts at `bucket_off[v]` plus the counts of stripes
-    // `0..b`, so the stripes fill disjoint, abutting runs of the bucket.
-    {
-        let cells = as_atomic_usize(stripe_counts);
-        par::for_each(num_new, |v| {
-            // ORDERING: RELAXED — column `v` has one writer, this task;
-            // the join barrier publishes the cursors to the scatter.
-            let mut at = bucket_off[v];
-            for b in 0..stripes {
-                let c = &cells[b * num_new + v];
-                let n = c.load(RELAXED);
-                c.store(at, RELAXED);
-                at += n;
-            }
-        });
-    }
+    // Each column of counts becomes the stripes' cursors into its bucket,
+    // so the stripes fill disjoint, abutting runs of the bucket.
+    stripes.cursors_from(&bucket_off[..num_new]);
 
     // Phase 2b: each stripe relabels its edges again and writes the
     // survivors through its own cursors. Within a bucket the edges sit in
-    // stripe order, which follows the width; the row sort below erases it.
+    // edge order at any width; the row sort below reorders them anyway.
     tmp_dst.clear();
     tmp_dst.resize(live, 0);
     tmp_w.clear();
     tmp_w.resize(live, 0);
     {
-        let cur = as_atomic_usize(stripe_counts);
         let dst_c = as_atomic_u32(tmp_dst);
         let w_c = as_atomic_u64(tmp_w);
-        par::for_ranges(ne, stripe, |b, range| {
-            // ORDERING: RELAXED — row `b`'s cursors have one writer, this
-            // stripe, and hand each of its edges a distinct slot inside
-            // the stripe's own run of the bucket, so every slot has one
-            // writer; the join barrier publishes the arena to the row pass
-            // that follows.
-            let row = &cur[b * num_new..(b + 1) * num_new];
+        stripes.for_each(|mut row, range| {
+            // ORDERING: RELAXED — the stripe's cursors hand each of its
+            // edges a distinct slot inside the stripe's own run of the
+            // bucket, so every slot has one writer; the join barrier
+            // publishes the arena to the row pass that follows.
             for e in range {
                 let (i, j, w) = g.edge(e);
                 let (ni, nj) = (new_of_old[i as usize], new_of_old[j as usize]);
                 if ni != nj {
                     let (s, d) = canonical_order(ni, nj);
-                    let c = &row[s as usize];
-                    let pos = c.load(RELAXED);
-                    c.store(pos + 1, RELAXED);
+                    let pos = row.take(s as usize);
                     dst_c[pos].store(d, RELAXED);
                     w_c[pos].store(w, RELAXED);
                 }

@@ -11,6 +11,10 @@
 //! re-computed gain is still positive. The commit pass costs one
 //! adjacency rescan per proposing vertex; the expensive part — the argmax
 //! over every neighboring community of every vertex — stays parallel.
+//! Both passes read the level graph's adjacency from the
+//! [`LabelScratch`]'s [`pcd_graph::Csr`], refreshed into its own buffers
+//! at the start of every level, where each neighbour sits next to the
+//! weight of the edge to it.
 //!
 //! Invariants this buys:
 //!
@@ -22,7 +26,8 @@
 //!   commits at least one move; a sweep without proposals converges.
 //! * **Deterministic**: community weights are commutative integer sums,
 //!   the argmax tie-breaks on the label id, and the commit pass runs in
-//!   vertex order — results are bit-identical for any thread count.
+//!   vertex order — results are bit-identical for any thread count and
+//!   any order of a row's neighbours.
 //!
 //! The move phase produces labels, not merges; the louvain arm of
 //! [`crate::kernel::match_level`] feeds them to
@@ -60,7 +65,7 @@ pub fn synchronous_move_phase(
     scratch: &mut LabelScratch,
 ) -> MoveStats {
     let nv = g.num_vertices();
-    scratch.build_adjacency(g);
+    scratch.csr.refresh(g);
     scratch.reset_labels(nv);
     g.volumes_into(&mut scratch.vol);
     scratch.vertex_vol.clear();
@@ -80,14 +85,12 @@ pub fn synchronous_move_phase(
     let LabelScratch {
         labels,
         labels_next,
-        offsets,
-        nbr,
-        eid,
+        csr,
         vol,
         vertex_vol,
         ..
     } = scratch;
-    let weights = g.weights();
+    let (xadj, adj, wgt) = (&csr.xadj, &csr.adj, &csr.wgt);
 
     while stats.sweeps < max_sweeps {
         stats.sweeps += 1;
@@ -105,21 +108,21 @@ pub fn synchronous_move_phase(
             let vol_ro: &[Weight] = vol;
             par::for_each_mut_init_weighted(
                 labels_next,
-                offsets,
+                xadj,
                 // analyze: allow(alloc, reason = "per-worker label accumulator and touched list; one allocation each per participating thread, not per vertex")
                 || (vec![0 as Weight; nv], Vec::new()),
                 |(acc, touched): &mut (Vec<Weight>, Vec<VertexId>), u, target| {
                     let a = labels_ro[u];
                     *target = a;
-                    for s in offsets[u]..offsets[u + 1] {
-                        let lab = labels_ro[nbr[s] as usize];
+                    for s in xadj[u]..xadj[u + 1] {
+                        let lab = labels_ro[adj[s] as usize];
                         if acc[lab as usize] == 0 {
                             // A zero-weight edge can list a label twice;
                             // scoring it twice changes nothing below.
                             // analyze: allow(alloc, reason = "per-worker touched list; amortized by clear+reuse across vertices")
                             touched.push(lab);
                         }
-                        acc[lab as usize] += weights[eid[s]];
+                        acc[lab as usize] += wgt[s];
                     }
                     if touched.is_empty() {
                         return;
@@ -178,9 +181,9 @@ pub fn synchronous_move_phase(
                 continue;
             }
             let (mut w_a, mut w_b): (Weight, Weight) = (0, 0);
-            for s in offsets[u]..offsets[u + 1] {
-                let l = labels[nbr[s] as usize];
-                let w = weights[eid[s]];
+            for s in xadj[u]..xadj[u + 1] {
+                let l = labels[adj[s] as usize];
+                let w = wgt[s];
                 if l == a {
                     w_a += w;
                 } else if l == b {

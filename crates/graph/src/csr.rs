@@ -1,19 +1,29 @@
-//! Compressed-sparse-row adjacency view.
+//! Compressed-sparse-row adjacency: the tree's one neighbour list in both
+//! directions.
 //!
-//! The bucketed representation stores each edge once; several consumers
-//! (sequential baselines, BFS, per-vertex neighbourhood scans) want the full
-//! adjacency of every vertex. [`Csr`] materialises both directions in
-//! parallel: histogram of endpoint degrees, prefix-sum offsets, atomic-cursor
-//! scatter, then a per-vertex sort for determinism.
+//! The bucketed representation stores each edge once; the Louvain move
+//! phase, refinement, the baselines and per-vertex neighbourhood scans
+//! want every vertex's full adjacency. [`Csr::refresh`] builds it into the
+//! capacity its buffers already have, on the stripe-private count → cursor
+//! → scatter that contraction uses ([`par::Stripes`]):
+//!
+//! 1. **Count.** Each stripe of edges bumps both endpoints in its own row
+//!    of counters. The column sums are the degrees, and their prefix sum
+//!    is `xadj`.
+//! 2. **Scatter.** Each edge takes one slot in each endpoint's row
+//!    through its stripe's cursors, so every slot has one writer and no
+//!    edge takes an atomic read-modify-write.
+//! 3. **Sort** each row by neighbour id in place, through one reused
+//!    buffer per worker, in a pass cut by row length.
 
 use crate::Graph;
-use pcd_util::par;
-use pcd_util::scan::offsets_from_counts;
-use pcd_util::sync::{AtomicUsize, SendPtr, RELAXED};
+use pcd_util::par::{self, Stripes};
+use pcd_util::scan::exclusive_prefix_sum;
+use pcd_util::sync::{as_atomic_u32, as_atomic_u64, RELAXED};
 use pcd_util::{VertexId, Weight};
 
 /// Symmetric CSR adjacency: for every vertex, all incident edges.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Csr {
     /// `xadj[v]..xadj[v+1]` indexes `adj`/`wgt` for vertex `v`.
     pub xadj: Vec<usize>,
@@ -25,84 +35,115 @@ pub struct Csr {
     pub self_loop: Vec<Weight>,
     /// Total weight `m`, as in [`Graph::total_weight`].
     pub total_weight: Weight,
+    /// The build's per-stripe counters, kept for their capacity.
+    stripes: Stripes,
 }
 
 impl Csr {
     /// Builds the symmetric adjacency from a bucketed graph.
     pub fn from_graph(g: &Graph) -> Self {
-        let nv = g.num_vertices();
-        let ne = g.num_edges();
+        let mut csr = Csr::default();
+        csr.refresh(g);
+        csr
+    }
 
-        // Degree histogram counting both endpoints.
-        let counts: Vec<AtomicUsize> = (0..nv).map(|_| AtomicUsize::new(0)).collect();
-        par::for_each(ne, |e| {
-            let (i, j, _) = g.edge(e);
-            // ORDERING: RELAXED — degree counters, atomicity only; the
-            // join barrier orders the into_inner() reads after it.
-            counts[i as usize].fetch_add(1, RELAXED);
-            counts[j as usize].fetch_add(1, RELAXED);
-        });
-        let counts: Vec<usize> = counts.into_iter().map(|c| c.into_inner()).collect();
-        let xadj = offsets_from_counts(&counts);
-        let total = xadj[nv];
-
-        // Scatter with per-vertex atomic cursors.
-        let cursor: Vec<AtomicUsize> = xadj[..nv].iter().map(|&o| AtomicUsize::new(o)).collect();
-        let mut adj = vec![0u32; total];
-        let mut wgt = vec![0u64; total];
-        {
-            let adj_c = pcd_util::sync::as_atomic_u32(&mut adj);
-            let wgt_c = pcd_util::sync::as_atomic_u64(&mut wgt);
-            par::for_each(ne, |e| {
-                // ORDERING: RELAXED — each fetch_add claims a distinct slot
-                // in vertex i/j's extent, so every store has one writer;
-                // the join barrier publishes adj/wgt to the sort below.
-                let (i, j, w) = g.edge(e);
-                let pi = cursor[i as usize].fetch_add(1, RELAXED);
-                adj_c[pi].store(j, RELAXED);
-                wgt_c[pi].store(w, RELAXED);
-                let pj = cursor[j as usize].fetch_add(1, RELAXED);
-                adj_c[pj].store(i, RELAXED);
-                wgt_c[pj].store(w, RELAXED);
-            });
-        }
-
-        // Deterministic neighbour order within each vertex.
-        let adj_ptr = SendPtr(adj.as_mut_ptr());
-        let wgt_ptr = SendPtr(wgt.as_mut_ptr());
-        par::for_each(nv, |v| {
-            let (adj_ptr, wgt_ptr) = (&adj_ptr, &wgt_ptr);
-            let (b, e) = (xadj[v], xadj[v + 1]);
-            // SAFETY: `xadj` is a strictly partitioning prefix-sum, so the
-            // half-open ranges `[b, e)` are pairwise disjoint across
-            // vertices and in-bounds for `adj`/`wgt` (both have length
-            // `xadj[nv]`); no other reference touches the buffers while
-            // the parallel region runs.
-            unsafe {
-                let a = std::slice::from_raw_parts_mut(adj_ptr.0.add(b), e - b);
-                let w = std::slice::from_raw_parts_mut(wgt_ptr.0.add(b), e - b);
-                let mut perm: Vec<usize> = (0..a.len()).collect();
-                perm.sort_unstable_by_key(|&k| a[k]);
-                let a2: Vec<u32> = perm.iter().map(|&k| a[k]).collect();
-                let w2: Vec<u64> = perm.iter().map(|&k| w[k]).collect();
-                a.copy_from_slice(&a2);
-                w.copy_from_slice(&w2);
-            }
-        });
-
-        Csr {
+    /// Rebuilds the adjacency for `g` in place (module docs, steps 1–3),
+    /// reusing the capacity of every buffer, as
+    /// `ScoreContext::refresh` does for the scorer's context.
+    pub fn refresh(&mut self, g: &Graph) {
+        let (nv, ne) = (g.num_vertices(), g.num_edges());
+        let Csr {
             xadj,
             adj,
             wgt,
-            self_loop: g.self_loops().to_vec(),
-            total_weight: g.total_weight(),
-        }
+            self_loop,
+            total_weight,
+            stripes,
+        } = self;
+
+        stripes.reset(ne, nv);
+        stripes.for_each(|mut row, range| {
+            for e in range {
+                let (i, j, _) = g.edge(e);
+                row.bump(i as usize);
+                row.bump(j as usize);
+            }
+        });
+        xadj.clear();
+        xadj.resize(nv + 1, 0);
+        stripes.column_sums(&mut xadj[..nv]);
+        let total = exclusive_prefix_sum(&mut xadj[..nv]);
+        xadj[nv] = total;
+        let xadj: &[usize] = xadj;
+        stripes.cursors_from(&xadj[..nv]);
+
+        adj.clear();
+        adj.resize(total, 0);
+        wgt.clear();
+        wgt.resize(total, 0);
+        let (adj_c, wgt_c) = (as_atomic_u32(adj), as_atomic_u64(wgt));
+        stripes.for_each(|mut row, range| {
+            // ORDERING: RELAXED — each take hands out a distinct slot of
+            // the stripe's own run of the row, so every slot has one
+            // writer; the join barrier publishes the rows to the sort.
+            for e in range {
+                let (i, j, w) = g.edge(e);
+                let s = row.take(i as usize);
+                adj_c[s].store(j, RELAXED);
+                wgt_c[s].store(w, RELAXED);
+                let s = row.take(j as usize);
+                adj_c[s].store(i, RELAXED);
+                wgt_c[s].store(w, RELAXED);
+            }
+        });
+
+        // One pass per vertex, cut by row length: copy the self-loop and
+        // sort the row by neighbour id through the worker's buffer.
+        self_loop.clear();
+        self_loop.resize(nv, 0);
+        par::for_each_mut_init_weighted(
+            self_loop,
+            xadj,
+            // analyze: allow(alloc, reason = "one sort buffer per participating thread, reused across the rows it sorts")
+            Vec::new,
+            |buf: &mut Vec<(VertexId, Weight)>, v, loop_w| {
+                *loop_w = g.self_loop(v as VertexId);
+                let (lo, hi) = (xadj[v], xadj[v + 1]);
+                if hi - lo < 2 {
+                    return;
+                }
+                // ORDERING: RELAXED — row `v` is this task's alone, and
+                // the join barrier publishes the sorted rows.
+                buf.clear();
+                buf.resize(hi - lo, (0, 0));
+                for (slot, s) in buf.iter_mut().zip(lo..hi) {
+                    *slot = (adj_c[s].load(RELAXED), wgt_c[s].load(RELAXED));
+                }
+                buf.sort_unstable();
+                for (&(a, w), s) in buf.iter().zip(lo..hi) {
+                    adj_c[s].store(a, RELAXED);
+                    wgt_c[s].store(w, RELAXED);
+                }
+            },
+        );
+        *total_weight = g.total_weight();
+    }
+
+    /// Heap bytes retained (capacity, not length), as the scratch ledgers
+    /// that hold a `Csr` count them.
+    pub fn scratch_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.xadj.capacity() * size_of::<usize>()
+            + self.adj.capacity() * size_of::<VertexId>()
+            + self.wgt.capacity() * size_of::<Weight>()
+            + self.self_loop.capacity() * size_of::<Weight>()
+            + self.stripes.scratch_bytes()
     }
 
     #[inline]
     /// Number of vertices.
     pub fn num_vertices(&self) -> usize {
-        self.xadj.len() - 1
+        self.xadj.len().saturating_sub(1)
     }
 
     /// Degree (number of distinct neighbours) of `v`.
@@ -114,11 +155,11 @@ impl Csr {
     /// Neighbours of `v` with edge weights.
     #[inline]
     pub fn neighbors(&self, v: VertexId) -> impl Iterator<Item = (VertexId, Weight)> + '_ {
-        let r = self.xadj[v as usize]..self.xadj[v as usize + 1];
-        self.adj[r.clone()]
+        let (lo, hi) = (self.xadj[v as usize], self.xadj[v as usize + 1]);
+        self.adj[lo..hi]
             .iter()
             .copied()
-            .zip(self.wgt[r].iter().copied())
+            .zip(self.wgt[lo..hi].iter().copied())
     }
 
     /// Weighted degree including self-loop volume:
@@ -129,7 +170,6 @@ impl Csr {
     }
 }
 
-/// Send+Sync wrapper for a raw pointer used only on disjoint ranges.
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -183,6 +223,32 @@ mod tests {
         let csr = Csr::from_graph(&g);
         assert_eq!(csr.adj.len(), 2 * g.num_edges());
         assert_eq!(csr.total_weight, g.total_weight());
+    }
+
+    #[test]
+    fn refresh_over_a_larger_graphs_buffers_equals_a_fresh_build() {
+        let mut b = GraphBuilder::new(40);
+        for i in 0..40u32 {
+            for j in (i + 1..40).filter(|j| (i * j) % 3 != 1) {
+                b = b.add_edge(i, j, u64::from(i + j) % 5 + 1);
+            }
+            b = b.add_self_loop(i, u64::from(i % 4));
+        }
+        let big = b.build();
+        let small = GraphBuilder::new(5)
+            .add_pairs([(3, 0), (0, 4), (2, 1)])
+            .add_self_loop(2, 9)
+            .build();
+        let mut csr = Csr::from_graph(&big);
+        csr.refresh(&small);
+        let fresh = Csr::from_graph(&small);
+        assert_eq!(csr.xadj, fresh.xadj);
+        assert_eq!(csr.adj, fresh.adj);
+        assert_eq!(csr.wgt, fresh.wgt);
+        assert_eq!(csr.self_loop, fresh.self_loop);
+        assert_eq!(csr.total_weight, fresh.total_weight);
+        assert_eq!(csr.neighbors(0).collect::<Vec<_>>(), [(3, 1), (4, 1)]);
+        assert!(csr.scratch_bytes() > fresh.scratch_bytes());
     }
 
     #[test]

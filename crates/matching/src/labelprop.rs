@@ -3,11 +3,9 @@
 //! `pcd-core` computes those labels in.
 //!
 //! 1. **Adjacency** — the level graph stores each edge once (in one
-//!    endpoint's bucket), so a reusable CSR over *both* directions is
-//!    built first ([`LabelScratch::build_adjacency`]). Slot order within
-//!    a row is schedule-dependent (fetch-add placement), which is
-//!    harmless: every consumer aggregates with commutative integer sums
-//!    and label-keyed argmax.
+//!    endpoint's bucket), so the move phase refreshes the scratch's
+//!    [`Csr`] over *both* directions first ([`Csr::refresh`]), reusing
+//!    its buffers from level to level.
 //! 2. **Match** ([`match_within_labels`]) — the real scores are
 //!    *boosted*: every positively-scored edge whose endpoints share a
 //!    label gains a constant larger than any positive score. Boosting
@@ -24,9 +22,8 @@
 
 use crate::parallel::{match_unmatched_list_scratch, MatchScratch};
 use crate::MatchOutcome;
-use pcd_graph::Graph;
+use pcd_graph::{Csr, Graph};
 use pcd_util::par;
-use pcd_util::sync::{as_atomic_u32, as_atomic_usize, RELAXED};
 use pcd_util::{VertexId, Weight};
 
 /// Reusable storage for the label-guided matcher: the label double buffer,
@@ -42,18 +39,13 @@ pub struct LabelScratch {
     /// Synchronous double buffer; the move phase stores proposal targets
     /// here between its parallel and commit passes.
     pub labels_next: Vec<VertexId>,
-    /// CSR row offsets over both edge directions (`nv + 1` entries).
-    pub offsets: Vec<usize>,
-    /// CSR neighbor ids (`2 |E|` entries, self-loops excluded).
-    pub nbr: Vec<VertexId>,
-    /// CSR edge ids aligned with `nbr` (each edge appears twice).
-    pub eid: Vec<usize>,
+    /// The level graph's adjacency in both directions, refreshed by the
+    /// move phase on every level.
+    pub csr: Csr,
     /// Per-label volumes, updated as the move phase commits moves.
     pub vol: Vec<Weight>,
     /// Immutable per-vertex volumes (`2·self_loop + Σ incident weight`).
     pub vertex_vol: Vec<Weight>,
-    /// CSR build cursors.
-    pub cursor: Vec<usize>,
     /// Label-boosted copy of the scores for the guided matching.
     pub boosted: Vec<f64>,
 }
@@ -70,68 +62,10 @@ impl LabelScratch {
         use std::mem::size_of;
         self.labels.capacity() * size_of::<VertexId>()
             + self.labels_next.capacity() * size_of::<VertexId>()
-            + self.offsets.capacity() * size_of::<usize>()
-            + self.nbr.capacity() * size_of::<VertexId>()
-            + self.eid.capacity() * size_of::<usize>()
+            + self.csr.scratch_bytes()
             + self.vol.capacity() * size_of::<Weight>()
             + self.vertex_vol.capacity() * size_of::<Weight>()
-            + self.cursor.capacity() * size_of::<usize>()
             + self.boosted.capacity() * size_of::<f64>()
-    }
-
-    /// Builds the bidirectional CSR for `g`: counts per-vertex degrees in
-    /// parallel, prefix-sums the offsets, then places both directions of
-    /// every edge with fetch-add cursors. Slot order within a row is
-    /// schedule-dependent; every consumer aggregates commutatively, so
-    /// results stay bit-deterministic for any thread count.
-    pub fn build_adjacency(&mut self, g: &Graph) {
-        let nv = g.num_vertices();
-        let ne = g.num_edges();
-        self.cursor.clear();
-        self.cursor.resize(nv, 0);
-        {
-            let deg = as_atomic_usize(&mut self.cursor);
-            par::for_each(ne, |e| {
-                let (i, j, _) = g.edge(e);
-                debug_assert_ne!(i, j, "self-loops live in the self_loops array");
-                // ORDERING: RELAXED — commutative counters, published by
-                // the join barrier.
-                deg[i as usize].fetch_add(1, RELAXED);
-                deg[j as usize].fetch_add(1, RELAXED);
-            });
-        }
-        self.offsets.clear();
-        self.offsets.reserve(nv + 1);
-        let mut acc = 0usize;
-        for v in 0..nv {
-            // analyze: allow(alloc, reason = "push into a buffer reserved to its exact final length above")
-            self.offsets.push(acc);
-            acc += self.cursor[v];
-        }
-        // analyze: allow(alloc, reason = "push into a buffer reserved to its exact final length above")
-        self.offsets.push(acc);
-        self.nbr.clear();
-        self.nbr.resize(acc, 0);
-        self.eid.clear();
-        self.eid.resize(acc, 0);
-        self.cursor[..nv].copy_from_slice(&self.offsets[..nv]);
-        {
-            let cur = as_atomic_usize(&mut self.cursor);
-            let nbr = as_atomic_u32(&mut self.nbr);
-            let eid = as_atomic_usize(&mut self.eid);
-            par::for_each(ne, |e| {
-                let (i, j, _) = g.edge(e);
-                // ORDERING: RELAXED throughout — every slot index is
-                // claimed by exactly one fetch_add, so the stores are
-                // disjoint; the join barrier publishes them.
-                let si = cur[i as usize].fetch_add(1, RELAXED);
-                nbr[si].store(j, RELAXED);
-                eid[si].store(e, RELAXED);
-                let sj = cur[j as usize].fetch_add(1, RELAXED);
-                nbr[sj].store(i, RELAXED);
-                eid[sj].store(e, RELAXED);
-            });
-        }
     }
 
     /// Resets `labels` to the singleton partition (every vertex its own

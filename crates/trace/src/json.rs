@@ -1,7 +1,8 @@
 //! `parcomm-metrics-v1` and `parcomm-trace-v1` JSON exporters.
 //!
-//! Hand-rolled like `bench_gate`'s `parcomm-bench-v4` writer, and parsed
-//! back by the dependency-free validator in `xtask` (`cargo xtask metrics`).
+//! Hand-rolled, and parsed back by the dependency-free validator in
+//! `xtask` (`cargo xtask metrics`). [`json_str`] and [`json_f64`] also
+//! write `bench_gate`'s `parcomm-bench-v4` report.
 //! Histogram buckets carry explicit non-cumulative counts with `"le": null`
 //! standing for the `+Inf` overflow bucket. Non-finite gauge values are
 //! emitted as `null` so the document is always strict JSON (which has no
@@ -12,7 +13,7 @@ use crate::ring::SpanRing;
 use std::fmt::Write as _;
 
 /// Escapes `s` as a JSON string literal, quotes included.
-fn json_str(s: &str) -> String {
+pub fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
@@ -32,8 +33,8 @@ fn json_str(s: &str) -> String {
     out
 }
 
-/// A finite f64 as JSON, `null` otherwise.
-fn json_f64(v: f64) -> String {
+/// A finite f64 as JSON, `null` otherwise (JSON has no NaN or infinity).
+pub fn json_f64(v: f64) -> String {
     if v.is_finite() {
         format!("{v}")
     } else {

@@ -9,9 +9,9 @@
 //! * [`sync`] — the audited synchronisation layer: every atomic type,
 //!   ordering choice and lock-free retry loop in the workspace routes
 //!   through it (enforced by `cargo xtask lint`), and `--cfg loom` swaps
-//!   in loom's model-checked doubles. Includes the CAS-based fetch-max
-//!   over packed `(score, index)` keys and atomic `f64` accumulation that
-//!   replace XMT full/empty-bit hot spots.
+//!   in loom's model-checked doubles. Its one CAS retry loop
+//!   (`cas_improve_u64`) backs the matchers' proposal registers, where the
+//!   XMT used full/empty bits.
 //! * [`par`] — the fork-join layer every parallel loop runs on: scoped
 //!   worker threads claiming fixed index chunks from an atomic cursor,
 //!   ordered collection and width-independent reductions.

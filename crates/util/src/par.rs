@@ -32,10 +32,11 @@
 //! [`for_each_mut_init_weighted`], and [`chunks_mut`]), ordered collection
 //! ([`map`], and [`map_init`] for coarse items), [`sum`], [`any`] and
 //! [`all`] — plus [`width_for`], which tells a caller how many threads a
-//! region over `n` items would run on.
+//! region over `n` items would run on, and [`Stripes`], the one-stripe-per-
+//! thread counters of a count → cursor → scatter built on it.
 
 use crate::pool::current_threads;
-use crate::sync::{AtomicBool, AtomicUsize, SendPtr, RELAXED};
+use crate::sync::{as_atomic_usize, AtomicBool, AtomicUsize, SendPtr, RELAXED};
 use std::cell::Cell;
 use std::mem::{ManuallyDrop, MaybeUninit};
 use std::ops::Range;
@@ -105,8 +106,8 @@ fn allowed_width(parallel: bool) -> usize {
 /// The number of threads a region over `n` items would run on: 1 when it
 /// runs inline — at most [`SEQ_CUTOFF`] items, started inside another
 /// region, or a width of 1 — and the caller's width otherwise. A loop that
-/// keeps one piece of state per participant ([`for_ranges`] with
-/// `n.div_ceil(width_for(n))` items per chunk) sizes that state with it.
+/// keeps one piece of state per participant sizes that state with it, as
+/// [`Stripes`] does.
 pub fn width_for(n: usize) -> usize {
     allowed_width(n > SEQ_CUTOFF)
 }
@@ -261,6 +262,123 @@ pub fn for_ranges(n: usize, size: usize, f: impl Fn(usize, Range<usize>) + Sync)
     region(n.div_ceil(size), n > SEQ_CUTOFF, &|| {
         move |c| f(c, chunk_range(c, size, n))
     });
+}
+
+/// Stripe-private counters for a count → cursor → scatter over `0..n`
+/// items that each land under some of `keys` keys (a bucket, a CSR row).
+///
+/// [`Stripes::reset`] cuts the items into one stripe per thread a region
+/// over them runs on ([`width_for`]), each stripe owning a row of `keys`
+/// counters. A count pass ([`Stripes::for_each`], calling
+/// [`StripeRow::bump`]) fills each row with its stripe's per-key counts;
+/// [`Stripes::column_sums`] gives each key's total, from which the caller
+/// lays out the keys' extents; [`Stripes::cursors_from`] rewrites each
+/// column into the stripes' cursors inside its key's extent; and a scatter
+/// pass ([`Stripes::for_each`] again, calling [`StripeRow::take`]) hands
+/// every item its own slot. Stripe `b` starts where stripes `0..b` end, so
+/// the stripes fill disjoint, abutting runs of each extent, a key's items
+/// land in item order at any width, and no item needs an atomic
+/// read-modify-write. Both passes must visit the same items under the same
+/// keys.
+///
+/// The matrix keeps its capacity across resets.
+#[derive(Debug, Clone, Default)]
+pub struct Stripes {
+    /// Row-major stripes × `stride()` counters, row `b` owned by stripe `b`.
+    cells: Vec<usize>,
+    keys: usize,
+    /// Items per stripe; the last stripe may be shorter.
+    size: usize,
+    n: usize,
+}
+
+/// One stripe's row of counters during a [`Stripes::for_each`] pass.
+#[derive(Debug)]
+pub struct StripeRow<'a>(&'a mut [usize]);
+
+impl StripeRow<'_> {
+    /// Counts one item under key `k` (count pass).
+    #[inline]
+    pub fn bump(&mut self, k: usize) {
+        self.0[k] += 1;
+    }
+
+    /// Hands out the stripe's next slot in key `k`'s extent (scatter pass).
+    #[inline]
+    pub fn take(&mut self, k: usize) -> usize {
+        let at = self.0[k];
+        self.0[k] = at + 1;
+        at
+    }
+}
+
+impl Stripes {
+    /// Sizes the matrix for a region over `n` items: one stripe per thread
+    /// the region runs on, each with `keys` zeroed counters.
+    pub fn reset(&mut self, n: usize, keys: usize) {
+        self.n = n;
+        self.keys = keys;
+        self.size = n.div_ceil(width_for(n)).max(1);
+        let cells = self.stripes() * self.stride();
+        self.cells.clear();
+        self.cells.resize(cells, 0);
+    }
+
+    fn stripes(&self) -> usize {
+        self.n.div_ceil(self.size)
+    }
+
+    /// A row's length in `cells`: `keys`, but never 0, since the slice
+    /// region's chunks must not be empty (an empty graph has no keys).
+    fn stride(&self) -> usize {
+        self.keys.max(1)
+    }
+
+    /// Calls `f(row, range)` once per stripe, `range` being the stripe's
+    /// items and `row` its own counters.
+    pub fn for_each(&mut self, f: impl Fn(StripeRow<'_>, Range<usize>) + Sync) {
+        let (n, size, keys, stride) = (self.n, self.size, self.keys, self.stride());
+        let run = |lo: usize, row: &mut [usize]| {
+            let range = chunk_range(lo / stride, size, n);
+            f(StripeRow(&mut row[..keys]), range)
+        };
+        let parallel = n > SEQ_CUTOFF;
+        slice_region(&mut self.cells, Split::Items(stride), parallel, &|| &run);
+    }
+
+    /// Writes each key's count over all stripes into `out[k]`.
+    pub fn column_sums(&self, out: &mut [usize]) {
+        assert_eq!(out.len(), self.keys, "one sum per key");
+        let (stripes, stride, cells) = (self.stripes(), self.stride(), &self.cells);
+        for_each_mut(out, |k, sum| {
+            *sum = (0..stripes).map(|b| cells[b * stride + k]).sum();
+        });
+    }
+
+    /// Rewrites each column of counts into the stripes' cursors: stripe `b`
+    /// starts key `k` at `start[k]` plus the counts of stripes `0..b`.
+    pub fn cursors_from(&mut self, start: &[usize]) {
+        assert_eq!(start.len(), self.keys, "one start offset per key");
+        let (stripes, stride) = (self.stripes(), self.stride());
+        let cells = as_atomic_usize(&mut self.cells);
+        for_each(self.keys, |k| {
+            // ORDERING: RELAXED — column `k` has one writer, this task, so
+            // its cells take a plain load and store; the join barrier
+            // publishes the cursors to the scatter pass.
+            let mut at = start[k];
+            for b in 0..stripes {
+                let c = &cells[b * stride + k];
+                let count = c.load(RELAXED);
+                c.store(at, RELAXED);
+                at += count;
+            }
+        });
+    }
+
+    /// Heap bytes retained by the matrix (capacity, not length).
+    pub fn scratch_bytes(&self) -> usize {
+        self.cells.capacity() * std::mem::size_of::<usize>()
+    }
 }
 
 /// Calls `f(i, &mut data[i])` for every element of `data`.
@@ -659,6 +777,41 @@ mod tests {
             assert!(nested.iter().all(|&w| w == 1));
         });
         assert_eq!(with_threads(1, || width_for(big)), 1);
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore = "regions of SEQ_CUTOFF items are too slow under Miri")]
+    fn stripes_scatter_is_a_stable_counting_sort_at_every_width() {
+        // Above the cutoff, so widths 3 and 8 run three and eight stripes,
+        // each scattering through its own cursors.
+        let (n, keys) = (3 * SEQ_CUTOFF + 7, 1000);
+        let key = |i: usize| (i.wrapping_mul(0x9E37_79B9) >> 7) % keys;
+        let mut counts = vec![0usize; keys];
+        (0..n).for_each(|i| counts[key(i)] += 1);
+        let mut expect: Vec<usize> = (0..n).collect();
+        expect.sort_by_key(|&i| key(i));
+        for w in [1, 3, 8] {
+            let (mut stripes, mut sums, mut out) = (Stripes::default(), vec![0; keys], vec![0; n]);
+            with_threads(w, || {
+                stripes.reset(n, keys);
+                stripes.for_each(|mut row, range| range.for_each(|i| row.bump(key(i))));
+                stripes.column_sums(&mut sums);
+                let mut start = sums.clone();
+                crate::scan::exclusive_prefix_sum(&mut start);
+                stripes.cursors_from(&start);
+                let slots = as_atomic_usize(&mut out);
+                stripes.for_each(|mut row, range| {
+                    for i in range {
+                        // ORDERING: RELAXED — one writer per slot; the
+                        // join publishes them.
+                        slots[row.take(key(i))].store(i, RELAXED);
+                    }
+                });
+            });
+            assert_eq!(stripes.stripes(), w, "width {w}");
+            assert_eq!(sums, counts, "width {w}");
+            assert!(out == expect, "scatter differs at width {w}");
+        }
     }
 
     #[test]

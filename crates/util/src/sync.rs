@@ -79,62 +79,14 @@ pub const ACQUIRE: Ordering = Ordering::Acquire;
 
 /// `Ordering::AcqRel` — a read-modify-write that both observes the
 /// current winner and publishes a new one (pattern 2): the matcher's
-/// CAS-max proposal loops and packed fetch-max registers. Failure
-/// orderings stay [`RELAXED`]; a failed CAS publishes nothing.
+/// CAS-max proposal loops. Failure orderings stay [`RELAXED`]; a failed
+/// CAS publishes nothing.
 pub const ACQ_REL: Ordering = Ordering::AcqRel;
-
-/// Maps an `f64` to a `u64` such that the unsigned integer order matches the
-/// total order on floats (with `-0.0 < +0.0`, and NaN ordered above all
-/// finite values — callers must not feed NaN scores; debug builds assert).
-///
-/// This is the standard sign-flip trick: non-negative floats get the sign
-/// bit set; negative floats are bitwise-inverted.
-#[inline]
-pub fn ord_f64(x: f64) -> u64 {
-    debug_assert!(!x.is_nan(), "NaN score passed to ord_f64");
-    let bits = x.to_bits();
-    if bits >> 63 == 0 {
-        bits | (1 << 63)
-    } else {
-        !bits
-    }
-}
-
-/// Inverse of [`ord_f64`].
-#[inline]
-pub fn unord_f64(k: u64) -> f64 {
-    let bits = if k >> 63 == 1 { k & !(1 << 63) } else { !k };
-    f64::from_bits(bits)
-}
-
-/// Atomically sets `cell` to `max(cell, val)` and returns the previous
-/// value. `AcqRel` because the winning value is observed by racing readers
-/// (pattern 2).
-#[inline]
-pub fn fetch_max_u64(cell: &AtomicU64, val: u64) -> u64 {
-    #[cfg(not(loom))]
-    {
-        cell.fetch_max(val, ACQ_REL)
-    }
-    #[cfg(loom)]
-    {
-        // loom's fetch_max support lags the std API; an equivalent CAS
-        // loop keeps the model faithful to the access pattern.
-        let mut cur = cell.load(RELAXED);
-        while val > cur {
-            match cell.compare_exchange_weak(cur, val, ACQ_REL, RELAXED) {
-                Ok(prev) => return prev,
-                Err(actual) => cur = actual,
-            }
-        }
-        cur
-    }
-}
 
 /// CAS loop that installs `new` for as long as `improves(current)` holds;
 /// returns `true` if `new` was installed, `false` once the current value
 /// stops being improvable. This is the workspace's one blessed lock-free
-/// retry loop (matcher proposals, atomic `f64` accumulation).
+/// retry loop (the matchers' proposal registers).
 ///
 /// `improves` must describe a *stable* strict partial order on values
 /// (e.g. "strictly better under a total order on scores") — otherwise two
@@ -150,21 +102,6 @@ pub fn cas_improve_u64(cell: &AtomicU64, new: u64, mut improves: impl FnMut(u64)
         }
     }
     false
-}
-
-/// Atomically adds `val` to an `f64` stored as bits in an `AtomicU64`.
-///
-/// Only used on cold paths (quality metrics); hot paths use integer weights
-/// precisely so they can use plain `fetch_add`.
-pub fn fetch_add_f64(cell: &AtomicU64, val: f64) -> f64 {
-    let mut cur = cell.load(RELAXED);
-    loop {
-        let new = f64::from_bits(cur) + val;
-        match cell.compare_exchange_weak(cur, new.to_bits(), ACQ_REL, RELAXED) {
-            Ok(prev) => return f64::from_bits(prev),
-            Err(actual) => cur = actual,
-        }
-    }
 }
 
 // The `as_atomic_*` reinterprets are meaningless under loom (its atomics
@@ -286,99 +223,9 @@ impl CancelToken {
     }
 }
 
-/// A packed `(score, vertex)` proposal key with a total order: primary on
-/// score, secondary on vertex id. Packing both into one `u64` would lose
-/// `f64` precision, so the key spans two words conceptually but we only need
-/// the *edge index* to recover everything; see `pcd-matching` for use.
-///
-/// Here we provide the simpler 64-bit packing used by the *old* edge-sweep
-/// matching baseline: a 32-bit monotone score approximation and the partner
-/// id. The new matching keeps exact `f64` scores in a side array and CASes
-/// edge indices instead.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PackedBest(pub u64);
-
-impl PackedBest {
-    /// The "no proposal yet" register value.
-    pub const EMPTY: PackedBest = PackedBest(0);
-
-    /// Packs a score and partner. The score is squashed to a monotone `f32`;
-    /// ties broken by partner id (higher id wins, matching the paper's
-    /// "score then vertex indices" total order arbitrarily oriented).
-    ///
-    /// The score must be strictly positive: the sign-flip encoding maps
-    /// *negative* scores to keys greater than [`PackedBest::EMPTY`] (0),
-    /// so a non-positive proposal would beat an empty register and could
-    /// match a pair the scorer rejected. Matching only proposes positive
-    /// scores; debug builds enforce it here.
-    #[inline]
-    pub fn new(score: f64, partner: u32) -> Self {
-        debug_assert!(
-            score > 0.0,
-            "PackedBest requires a strictly positive score, got {score}"
-        );
-        let s = score as f32; // monotone squash
-        let bits = s.to_bits();
-        let key = if bits >> 31 == 0 {
-            bits | (1 << 31)
-        } else {
-            !bits
-        };
-        PackedBest(((key as u64) << 32) | partner as u64)
-    }
-
-    #[inline]
-    /// The packed partner id.
-    pub fn partner(self) -> u32 {
-        (self.0 & 0xFFFF_FFFF) as u32
-    }
-
-    #[inline]
-    /// True if no proposal has been packed.
-    pub fn is_empty(self) -> bool {
-        self.0 == 0
-    }
-}
-
 #[cfg(all(test, not(loom)))]
 mod tests {
     use super::*;
-
-    #[test]
-    fn ord_f64_is_monotone() {
-        let xs = [
-            f64::NEG_INFINITY,
-            -1e300,
-            -2.5,
-            -0.0,
-            0.0,
-            1e-300,
-            3.5,
-            1e300,
-            f64::INFINITY,
-        ];
-        for w in xs.windows(2) {
-            assert!(ord_f64(w[0]) <= ord_f64(w[1]), "{} vs {}", w[0], w[1]);
-        }
-        assert!(ord_f64(-0.0) < ord_f64(0.0));
-    }
-
-    #[test]
-    fn ord_f64_roundtrips() {
-        for &x in &[-123.75, -0.0, 0.0, 0.5, 42.0, f64::INFINITY] {
-            let y = unord_f64(ord_f64(x));
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-    }
-
-    #[test]
-    fn fetch_max_keeps_largest() {
-        let c = AtomicU64::new(5);
-        assert_eq!(fetch_max_u64(&c, 3), 5);
-        assert_eq!(c.load(RELAXED), 5);
-        assert_eq!(fetch_max_u64(&c, 9), 5);
-        assert_eq!(c.load(RELAXED), 9);
-    }
 
     #[test]
     fn cas_improve_installs_only_improvements() {
@@ -404,64 +251,6 @@ mod tests {
             }
         });
         assert_eq!(c.load(RELAXED), 8999);
-    }
-
-    #[test]
-    fn fetch_add_f64_accumulates() {
-        let c = AtomicU64::new(0f64.to_bits());
-        fetch_add_f64(&c, 1.5);
-        fetch_add_f64(&c, 2.25);
-        assert_eq!(f64::from_bits(c.load(RELAXED)), 3.75);
-    }
-
-    #[test]
-    fn fetch_add_f64_parallel_sum() {
-        let c = AtomicU64::new(0f64.to_bits());
-        std::thread::scope(|s| {
-            for _ in 0..8 {
-                let c = &c;
-                s.spawn(move || {
-                    for _ in 0..125 {
-                        fetch_add_f64(c, 0.25);
-                    }
-                });
-            }
-        });
-        assert_eq!(f64::from_bits(c.load(RELAXED)), 250.0);
-    }
-
-    #[test]
-    fn packed_best_orders_by_score_then_partner() {
-        let a = PackedBest::new(1.0, 7);
-        let b = PackedBest::new(2.0, 3);
-        assert!(b.0 > a.0);
-        let c = PackedBest::new(1.0, 9);
-        assert!(c.0 > a.0); // tie on score -> higher partner wins
-        assert_eq!(c.partner(), 9);
-        assert!(PackedBest::EMPTY.is_empty());
-    }
-
-    #[test]
-    fn packed_best_positive_scores_beat_empty() {
-        // Regression for the sign-flip footgun: every *positive* score must
-        // produce a key strictly above EMPTY, down to the smallest
-        // subnormal, so a real proposal always wins an empty register.
-        for &s in &[f64::MIN_POSITIVE, 1e-300, 0.5, 1.0, 1e300] {
-            assert!(
-                PackedBest::new(s, 1).0 > PackedBest::EMPTY.0,
-                "score {s} must beat EMPTY"
-            );
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "strictly positive score")]
-    #[cfg(debug_assertions)]
-    fn packed_best_rejects_non_positive_scores() {
-        // A non-positive score would encode to a key above EMPTY (the
-        // sign-flip maps negatives high), letting a rejected proposal win
-        // a register; debug builds refuse to construct one.
-        let _ = PackedBest::new(-1.0, 1);
     }
 
     #[test]

@@ -20,7 +20,10 @@
 //!   vertices but more edges, where only the work-weighted passes do —
 //!   the shape of every level after the first on the SBM. The R-MAT one
 //!   also runs the default pipeline end to end, so the matcher's carried
-//!   proposals and weighted scans are compared over every level.
+//!   proposals and weighted scans are compared over every level;
+//! * the bidirectional adjacency (`Csr`) on an R-MAT with more than
+//!   `SEQ_CUTOFF` edges, whose striped count and scatter passes are
+//!   checked against a sequential build at every width.
 //!
 //! The first-level check runs every kernel in the kind enums' `ALL`
 //! lists, the sequential oracles and the 2011 baselines included.
@@ -30,7 +33,7 @@ use parcomm::contract::ContractScratch;
 use parcomm::core::kernel::{contract_level, match_level};
 use parcomm::core::{score_all_into, DetectionResult, ScoreContext};
 use parcomm::gen::{rmat_graph, sbm_graph, RmatParams, SbmParams};
-use parcomm::graph::GraphParts;
+use parcomm::graph::{Csr, GraphParts};
 use parcomm::matching::verify::verify_matching;
 use parcomm::matching::MatchScratch;
 use parcomm::prelude::*;
@@ -216,4 +219,33 @@ fn default_detection_on_dense_rmat_is_bit_identical_across_widths() {
     let cfg = Config::default().with_recorded_levels();
     let base = detect_at_every_width(&dense_rmat(), &cfg);
     assert!(base.levels.len() > 1, "stopped after one level");
+}
+
+#[test]
+fn csr_build_is_bit_identical_across_widths() {
+    // More than `SEQ_CUTOFF` edges, so both edge passes leave the caller
+    // and scatter through one stripe's cursors per thread.
+    let g = rmat_graph(&RmatParams::paper(13, 23));
+    assert!(g.num_edges() > SEQ_CUTOFF, "edge regions run inline");
+    let mut rows = vec![Vec::new(); g.num_vertices()];
+    for (i, j, w) in g.edges() {
+        rows[i as usize].push((j, w));
+        rows[j as usize].push((i, w));
+    }
+    let mut xadj = vec![0];
+    let (mut adj, mut wgt) = (Vec::new(), Vec::new());
+    for row in &mut rows {
+        row.sort_unstable();
+        adj.extend(row.iter().map(|&(v, _)| v));
+        wgt.extend(row.iter().map(|&(_, w)| w));
+        xadj.push(adj.len());
+    }
+    for w in WIDTHS {
+        let csr = with_threads(w, || Csr::from_graph(&g));
+        assert!(csr.xadj == xadj, "xadj differs at width {w}");
+        assert!(csr.adj == adj, "adj differs at width {w}");
+        assert!(csr.wgt == wgt, "wgt differs at width {w}");
+        assert_eq!(csr.self_loop, g.self_loops(), "self-loops at width {w}");
+        assert_eq!(csr.total_weight, g.total_weight(), "m at width {w}");
+    }
 }

@@ -9,7 +9,7 @@
 
 use loom::sync::Arc;
 use loom::thread;
-use pcd_loom_models::sync::{cas_improve_u64, fetch_add_f64, fetch_max_u64};
+use pcd_loom_models::sync::cas_improve_u64;
 use pcd_loom_models::sync::{AtomicU64, ACQUIRE, RELAXED};
 
 /// Pattern 2 (CAS publish/observe): the best-proposal register converges
@@ -36,29 +36,6 @@ fn cas_max_register_linearizes_to_max() {
             h.join().unwrap();
         }
         assert_eq!(cell.load(ACQUIRE), 7);
-    });
-}
-
-/// Same register, driven through `fetch_max_u64` (which under loom is the
-/// CAS-loop fallback — this model is what certifies that fallback).
-#[test]
-fn fetch_max_converges() {
-    loom::model(|| {
-        let cell = Arc::new(AtomicU64::new(1));
-        let handles: Vec<_> = [4u64, 9]
-            .into_iter()
-            .map(|v| {
-                let cell = Arc::clone(&cell);
-                thread::spawn(move || {
-                    let prev = fetch_max_u64(&cell, v);
-                    assert!(prev == 1 || prev == 4 || prev == 9);
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(cell.load(ACQUIRE), 9);
     });
 }
 
@@ -134,27 +111,5 @@ fn contraction_weight_accumulation_conserves_total() {
         }
         let total: u64 = buckets.iter().map(|c| c.load(RELAXED)).sum();
         assert_eq!(total, 3 + 4 + 2);
-    });
-}
-
-/// The `f64` accumulator (metrics cold path) built on the blessed CAS
-/// loop: concurrent adds never lose an update.
-#[test]
-fn fetch_add_f64_never_drops_updates() {
-    loom::model(|| {
-        let cell = Arc::new(AtomicU64::new(0f64.to_bits()));
-        let handles: Vec<_> = [0.5f64, 0.25]
-            .into_iter()
-            .map(|v| {
-                let cell = Arc::clone(&cell);
-                thread::spawn(move || {
-                    fetch_add_f64(&cell, v);
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(f64::from_bits(cell.load(ACQUIRE)), 0.75);
     });
 }

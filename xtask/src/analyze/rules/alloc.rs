@@ -30,6 +30,7 @@ pub(crate) const HOT_FILES: &[&str] = &[
     "crates/core/src/follow.rs",
     "crates/core/src/louvain.rs",
     "crates/core/src/scorer.rs",
+    "crates/graph/src/csr.rs",
     "crates/matching/src/edge_sweep.rs",
     "crates/matching/src/labelprop.rs",
     "crates/matching/src/parallel.rs",

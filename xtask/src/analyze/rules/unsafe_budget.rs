@@ -18,7 +18,6 @@ use crate::analyze::{FileCtx, Violation};
 /// `// SAFETY:` comment; see the files themselves.
 pub(crate) const UNSAFE_BUDGET: &[(&str, usize)] = &[
     ("crates/contract/src/bucket.rs", 1),
-    ("crates/graph/src/csr.rs", 1),
     ("crates/util/src/alloc_stats.rs", 9),
     // The fork-join layer: disjoint chunk slices, ordered-collect
     // `set_len`, and moving coarse items out exactly once.
