@@ -185,9 +185,8 @@ pub fn contract_into(
 /// Returns the contracted graph; `new_of_old` is the caller's (it is *not*
 /// deposited in `scratch`).
 ///
-/// This is the vertex-following pre-pass's workhorse (a whole star of
-/// degree-1 hair contracts into its center in one call), and it builds
-/// the multilevel and refined community graphs.
+/// It builds the multilevel and refined community graphs, whose maps
+/// merge whole groups of vertices in one call.
 pub fn contract_map_into(
     g: &Graph,
     new_of_old: &[VertexId],

@@ -17,8 +17,8 @@
 //!   ([`Placement`]: prefix sum, or the racy global fetch-and-add the
 //!   paper "ha\[s\] not timed"). Every choice emits the same graph bit for
 //!   bit (DESIGN.md §15). Its map entry point [`contract_map_into`]
-//!   contracts along any many-to-one vertex map: vertex following,
-//!   multilevel and refined community graphs.
+//!   contracts along any many-to-one vertex map: multilevel and refined
+//!   community graphs.
 //! * [`linked`] — the 2011 baseline: hash-chain merging in the style of
 //!   John T. Feo's full/empty-bit linked lists, rendered honestly on Intel
 //!   hardware as mutex-guarded chains ("infeasible" under OpenMP — the

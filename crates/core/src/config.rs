@@ -1,8 +1,7 @@
 //! Detection configuration: metric, kernel implementations, constraints,
-//! resource budget, and termination criteria.
+//! resource budget, and the coverage stop.
 
 use crate::budget::Budget;
-use crate::termination::Criterion;
 use pcd_util::PcdError;
 
 /// Which optimisation metric scores edges.
@@ -249,9 +248,12 @@ pub struct Config {
     pub matcher: MatcherKind,
     /// Contraction kernel implementation.
     pub contractor: ContractorKind,
-    /// Extra termination criteria; the local-maximum exit (no positive
-    /// edge score) always applies.
-    pub criteria: Vec<Criterion>,
+    /// If set, stop after the first level whose coverage (the fraction of
+    /// edge weight inside communities) reaches this threshold — the
+    /// paper's external constraint, 0.5 in its §V experiments. `None`
+    /// runs to the local maximum (no positive edge score), which always
+    /// applies.
+    pub coverage_stop: Option<f64>,
     /// If set, merges that would grow a community past this many original
     /// vertices are masked out — the paper's "maximum community size"
     /// external constraint.
@@ -266,14 +268,6 @@ pub struct Config {
     /// sequential greedy completion and the level is flagged in
     /// [`crate::LevelStats::matcher_degraded`].
     pub max_match_rounds: Option<usize>,
-    /// Merge every degree-1 vertex into its sole neighbor before the level
-    /// loop starts (Lu & Halappanavar's *vertex following* heuristic):
-    /// detection then runs on the pruned graph and assignments expand back
-    /// through the follow map. Shrinks the first — largest — contraction
-    /// dramatically on hairy social graphs; off by default because it
-    /// changes which partition the greedy agglomeration converges to
-    /// (quality stays within the gated band, see `tests/dispatch_parity.rs`).
-    pub vertex_following: bool,
     /// Reuse the driver's per-level scratch arenas ([`crate::LevelScratch`])
     /// across levels (default). When `false`, every level rebuilds the
     /// arenas from empty — the pre-reuse allocation behaviour, kept as the
@@ -304,12 +298,11 @@ impl Default for Config {
             scorer: ScorerKind::default(),
             matcher: MatcherKind::default(),
             contractor: ContractorKind::default(),
-            criteria: Vec::new(),
+            coverage_stop: None,
             max_community_size: None,
             record_levels: false,
             paranoia: Paranoia::Off,
             max_match_rounds: None,
-            vertex_following: false,
             reuse_scratch: true,
             budget: Budget::unarmed(),
             sharding: false,
@@ -324,7 +317,7 @@ impl Config {
     /// reaches 0.5 (the DIMACS-challenge-style rule).
     pub fn paper_performance() -> Self {
         Config {
-            criteria: vec![Criterion::Coverage(0.5)],
+            coverage_stop: Some(0.5),
             ..Config::default()
         }
     }
@@ -361,9 +354,10 @@ impl Config {
     }
 
     #[must_use]
-    /// Adds an external termination criterion.
-    pub fn with_criterion(mut self, c: Criterion) -> Self {
-        self.criteria.push(c);
+    /// Stops after the first level whose coverage reaches `c` (see
+    /// [`Config::coverage_stop`]).
+    pub fn with_coverage_stop(mut self, c: f64) -> Self {
+        self.coverage_stop = Some(c);
         self
     }
 
@@ -392,15 +386,6 @@ impl Config {
     /// Overrides the matcher watchdog's round cap.
     pub fn with_max_match_rounds(mut self, n: usize) -> Self {
         self.max_match_rounds = Some(n);
-        self
-    }
-
-    #[must_use]
-    /// Enables or disables the vertex-following pre-pass (off by default):
-    /// degree-1 vertices merge into their sole neighbor before level 1,
-    /// and assignments expand back through the follow map afterwards.
-    pub fn with_vertex_following(mut self, on: bool) -> Self {
-        self.vertex_following = on;
         self
     }
 
@@ -434,34 +419,11 @@ impl Config {
     /// with a [`PcdError::Config`] instead of looping or panicking deep in
     /// a kernel.
     pub fn validate(&self) -> Result<(), PcdError> {
-        for c in &self.criteria {
-            match *c {
-                Criterion::Coverage(f) => {
-                    if !f.is_finite() || !(0.0..=1.0).contains(&f) {
-                        return Err(PcdError::config(format!(
-                            "coverage threshold {f} must be a finite fraction in [0, 1]"
-                        )));
-                    }
-                }
-                Criterion::MaxLevels(n) => {
-                    if n == 0 {
-                        return Err(PcdError::config("max-levels criterion must be at least 1"));
-                    }
-                }
-                Criterion::MinCommunities(n) => {
-                    if n == 0 {
-                        return Err(PcdError::config(
-                            "min-communities criterion must be at least 1",
-                        ));
-                    }
-                }
-                Criterion::MaxCommunitySize(n) => {
-                    if n == 0 {
-                        return Err(PcdError::config(
-                            "max-community-size criterion must be at least 1",
-                        ));
-                    }
-                }
+        if let Some(f) = self.coverage_stop {
+            if !f.is_finite() || !(0.0..=1.0).contains(&f) {
+                return Err(PcdError::config(format!(
+                    "coverage threshold {f} must be a finite fraction in [0, 1]"
+                )));
             }
         }
         if self.max_community_size == Some(0) {
@@ -489,7 +451,7 @@ mod tests {
         assert_eq!(c.scorer, ScorerKind::Modularity);
         assert_eq!(c.matcher, MatcherKind::UnmatchedList);
         assert_eq!(c.contractor, ContractorKind::Radix);
-        assert!(c.criteria.is_empty());
+        assert_eq!(c.coverage_stop, None);
         assert!(!c.budget.is_armed());
     }
 
@@ -510,7 +472,7 @@ mod tests {
     #[test]
     fn paper_performance_sets_coverage() {
         let c = Config::paper_performance();
-        assert_eq!(c.criteria, vec![Criterion::Coverage(0.5)]);
+        assert_eq!(c.coverage_stop, Some(0.5));
     }
 
     #[test]
@@ -523,7 +485,7 @@ mod tests {
     #[test]
     fn validate_rejects_bad_coverage() {
         for bad in [-0.1, 1.5, f64::NAN, f64::INFINITY] {
-            let c = Config::default().with_criterion(Criterion::Coverage(bad));
+            let c = Config::default().with_coverage_stop(bad);
             let err = c.validate().unwrap_err();
             assert!(err.to_string().contains("coverage"), "{err}");
         }
@@ -531,18 +493,6 @@ mod tests {
 
     #[test]
     fn validate_rejects_zero_knobs() {
-        assert!(Config::default()
-            .with_criterion(Criterion::MaxLevels(0))
-            .validate()
-            .is_err());
-        assert!(Config::default()
-            .with_criterion(Criterion::MinCommunities(0))
-            .validate()
-            .is_err());
-        assert!(Config::default()
-            .with_criterion(Criterion::MaxCommunitySize(0))
-            .validate()
-            .is_err());
         assert!(Config::default()
             .with_max_community_size(0)
             .validate()
@@ -701,23 +651,11 @@ mod tests {
             .with_scorer(ScorerKind::Conductance)
             .with_matcher(MatcherKind::Sequential)
             .with_contractor(ContractorKind::Linked)
-            .with_criterion(Criterion::MaxLevels(3))
+            .with_coverage_stop(0.7)
             .with_max_community_size(100);
         assert_eq!(c.scorer, ScorerKind::Conductance);
         assert_eq!(c.max_community_size, Some(100));
-        assert_eq!(c.criteria.len(), 1);
-    }
-
-    #[test]
-    fn vertex_following_rides_the_builder() {
-        assert!(!Config::default().vertex_following);
-        let c = Config::default()
-            .with_vertex_following(true)
-            .with_contractor(ContractorKind::Radix);
-        assert!(c.vertex_following);
-        assert_eq!(c.contractor, ContractorKind::Radix);
-        assert!(c.validate().is_ok());
-        assert!(!c.with_vertex_following(false).vertex_following);
+        assert_eq!(c.coverage_stop, Some(0.7));
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! off (the default), [`detect`] and [`try_detect`] construct a throwaway
 //! [`crate::Detector`] per call, which dispatches each phase on the
 //! configuration's kernel kinds ([`crate::kernel`]) and runs score →
-//! match → contract until a local maximum or an external criterion; with
+//! match → contract until a local maximum or the coverage stop; with
 //! sharding on, they go through the [`crate::shard`] pipeline, where
 //! connected components run concurrently on warm per-worker engines and
 //! merge deterministically. Callers running many detections keep a
@@ -48,9 +48,9 @@ pub fn try_detect(graph: Graph, config: &Config) -> Result<DetectionResult, PcdE
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::budget::Budget;
     use crate::config::{ContractorKind, MatcherKind, Paranoia, ScorerKind};
     use crate::result::StopReason;
-    use crate::termination::Criterion;
 
     #[test]
     fn clique_ring_finds_cliques() {
@@ -104,7 +104,7 @@ mod tests {
     fn coverage_criterion_stops_early() {
         let g = pcd_gen::rmat_graph(&pcd_gen::RmatParams::paper(10, 13));
         let full = detect(g.clone(), &Config::default());
-        let half = detect(g, &Config::paper_performance());
+        let half = detect(g.clone(), &Config::paper_performance());
         assert!(half.levels.len() <= full.levels.len());
         if half.stop_reason == StopReason::Criterion {
             assert!(half.coverage >= 0.5);
@@ -113,17 +113,19 @@ mod tests {
                 assert!(half.levels[half.levels.len() - 2].coverage < 0.5);
             }
         }
-    }
-
-    #[test]
-    fn max_levels_criterion() {
-        let g = pcd_gen::classic::clique_ring(16, 4);
-        let r = detect(
-            g,
-            &Config::default().with_criterion(Criterion::MaxLevels(1)),
-        );
-        assert_eq!(r.levels.len(), 1);
-        assert_eq!(r.stop_reason, StopReason::Criterion);
+        // The threshold is inclusive: set to exactly level k's recorded
+        // coverage (which rises strictly level to level), the run stops
+        // after level k.
+        assert!(full.levels.len() >= 2);
+        for (k, lvl) in (1..).zip(&full.levels) {
+            let r = detect(
+                g.clone(),
+                &Config::default().with_coverage_stop(lvl.coverage),
+            );
+            assert_eq!(r.levels.len(), k, "threshold {}", lvl.coverage);
+            assert_eq!(r.stop_reason, StopReason::Criterion);
+            assert_eq!(r.coverage.to_bits(), lvl.coverage.to_bits());
+        }
     }
 
     #[test]
@@ -180,7 +182,7 @@ mod tests {
             g,
             &Config::default()
                 .with_scorer(ScorerKind::Conductance)
-                .with_criterion(Criterion::MaxLevels(10)),
+                .with_budget(Budget::unarmed().with_max_levels(10)),
         );
         assert!(r.num_communities >= 1);
         assert!(r.coverage >= 0.0);
@@ -242,7 +244,7 @@ mod tests {
     #[test]
     fn try_detect_rejects_invalid_config() {
         let g = pcd_gen::classic::clique(4);
-        let cfg = Config::default().with_criterion(Criterion::Coverage(f64::NAN));
+        let cfg = Config::default().with_coverage_stop(f64::NAN);
         let err = try_detect(g, &cfg).unwrap_err();
         assert!(err.to_string().contains("coverage"), "{err}");
     }
@@ -331,16 +333,5 @@ mod tests {
                 fresh.community_vertex_counts
             );
         }
-    }
-
-    #[test]
-    fn min_communities_criterion() {
-        let g = pcd_gen::classic::clique_ring(16, 4);
-        let r = detect(
-            g,
-            &Config::default().with_criterion(Criterion::MinCommunities(20)),
-        );
-        assert_eq!(r.stop_reason, StopReason::Criterion);
-        assert!(r.num_communities <= 20);
     }
 }

@@ -25,7 +25,6 @@ use crate::observer::{LevelObserver, NoopObserver};
 use crate::result::{DetectionResult, LevelStats, StopReason, Termination};
 use crate::scorer::{any_positive, mask_oversized, score_all_into};
 use crate::scratch::LevelScratch;
-use crate::termination::{any_stops, LevelState};
 use pcd_graph::Graph;
 use pcd_matching::Matching;
 use pcd_util::par;
@@ -110,54 +109,6 @@ impl Detector {
         // folded through it once after the loop. So each tail level gathers
         // at most `SEQ_CUTOFF` entries, inline, not every input vertex.
         let mut pending: Vec<VertexId> = Vec::new();
-
-        // Vertex-following pre-pass (opt-in): merge every degree-1 vertex
-        // into its sole neighbor through one generic map contraction, so
-        // the level loop starts from the pruned graph. The follow map
-        // seeds `assignment`/`counts` exactly the way a level fold would,
-        // which keeps everything downstream — folds, expansion, metrics —
-        // oblivious to the pruning.
-        if config.vertex_following && n0 > 0 {
-            let num_pruned = crate::follow::follow_map_into(&g, &mut scratch.follow);
-            if num_pruned < n0 {
-                let map: &[VertexId] = &scratch.follow.new_of_old;
-                par::for_each_mut(&mut assignment, |_, a| {
-                    *a = map[*a as usize];
-                });
-                scratch.counts_next.clear();
-                scratch.counts_next.resize(num_pruned, 0);
-                {
-                    let cells = as_atomic_u64(&mut scratch.counts_next);
-                    // ORDERING: RELAXED — community-size fold is a pure
-                    // accumulation; the join barrier publishes the sums.
-                    par::for_each(n0, |v| {
-                        cells[map[v] as usize].fetch_add(1, RELAXED);
-                    });
-                }
-                std::mem::swap(&mut counts, &mut scratch.counts_next);
-                let pruned = pcd_contract::contract_map_into(
-                    &g,
-                    &scratch.follow.new_of_old,
-                    num_pruned,
-                    &mut scratch.contract,
-                    pcd_graph::GraphParts::default(),
-                );
-                if config.record_levels {
-                    // The dendrogram must chain from the original
-                    // vertices, so the follow map is its first entry
-                    // (there is no matching LevelStats row — the pre-pass
-                    // is not an agglomeration level). Cold opt-in path,
-                    // once per run: the dendrogram owns its maps.
-                    level_maps.push(scratch.follow.new_of_old.clone());
-                }
-                // The input graph's storage becomes the shadow for the
-                // first contraction.
-                let retired = std::mem::replace(&mut g, pruned);
-                if config.reuse_scratch {
-                    scratch.store_parts(retired);
-                }
-            }
-        }
         scratch.ctx.refresh(&g);
         let stop_reason;
         // Budget checks live only at phase boundaries, below. Unarmed
@@ -325,13 +276,7 @@ impl Detector {
                 }
             }
 
-            let state = LevelState {
-                level,
-                num_communities: g.num_vertices(),
-                coverage,
-                largest_community: counts.iter().copied().max().unwrap_or(0),
-            };
-            if any_stops(&config.criteria, &state) {
+            if config.coverage_stop.is_some_and(|c| coverage >= c) {
                 stop_reason = StopReason::Criterion;
                 break;
             }

@@ -3,7 +3,7 @@
 //! Parallel agglomerative community detection — the paper's contribution.
 //!
 //! Starting from the singleton partition, the driver repeats the three
-//! primitives of §III until a termination criterion fires:
+//! primitives of §III until a local maximum or the coverage stop:
 //!
 //! 1. **score** every community-graph edge ([`scorer`]),
 //! 2. **match** communities to merge (`pcd-matching`),
@@ -33,7 +33,6 @@ pub mod driver;
 pub mod engine;
 #[cfg(feature = "fault-injection")]
 pub mod fault;
-pub mod follow;
 pub mod kernel;
 pub mod louvain;
 pub mod multilevel;
@@ -43,7 +42,6 @@ pub mod result;
 pub mod scorer;
 pub mod scratch;
 pub mod shard;
-pub mod termination;
 
 pub use budget::Budget;
 pub use config::{
@@ -53,7 +51,6 @@ pub use driver::{detect, try_detect};
 pub use engine::{detect_many, detect_many_observed, Detector};
 #[cfg(feature = "fault-injection")]
 pub use fault::FaultPlan;
-pub use follow::{follow_map_into, FollowScratch};
 pub use louvain::{synchronous_move_phase, MoveStats};
 pub use multilevel::{refine_multilevel, MultilevelOutcome};
 pub use observer::{LevelObserver, NoopObserver, Tee};
@@ -63,4 +60,3 @@ pub use result::{DetectionResult, LevelStats, StopReason, Termination};
 pub use scorer::{score_all_into, ScoreContext};
 pub use scratch::LevelScratch;
 pub use shard::{detect_sharded_outcomes, try_detect_sharded_observed, ComponentOutcome};
-pub use termination::Criterion;

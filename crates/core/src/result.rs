@@ -8,7 +8,7 @@ use pcd_util::VertexId;
 pub enum StopReason {
     /// No edge had a positive score — a local maximum of the metric.
     LocalMaximum,
-    /// An external [`crate::Criterion`] fired.
+    /// Coverage reached the [`crate::Config::coverage_stop`] threshold.
     Criterion,
     /// The matcher returned no pairs despite positive scores (only
     /// possible when constraints mask every positive edge).
@@ -31,8 +31,8 @@ pub enum StopReason {
 /// [`Converged`](Termination::Converged).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Termination {
-    /// The run finished on its own terms: local maximum, explicit
-    /// criterion, or no matchable pairs.
+    /// The run finished on its own terms: local maximum, coverage stop,
+    /// or no matchable pairs.
     Converged,
     /// The wall-clock deadline expired; the partition is the best-effort
     /// prefix from completed levels.

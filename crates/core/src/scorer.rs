@@ -67,12 +67,12 @@ pub fn score_edge(kind: ScorerKind, g: &Graph, ctx: &ScoreContext, e: usize) -> 
     }
 }
 
-/// Scores every edge in parallel under `kind`, writing into a reused
-/// buffer (cleared first; capacity is retained, so steady-state scoring
-/// allocates nothing). This is the engine's scorer dispatch. Callers that
-/// want a fresh `Vec` pass `&mut Vec::new()`.
+/// Scores every edge in parallel under `kind` into a reused buffer,
+/// resized to `|E|`; the pass overwrites every element, so stale contents
+/// never leak. Capacity is retained, so steady-state scoring allocates
+/// nothing. This is the engine's scorer dispatch. Callers that want a
+/// fresh `Vec` pass `&mut Vec::new()`.
 pub fn score_all_into(kind: ScorerKind, g: &Graph, ctx: &ScoreContext, out: &mut Vec<f64>) {
-    out.clear();
     out.resize(g.num_edges(), 0.0);
     par::for_each_mut(out, |e, s| *s = score_edge(kind, g, ctx, e));
 }

@@ -25,7 +25,6 @@
 //! `false` rebuilds the arena every level — the pre-reuse behaviour, kept
 //! as the ablation arm; both settings are bit-identical.
 
-use crate::follow::FollowScratch;
 use crate::scorer::ScoreContext;
 use pcd_contract::ContractScratch;
 use pcd_graph::{Graph, GraphParts};
@@ -48,10 +47,6 @@ pub struct LevelScratch {
     /// Contraction-kernel working storage (also holds each level's
     /// old→new map after `contract_into`).
     pub contract: ContractScratch,
-    /// Vertex-following pre-pass working storage (degrees, sole
-    /// neighbors, and the follow map). Touched once per run, and only
-    /// when [`crate::Config::vertex_following`] is set.
-    pub follow: FollowScratch,
     /// The shadow graph: storage of the level-before-last's graph, waiting
     /// to receive the next contraction. `None` only before the first
     /// contraction completes.
@@ -92,7 +87,6 @@ impl LevelScratch {
             + self.scores.capacity() * size_of::<f64>()
             + self.matching.scratch_bytes()
             + self.contract.scratch_bytes()
-            + self.follow.scratch_bytes()
             + self.parts.as_ref().map_or(0, |p| p.storage_bytes())
             + self.vol_next.capacity() * size_of::<Weight>()
             + self.counts_next.capacity() * size_of::<Weight>()

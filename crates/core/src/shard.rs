@@ -230,8 +230,8 @@ fn trivial_result(graph: Graph) -> DetectionResult {
 }
 
 /// Merge-precedence rank of a stop reason: a budget breach anywhere wins
-/// (the merged partition is best-effort somewhere), then an external
-/// criterion, then the natural convergence flavors.
+/// (the merged partition is best-effort somewhere), then the coverage
+/// stop, then the natural convergence flavors.
 fn stop_rank(s: StopReason) -> u8 {
     match s {
         StopReason::LocalMaximum => 0,
@@ -423,8 +423,8 @@ fn stage_size(r: &DetectionResult, i: usize) -> usize {
 /// the prefix sum of stage-`i` sizes). Components that converged early
 /// are padded with identity maps, so chaining every merged map reproduces
 /// the merged assignment — `DetectionResult::assignment_at_level` keeps
-/// its contract. The merged chain can be one longer than the merged level
-/// count when any component recorded a vertex-following pre-pass map.
+/// its contract. Each component records one map per level, so the merged
+/// chain is exactly as long as the merged level count.
 fn merge_level_maps(
     input_vertices: usize,
     maps: &[Vec<VertexId>],
@@ -642,8 +642,9 @@ mod tests {
         let r = detect_sharded(g.clone(), &cfg);
         // Every merged level's quality must equal the true quality of the
         // partition recorded at that depth.
+        assert_eq!(r.level_maps.len(), r.levels.len());
         for (l, row) in r.levels.iter().enumerate() {
-            let at = r.assignment_at_level((l + 1).min(r.level_maps.len()));
+            let at = r.assignment_at_level(l + 1);
             let q = pcd_metrics::modularity(&g, &at);
             assert!(
                 (q - row.modularity).abs() < 1e-9,

@@ -105,7 +105,8 @@ pub fn match_within_labels(
         .max_by(f64::total_cmp)
         .unwrap_or(0.0);
     let boost = max_pos + 1.0;
-    boosted.clear();
+    // The pass below overwrites every element, so only grown slots need a
+    // fill; a shrinking level just truncates.
     boosted.resize(g.num_edges(), 0.0);
     par::for_each_mut(boosted, |e, b| {
         let s = scores[e];

@@ -50,8 +50,6 @@ detect options:
   --sharded        detect each connected component independently (warm
                    engines across the pool) and merge deterministically;
                    incompatible with --trace (no value)
-  --vertex-following merge degree-1 vertices into their sole neighbor
-                   before level 1 (no value)
   --coverage F     stop at coverage >= F (paper rule: 0.5)
   --max-levels N   budget: stop after N contraction levels
   --deadline-ms N  budget: wall-clock deadline; on expiry the best-effort
@@ -238,12 +236,7 @@ fn print_kernels_json() {
 
 /// Flags that take no value (presence-only switches). Everything else in
 /// this CLI takes exactly one value.
-const BOOL_FLAGS: &[&str] = &[
-    "--progress",
-    "--strict-budget",
-    "--vertex-following",
-    "--sharded",
-];
+const BOOL_FLAGS: &[&str] = &["--progress", "--strict-budget", "--sharded"];
 
 struct Flags<'a>(&'a [String]);
 
@@ -494,7 +487,6 @@ fn cmd_detect(args: &[String]) -> Result<(), PcdError> {
             "--matcher",
             "--contractor",
             "--sharded",
-            "--vertex-following",
             "--coverage",
             "--max-levels",
             "--deadline-ms",
@@ -525,18 +517,14 @@ fn cmd_detect(args: &[String]) -> Result<(), PcdError> {
     if let Some(name) = f.get("--contractor") {
         config = config.with_contractor(name.parse()?);
     }
-    if f.has("--vertex-following") {
-        config = config.with_vertex_following(true);
-    }
     if let Some(c) = f.get("--coverage") {
         let c: f64 = c
             .parse()
             .map_err(|_| usage(format!("bad value for --coverage: '{c}'")))?;
-        config = config.with_criterion(Criterion::Coverage(c));
+        config = config.with_coverage_stop(c);
     }
-    // Budget limits ride the Budget subsystem, not Criterion: breaches are
-    // reported via `termination` (or exit 3 under --strict-budget) instead
-    // of looking like ordinary convergence.
+    // Budget limits: a breach is reported via `termination` (or exit 3
+    // under --strict-budget), never as ordinary convergence.
     let mut budget = Budget::unarmed();
     if let Some(n) = f.get("--max-levels") {
         budget = budget.with_max_levels(

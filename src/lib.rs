@@ -48,7 +48,7 @@ pub mod prelude {
     pub use pcd_core::{
         detect, detect_many, detect_many_observed, detect_sharded_outcomes, try_detect,
         try_detect_sharded_observed, Budget, CancelToken, ComponentOutcome, Config, ContractorKind,
-        Criterion, Detector, LevelObserver, MatcherKind, Paranoia, ScorerKind, Termination,
+        Detector, LevelObserver, MatcherKind, Paranoia, ScorerKind, Termination,
     };
     pub use pcd_graph::{Graph, GraphBuilder};
     pub use pcd_metrics::{coverage, modularity, normalized_mutual_information};

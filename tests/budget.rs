@@ -73,30 +73,41 @@ fn expired_deadline_returns_best_effort() {
 
 #[test]
 fn level_cap_matches_the_criterion_partition() {
-    // Capping levels through the budget must yield the same partition as
-    // the pre-existing MaxLevels stop criterion — only the reported
-    // termination differs (breach vs ordinary convergence).
+    // Capping levels through the budget must cut the hierarchy exactly: a
+    // run capped at k levels returns the uncapped run's recorded partition
+    // at depth k, with that level's counts and modularity — only the
+    // reported termination differs (a breach, not convergence).
     let g = paper_graph();
-    let via_budget =
-        Detector::new(Config::default().with_budget(Budget::unarmed().with_max_levels(1)))
-            .unwrap()
-            .run(g.clone())
-            .unwrap();
-    let via_criterion = Detector::new(Config::default().with_criterion(Criterion::MaxLevels(1)))
+    let full = Detector::new(Config::default().with_recorded_levels())
         .unwrap()
         .run(g.clone())
         .unwrap();
-    assert_eq!(via_budget.termination, Termination::MaxLevels);
-    assert_eq!(via_criterion.termination, Termination::Converged);
-    assert_eq!(via_budget.levels.len(), 1);
-    assert_eq!(via_criterion.levels.len(), 1);
-    assert_eq!(via_budget.assignment, via_criterion.assignment);
-    assert_eq!(via_budget.modularity, via_criterion.modularity);
-    assert_eq!(
-        via_budget.community_vertex_counts,
-        via_criterion.community_vertex_counts
-    );
-    assert_valid_partition(&g, &via_budget);
+    assert_eq!(full.termination, Termination::Converged);
+    assert!(full.levels.len() > 3, "{} levels", full.levels.len());
+    for k in 0..=3 {
+        let capped =
+            Detector::new(Config::default().with_budget(Budget::unarmed().with_max_levels(k)))
+                .unwrap()
+                .run(g.clone())
+                .unwrap();
+        assert_eq!(capped.termination, Termination::MaxLevels, "k = {k}");
+        assert_eq!(capped.levels.len(), k);
+        let at_k = full.assignment_at_level(k);
+        let mut counts = vec![0u64; capped.num_communities];
+        for &c in &at_k {
+            counts[c as usize] += 1;
+        }
+        assert_eq!(capped.assignment, at_k, "k = {k}");
+        assert_eq!(capped.community_vertex_counts, counts, "k = {k}");
+        if k >= 1 {
+            assert_eq!(
+                capped.modularity.to_bits(),
+                full.levels[k - 1].modularity.to_bits(),
+                "k = {k}"
+            );
+        }
+        assert_valid_partition(&g, &capped);
+    }
 }
 
 #[test]
@@ -126,13 +137,11 @@ fn tiny_memory_ceiling_stops_after_one_level() {
 fn memory_ceiling_fires_under_radix_kernel() {
     // The scratch-bytes ledger covers the radix contractor's working set
     // (its row sorts ping-pong through the shadow graph's storage, not
-    // through scratch) and the vertex-following scratch: a 1-byte ceiling
-    // must still terminate cleanly with a best-effort partition when the
-    // radix contractor owns the hot path.
+    // through scratch): a 1-byte ceiling must still terminate cleanly with
+    // a best-effort partition when the radix contractor owns the hot path.
     let g = paper_graph();
     let cfg = Config::default()
         .with_contractor(ContractorKind::Radix)
-        .with_vertex_following(true)
         .with_budget(Budget::unarmed().with_max_scratch_bytes(1));
     let r = Detector::new(cfg).unwrap().run(g.clone()).unwrap();
     assert_eq!(r.termination, Termination::MemoryCeiling);

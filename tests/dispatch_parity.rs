@@ -211,127 +211,14 @@ fn adversarial_graphs() -> Vec<(String, Graph)> {
 #[test]
 fn radix_contractor_is_bit_identical_to_bucket_on_adversarial_graphs() {
     for (name, g) in adversarial_graphs() {
-        for vf in [false, true] {
-            let base = Config::default()
-                .with_recorded_levels()
-                .with_vertex_following(vf);
-            let bucket = detect(
-                g.clone(),
-                &base.clone().with_contractor(ContractorKind::Bucket),
-            );
-            let radix = detect(g.clone(), &base.with_contractor(ContractorKind::Radix));
-            assert_same(&bucket, &radix, &format!("{name} (vf={vf})"));
-        }
+        let base = Config::default().with_recorded_levels();
+        let bucket = detect(
+            g.clone(),
+            &base.clone().with_contractor(ContractorKind::Bucket),
+        );
+        let radix = detect(g.clone(), &base.with_contractor(ContractorKind::Radix));
+        assert_same(&bucket, &radix, &name);
     }
-}
-
-#[test]
-fn vertex_following_changes_zero_bits_on_degree1_free_graphs() {
-    // No degree-1 vertices anywhere: the pre-pass must detect the
-    // identity map and take the exact same code path as vf=off.
-    let inputs = [
-        parcomm::gen::classic::clique_ring(8, 6),
-        parcomm::gen::classic::ring(64),
-        Graph::empty(4),
-    ];
-    for (i, g) in inputs.into_iter().enumerate() {
-        let cfg = Config::default().with_recorded_levels();
-        let off = detect(g.clone(), &cfg);
-        let on = detect(g, &cfg.with_vertex_following(true));
-        assert_same(&off, &on, &format!("degree1-free graph #{i}"));
-    }
-}
-
-/// A clique ring with one pendant leaf hung off every clique vertex —
-/// every leaf is prunable hair, and the right answer (leaf joins its
-/// clique) is unambiguous.
-fn hairy_clique_ring(cliques: usize, size: usize) -> Graph {
-    let base = parcomm::gen::classic::clique_ring(cliques, size);
-    let nb = base.num_vertices();
-    let mut edges: Vec<(u32, u32, u64)> = base.edges().collect();
-    for v in 0..nb as u32 {
-        edges.push((v, nb as u32 + v, 1));
-    }
-    parcomm::graph::builder::from_edges(nb * 2, edges)
-}
-
-#[test]
-fn vertex_following_shrinks_level1_and_keeps_quality_in_band() {
-    for (name, g) in [
-        ("hairy-clique-ring".to_string(), hairy_clique_ring(8, 6)),
-        ("rmat-9".to_string(), rmat_graph(&RmatParams::paper(9, 7))),
-    ] {
-        let nv = g.num_vertices();
-        let cfg = Config::default().with_recorded_levels();
-        let off = detect(g.clone(), &cfg.clone());
-        let on = detect(g.clone(), &cfg.with_vertex_following(true));
-
-        // The pre-pass exists to shrink the first — largest — contraction.
-        assert!(
-            on.levels[0].num_vertices < off.levels[0].num_vertices,
-            "{name}: vf should shrink level 1 ({} vs {})",
-            on.levels[0].num_vertices,
-            off.levels[0].num_vertices,
-        );
-        // The expansion is a full, valid partition of the input.
-        assert_eq!(on.assignment.len(), nv, "{name}: assignment length");
-        assert_eq!(
-            on.community_vertex_counts.iter().sum::<u64>(),
-            nv as u64,
-            "{name}: counts partition the vertices"
-        );
-        assert!(
-            on.assignment
-                .iter()
-                .all(|&c| (c as usize) < on.num_communities),
-            "{name}: assignment ids dense"
-        );
-        // Reported quality is really the quality of the expanded
-        // assignment on the *original* graph.
-        let q = parcomm::metrics::modularity(&g, &on.assignment);
-        assert!(
-            (q - on.modularity).abs() < 1e-9,
-            "{name}: reported Q {} vs direct {q}",
-            on.modularity
-        );
-        let cov = parcomm::metrics::coverage(&g, &on.assignment);
-        assert!(
-            (cov - on.coverage).abs() < 1e-9,
-            "{name}: reported coverage {} vs direct {cov}",
-            on.coverage
-        );
-        // Following hair is a quality-neutral move (a pendant vertex
-        // always belongs with its sole neighbor): stay in band.
-        assert!(
-            on.modularity >= off.modularity - 0.05,
-            "{name}: Q {} dropped out of band vs {}",
-            on.modularity,
-            off.modularity
-        );
-    }
-}
-
-#[test]
-fn vertex_following_dendrogram_chains_from_original_vertices() {
-    let g = hairy_clique_ring(6, 5);
-    let r = detect(
-        g,
-        &Config::default()
-            .with_recorded_levels()
-            .with_vertex_following(true),
-    );
-    // The follow map rides as the dendrogram's first entry with no
-    // matching LevelStats row.
-    assert_eq!(r.level_maps.len(), r.levels.len() + 1);
-    assert_eq!(
-        r.assignment_at_level(r.level_maps.len()),
-        r.assignment,
-        "chaining every recorded map reproduces the final assignment"
-    );
-    // Level 1 of the hierarchy is the pruned graph.
-    let after_follow = r.assignment_at_level(1);
-    let pruned: std::collections::HashSet<u32> = after_follow.iter().copied().collect();
-    assert_eq!(pruned.len(), r.levels[0].num_vertices);
 }
 
 #[test]

@@ -51,7 +51,7 @@ fn full_paranoia_agrees_under_constraints() {
         let g = parcomm::gen::rmat_graph(&parcomm::gen::RmatParams::paper(7, seed));
         let cfg = Config::default()
             .with_max_community_size(16)
-            .with_criterion(Criterion::Coverage(0.7));
+            .with_coverage_stop(0.7);
         assert_off_full_agree(g, &cfg);
     });
 }

@@ -1,19 +1,19 @@
 //! End-to-end integration tests across the whole stack:
 //! generators → graph → scoring → matching → contraction → metrics.
 
-use parcomm::core::{Criterion as Stop, MatcherKind};
+use parcomm::core::MatcherKind;
 use parcomm::prelude::*;
 
 #[test]
 fn level_prefixes_are_consistent() {
-    // Detection is deterministic, so stopping at MaxLevels(k) must
+    // Detection is deterministic, so a budget capped at k levels must
     // reproduce exactly the first k levels of the full run.
     let g = parcomm::gen::rmat_graph(&parcomm::gen::RmatParams::paper(11, 3));
     let full = detect(g.clone(), &Config::default());
     for k in 1..=3.min(full.levels.len()) {
         let partial = detect(
             g.clone(),
-            &Config::default().with_criterion(Stop::MaxLevels(k)),
+            &Config::default().with_budget(Budget::unarmed().with_max_levels(k)),
         );
         assert_eq!(partial.levels.len(), k);
         for (a, b) in partial.levels.iter().zip(full.levels.iter()) {
@@ -52,7 +52,7 @@ fn weight_conserved_at_every_level() {
     for k in 1..=4 {
         let r = detect(
             g.clone(),
-            &Config::default().with_criterion(Stop::MaxLevels(k)),
+            &Config::default().with_budget(Budget::unarmed().with_max_levels(k)),
         );
         assert_eq!(r.community_graph.total_weight(), m0, "level {k}");
         assert_eq!(r.community_graph.validate(), Ok(()));

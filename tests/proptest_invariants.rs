@@ -231,55 +231,3 @@ fn map_contraction_conserves_weight() {
         assert!((q_orig - q_agg).abs() < 1e-9, "{} vs {}", q_orig, q_agg);
     });
 }
-
-#[test]
-fn follow_map_is_a_dense_weight_conserving_surjection() {
-    check(64, |rng| {
-        let (nv, edges) = arb_graph_input(rng);
-        let g = builder::from_edges(nv, edges);
-        let mut fs = parcomm::core::FollowScratch::new();
-        let num_new = parcomm::core::follow_map_into(&g, &mut fs);
-        assert_eq!(fs.new_of_old.len(), nv);
-        assert!(num_new >= 1 && num_new <= nv);
-        // Dense surjection onto 0..num_new.
-        let mut hit = vec![false; num_new];
-        for &n in &fs.new_of_old {
-            assert!((n as usize) < num_new);
-            hit[n as usize] = true;
-        }
-        assert!(hit.iter().all(|&h| h));
-        // Contracting through the map conserves weight and validity.
-        let mut cs = parcomm::contract::ContractScratch::new();
-        let pruned = parcomm::contract::contract_map_into(
-            &g,
-            &fs.new_of_old,
-            num_new,
-            &mut cs,
-            Default::default(),
-        );
-        assert_eq!(pruned.num_vertices(), num_new);
-        assert_eq!(pruned.total_weight(), g.total_weight());
-        assert_eq!(pruned.validate(), Ok(()));
-    });
-}
-
-#[test]
-fn vertex_following_detection_yields_valid_partition() {
-    check(64, |rng| {
-        let (nv, edges) = arb_graph_input(rng);
-        let g = builder::from_edges(nv, edges);
-        let cfg = parcomm::Config::default().with_vertex_following(true);
-        let r = parcomm::detect(g.clone(), &cfg);
-        assert_eq!(r.assignment.len(), nv);
-        assert_eq!(r.community_vertex_counts.iter().sum::<u64>(), nv as u64);
-        for &c in &r.assignment {
-            assert!((c as usize) < r.num_communities);
-        }
-        // Reported quality is the expanded assignment's quality on the
-        // original graph — the expansion can't drift from the metrics.
-        let q_direct = parcomm::metrics::modularity(&g, &r.assignment);
-        assert!((q_direct - r.modularity).abs() < 1e-9);
-        let cov_direct = parcomm::metrics::coverage(&g, &r.assignment);
-        assert!((cov_direct - r.coverage).abs() < 1e-9);
-    });
-}

@@ -62,7 +62,7 @@ fn reuse_matches_fresh_across_kernels() {
                 .with_contractor(ContractorKind::Linked),
             Config::default()
                 .with_max_community_size(16)
-                .with_criterion(Criterion::Coverage(0.7))
+                .with_coverage_stop(0.7)
                 .with_paranoia(Paranoia::Full),
         ] {
             assert_reuse_fresh_agree(g.clone(), &cfg);

@@ -65,7 +65,6 @@ pub(crate) const WAIVER_BUDGETS: &[(&str, &str, usize)] = &[
     ("crates/core/src/driver.rs", "panic", 1),
     ("crates/core/src/engine.rs", "panic", 4),
     ("crates/core/src/fault.rs", "panic", 1),
-    ("crates/core/src/follow.rs", "alloc", 1),
     ("crates/core/src/louvain.rs", "alloc", 2),
     ("crates/core/src/scorer.rs", "alloc", 1),
     ("crates/core/src/shard.rs", "panic", 2),
