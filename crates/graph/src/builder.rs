@@ -1,16 +1,29 @@
-//! Parallel graph construction: canonicalise, sort, accumulate duplicates.
+//! Graph construction: canonicalise, sort, accumulate duplicates.
 //!
 //! The paper "accumulate\[s\] repeated edges by adding their weights" when
-//! ingesting R-MAT output. [`from_edges`] does this wholesale and in
-//! parallel: canonical parity-hash ordering, a parallel sort by stored
-//! endpoint pair, a segmented reduction over equal pairs, and contiguous
-//! bucket construction. The result is deterministic for any thread count.
+//! ingesting R-MAT output. [`from_edges`] does this wholesale: parallel
+//! passes check the entries, fold self-loops into their vertex and put
+//! every other pair in the parity-hash canonical order; one sequential
+//! `sort_unstable` orders them by stored endpoint pair; and parallel passes
+//! over fixed chunks of the sorted entries sum each run of equal pairs into
+//! one edge and cut the contiguous buckets from the sorted sources. The
+//! result is deterministic for any thread count.
 
-use crate::{atomic_histogram, canonical_order, Graph};
+use crate::{canonical_order, Graph};
 use pcd_util::par;
-use pcd_util::scan::offsets_from_counts;
-use pcd_util::sync::{as_atomic_u64, RELAXED};
-use pcd_util::{PcdError, VertexId, Weight};
+use pcd_util::scan::exclusive_prefix_sum;
+use pcd_util::sync::{as_atomic_u32, as_atomic_u64, as_atomic_usize, RELAXED};
+use pcd_util::{PcdError, VertexId, Weight, NO_VERTEX};
+
+/// One input entry: two endpoints and a weight.
+type Entry = (VertexId, VertexId, Weight);
+
+/// What a self-loop or zero-weight entry becomes once folded: its key
+/// sorts after every real pair, whose ids are below `nv <= u32::MAX`.
+const DROPPED: Entry = (NO_VERTEX, NO_VERTEX, 0);
+
+/// Sorted entries per chunk of the run reduction.
+const RUN_CHUNK: usize = 1 << 12;
 
 /// Incremental builder for small / test graphs. For bulk ingest use
 /// [`from_edges`], which this delegates to.
@@ -77,15 +90,14 @@ pub fn from_edges(nv: usize, edges: Vec<(VertexId, VertexId, Weight)>) -> Graph 
 /// wrapping.
 pub fn try_from_edges(
     nv: usize,
-    edges: Vec<(VertexId, VertexId, Weight)>,
+    mut edges: Vec<(VertexId, VertexId, Weight)>,
 ) -> Result<Graph, PcdError> {
     if nv > u32::MAX as usize {
         return Err(PcdError::corrupt(format!(
             "vertex count {nv} exceeds the u32 id space"
         )));
     }
-    let out_of_range =
-        |&(i, j, _): &(VertexId, VertexId, Weight)| i as usize >= nv || j as usize >= nv;
+    let out_of_range = |&(i, j, _): &Entry| i as usize >= nv || j as usize >= nv;
     let bad = if par::any(edges.len(), |e| out_of_range(&edges[e])) {
         edges.iter().find(|e| out_of_range(e))
     } else {
@@ -97,42 +109,50 @@ pub fn try_from_edges(
         )));
     }
     // The graph stores `total_weight = Σ w` in one u64; a hostile edge
-    // list must not be able to wrap it.
-    let mut total: Weight = 0;
-    for &(_, _, w) in &edges {
-        total = total
-            .checked_add(w)
-            .ok_or_else(|| PcdError::corrupt("total edge weight overflows the u64 accumulator"))?;
+    // list must not be able to wrap it. No u128 sum of a `Vec`'s u64s
+    // can wrap.
+    let total: u128 = par::sum(edges.len(), |e| u128::from(edges[e].2));
+    if total > u128::from(Weight::MAX) {
+        return Err(PcdError::corrupt(
+            "total edge weight overflows the u64 accumulator",
+        ));
     }
 
-    // Split off self-loops and canonicalise the rest.
-    // One sequential pass that filters in place: the survivors reuse the
-    // input's allocation, so ingest holds one edge array, not two.
+    // Fold self-loops into their vertex and canonicalise the rest in
+    // place; folded and zero-weight entries become `DROPPED`, which the
+    // sort moves past every kept pair. So a graph's stored edges followed
+    // by its self-loops, the order `io::write_edge_list` writes, are
+    // still sorted, which the sort finds in one pass.
     let mut self_loop = vec![0u64; nv];
-    let mut pairs: Vec<(VertexId, VertexId, Weight)> = edges
-        .into_iter()
-        .filter_map(|(i, j, w)| {
-            if w == 0 {
-                None
+    {
+        let loops = as_atomic_u64(&mut self_loop);
+        par::for_each_mut(&mut edges, |_, e| {
+            let (i, j, w) = *e;
+            *e = if w == 0 {
+                DROPPED
             } else if i == j {
-                self_loop[i as usize] += w;
-                None
+                // ORDERING: RELAXED — a commutative sum whose order does
+                // not change its value; the join publishes the array.
+                loops[i as usize].fetch_add(w, RELAXED);
+                DROPPED
             } else {
                 let (a, b) = canonical_order(i, j);
-                Some((a, b, w))
-            }
-        })
-        .collect();
+                (a, b, w)
+            };
+        });
+    }
 
-    pairs.sort_unstable_by_key(|&(a, b, _)| (a, b));
+    edges.sort_unstable_by_key(|&(a, b, _)| (a, b));
+    let kept = edges.partition_point(|&(a, _, _)| a != NO_VERTEX);
+    let (src, dst, weight) = sum_runs(&edges[..kept]);
+    drop(edges);
 
-    let (src, dst, weight) = dedup_accumulate(&pairs);
-
-    // Sorted by src, so buckets are the contiguous runs.
-    let counts = atomic_histogram(nv, &src);
-    let offsets = offsets_from_counts(&counts);
-    let bucket_begin = offsets[..nv].to_vec();
-    let bucket_end = offsets[1..=nv].to_vec();
+    // Sorted by src, so vertex `v`'s bucket is the run of edges whose
+    // source is `v`, starting where the sources below `v` end.
+    let bucket_begin: Vec<usize> = par::map(nv, |v| src.partition_point(|&s| (s as usize) < v));
+    let bucket_end: Vec<usize> = par::map(nv, |v| {
+        bucket_begin.get(v + 1).copied().unwrap_or(src.len())
+    });
 
     Ok(Graph::from_parts(
         nv,
@@ -145,40 +165,52 @@ pub fn try_from_edges(
     ))
 }
 
-/// Segmented reduction over a sorted edge list: collapse equal `(src, dst)`
-/// runs, summing weights. Parallel and deterministic.
-fn dedup_accumulate(
-    sorted: &[(VertexId, VertexId, Weight)],
-) -> (Vec<VertexId>, Vec<VertexId>, Vec<Weight>) {
+/// Segmented reduction over sorted entries: each run of equal `(src,
+/// dst)` pairs becomes one edge carrying the run's summed weight, in
+/// order. Fixed chunks count the runs whose first entry they hold, a
+/// prefix sum over the counts gives each chunk its first output slot, and
+/// the chunk holding a run's first entry sums the run and writes it, so
+/// the output does not depend on the width.
+fn sum_runs(sorted: &[Entry]) -> (Vec<VertexId>, Vec<VertexId>, Vec<Weight>) {
     let n = sorted.len();
-    if n == 0 {
-        return (Vec::new(), Vec::new(), Vec::new());
-    }
-    // Flag run heads, then exclusive-scan the flags to get output slots.
-    let mut slot: Vec<usize> = par::map(n, |i| {
-        let head = i == 0 || (sorted[i - 1].0, sorted[i - 1].1) != (sorted[i].0, sorted[i].1);
-        head as usize
-    });
-    let heads: Vec<bool> = par::map(n, |i| slot[i] == 1);
-    let nruns = pcd_util::scan::exclusive_prefix_sum(&mut slot);
-
-    let mut src = vec![0u32; nruns];
-    let mut dst = vec![0u32; nruns];
-    let mut weight = vec![0u64; nruns];
+    let key = |e: usize| (sorted[e].0, sorted[e].1);
+    let head = |e: usize| e == 0 || key(e - 1) != key(e);
+    let mut first = vec![0usize; n.div_ceil(RUN_CHUNK)];
     {
-        let src_c = pcd_util::sync::as_atomic_u32(&mut src);
-        let dst_c = pcd_util::sync::as_atomic_u32(&mut dst);
-        let w_c = as_atomic_u64(&mut weight);
-        par::for_each(n, |i| {
-            // ORDERING: RELAXED — run `r`'s src/dst have a single writer
-            // (its head element) and the weight fold needs atomicity only;
-            // the join barrier publishes the arrays to the return below.
-            let r = slot[i] + heads[i] as usize - 1;
-            if heads[i] {
-                src_c[r].store(sorted[i].0, RELAXED);
-                dst_c[r].store(sorted[i].1, RELAXED);
+        let counts = as_atomic_usize(&mut first);
+        par::for_ranges(n, RUN_CHUNK, |c, r| {
+            // ORDERING: RELAXED — each chunk stores only its own count;
+            // the region's join publishes them to the prefix sum.
+            counts[c].store(r.filter(|&e| head(e)).count(), RELAXED);
+        });
+    }
+    let runs = exclusive_prefix_sum(&mut first);
+    let (mut src, mut dst, mut weight) = (vec![0; runs], vec![0; runs], vec![0; runs]);
+    {
+        let (src_c, dst_c, w_c) = (
+            as_atomic_u32(&mut src),
+            as_atomic_u32(&mut dst),
+            as_atomic_u64(&mut weight),
+        );
+        par::for_ranges(n, RUN_CHUNK, |c, r| {
+            let mut at = first[c];
+            // Entries before the chunk's first head belong to a run an
+            // earlier chunk sums.
+            let mut e = r.clone().find(|&e| head(e)).unwrap_or(r.end);
+            while e < r.end {
+                let (a, b, mut w) = sorted[e];
+                e += 1;
+                while e < n && key(e) == (a, b) {
+                    w += sorted[e].2;
+                    e += 1;
+                }
+                // ORDERING: RELAXED — slot `at` has one writer, the chunk
+                // holding its run's head; the join publishes the arrays.
+                src_c[at].store(a, RELAXED);
+                dst_c[at].store(b, RELAXED);
+                w_c[at].store(w, RELAXED);
+                at += 1;
             }
-            w_c[r].fetch_add(sorted[i].2, RELAXED);
         });
     }
     (src, dst, weight)
@@ -272,6 +304,51 @@ mod tests {
         let g = try_from_edges(3, vec![(0, 1, 2), (1, 1, 3)]).unwrap();
         assert_eq!(g.total_weight(), 5);
         assert_eq!(g.validate(), Ok(()));
+    }
+
+    #[test]
+    fn matches_a_sorted_map_at_every_width() {
+        // More than `SEQ_CUTOFF` entries over few vertices, so every pass
+        // leaves the caller and runs cross chunk boundaries; one pair
+        // repeats across three whole chunks, and self-loops and zero
+        // weights sit among the rest.
+        let mut rng = pcd_util::rng::ChaCha8Rng::seed_from_u64(11);
+        let nv = 300u32;
+        let mut edges: Vec<_> = (0..par::SEQ_CUTOFF + 5_000)
+            .map(|_| {
+                (
+                    rng.gen_range(0..nv),
+                    rng.gen_range(0..nv),
+                    rng.gen_range(0..4u64),
+                )
+            })
+            .collect();
+        edges.extend((0..3 * RUN_CHUNK).map(|_| (7, 8, 1)));
+        let mut pairs = std::collections::BTreeMap::new();
+        let mut loops = vec![0u64; nv as usize];
+        for &(i, j, w) in &edges {
+            if i == j {
+                loops[i as usize] += w;
+            } else if w > 0 {
+                *pairs.entry(canonical_order(i, j)).or_insert(0) += w;
+            }
+        }
+        let src: Vec<_> = pairs.keys().map(|&(a, _)| a).collect();
+        let dst: Vec<_> = pairs.keys().map(|&(_, b)| b).collect();
+        let weight: Vec<_> = pairs.values().copied().collect();
+        for width in [1, 2, 3] {
+            let e = edges.clone();
+            let g = pcd_util::pool::with_threads(width, move || from_edges(nv as usize, e));
+            assert_eq!(g.srcs(), src, "width {width}");
+            assert_eq!(g.dsts(), dst, "width {width}");
+            assert_eq!(g.weights(), weight, "width {width}");
+            assert_eq!(g.self_loops(), loops, "width {width}");
+            for v in 0..nv {
+                let bucket = g.bucket(v);
+                assert!(src[bucket.clone()].iter().all(|&s| s == v), "v{v}");
+                assert_eq!(bucket.start, src.partition_point(|&s| s < v), "v{v}");
+            }
+        }
     }
 
     #[test]

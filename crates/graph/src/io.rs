@@ -2,8 +2,9 @@
 //! format for fast reloading of generated benchmark graphs.
 
 use crate::{builder, Graph};
-use pcd_util::{PcdError, VertexId, Weight};
+use pcd_util::{par, PcdError, VertexId, Weight};
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
+use std::ops::Range;
 use std::path::Path;
 
 /// Largest vertex id a reader accepts. `u32::MAX` itself is reserved for
@@ -12,60 +13,315 @@ use std::path::Path;
 /// truncated.
 pub const MAX_VERTEX_ID: u64 = u32::MAX as u64 - 1;
 
+/// Bytes [`read_edge_list`] takes from its input at a time.
+const BLOCK: usize = 4 << 20;
+
+/// Bytes a block's pieces span at least: a piece ends at the first line
+/// end this far past its start.
+const PIECE: usize = 1 << 20;
+
+/// One parsed line: source, target and weight.
+type Entry = (VertexId, VertexId, Weight);
+
 /// Reads a whitespace-separated edge list: one `i j [w]` per line; `#` or
 /// `%` lines are comments. Vertices are the ids as written; `nv` becomes
 /// `max id + 1`.
 ///
+/// Fields are separated by Unicode whitespace, so CRLF line ends are
+/// accepted; ids and weights are `u64` literals with an optional `+`;
+/// fields after the weight are ignored.
+///
+/// The text is read in blocks of 4 MiB, each ending at its last line end
+/// (a line longer than a block grows it), so the reader never holds more
+/// than about one block of text. A block is cut at line ends into pieces
+/// of about 1 MiB, parsed on the caller's parallel region without
+/// allocating per line; a block of one piece — a small file — is parsed
+/// inline. The edges are collected in file order, and the text is freed
+/// before the graph is built.
+///
 /// Untrusted input: ids above [`MAX_VERTEX_ID`] and weights that would
 /// overflow the graph's total-weight accumulator return line-numbered
-/// errors; nothing in this path panics.
-pub fn read_edge_list<R: Read>(reader: R) -> Result<Graph, PcdError> {
-    let reader = BufReader::new(reader);
-    let mut edges: Vec<(VertexId, VertexId, Weight)> = Vec::new();
-    let mut max_id: u32 = 0;
-    let mut total: Weight = 0;
-    for (lineno, line) in reader.lines().enumerate() {
-        let line = line?;
-        let t = line.trim();
-        if t.is_empty() || t.starts_with('#') || t.starts_with('%') {
-            continue;
+/// errors, invalid UTF-8 an I/O error; the first bad line in the file is
+/// the one reported, and nothing in this path panics.
+pub fn read_edge_list<R: Read>(mut reader: R) -> Result<Graph, PcdError> {
+    let mut parsed = Parsed::default();
+    let mut block = Vec::new();
+    let mut spare = Vec::new();
+    loop {
+        // Fill the block to BLOCK bytes; a line longer than that doubles it.
+        let want = if block.len() < BLOCK {
+            BLOCK - block.len()
+        } else {
+            block.len()
+        };
+        let read = reader.by_ref().take(want as u64).read_to_end(&mut block);
+        let eof = matches!(read, Ok(n) if n < want);
+        let end = if eof {
+            block.len()
+        } else {
+            block.iter().rposition(|&b| b == b'\n').map_or(0, |p| p + 1)
+        };
+        // The lines completed before a failed read are checked first, as
+        // a line-by-line reader would have.
+        parsed.add(&block[..end], &mut spare)?;
+        block.drain(..end);
+        read?;
+        if eof {
+            break;
         }
-        let mut it = t.split_whitespace();
-        let parse = |s: Option<&str>, what: &str| -> Result<u64, PcdError> {
-            s.ok_or_else(|| PcdError::parse_at(lineno, format!("missing {what}")))?
-                .parse::<u64>()
-                .map_err(|_| PcdError::parse_at(lineno, format!("unparsable {what}")))
-        };
-        let id = |raw: u64, what: &str| -> Result<VertexId, PcdError> {
-            if raw > MAX_VERTEX_ID {
-                Err(PcdError::parse_at(
-                    lineno,
-                    format!("{what} id {raw} exceeds the maximum {MAX_VERTEX_ID}"),
-                ))
-            } else {
-                Ok(raw as VertexId)
-            }
-        };
-        let i = id(parse(it.next(), "source")?, "source")?;
-        let j = id(parse(it.next(), "target")?, "target")?;
-        let w = match it.next() {
-            Some(s) => s
-                .parse::<u64>()
-                .map_err(|_| PcdError::parse_at(lineno, "unparsable weight"))?,
-            None => 1,
-        };
-        total = total.checked_add(w).ok_or_else(|| {
-            PcdError::parse_at(lineno, "total weight overflows the u64 accumulator")
-        })?;
-        max_id = max_id.max(i).max(j);
-        edges.push((i, j, w));
     }
-    let nv = if edges.is_empty() {
+    drop((block, spare));
+    let nv = if parsed.edges.is_empty() {
         0
     } else {
-        max_id as usize + 1
+        parsed.max_id as usize + 1
     };
-    builder::try_from_edges(nv, edges)
+    builder::try_from_edges(nv, parsed.edges)
+}
+
+/// The edges of the lines read so far, and the sums their checks carry.
+#[derive(Default)]
+struct Parsed {
+    edges: Vec<Entry>,
+    total: Weight,
+    max_id: VertexId,
+    lines: usize,
+}
+
+impl Parsed {
+    /// Parses `text`, whole lines, onto the edges. Its pieces are parsed
+    /// side by side into `spare`'s buffers; if one stops at a bad line or
+    /// the total overflows between them, the whole text is scanned again
+    /// in order, which stops at its first error.
+    fn add(&mut self, text: &[u8], spare: &mut Vec<Vec<Entry>>) -> Result<(), PcdError> {
+        let pieces = pieces(text);
+        if pieces.len() > 1 {
+            let jobs: Vec<_> = pieces
+                .into_iter()
+                .map(|r| (r, spare.pop().unwrap_or_default()))
+                .collect();
+            let done = par::map_init(
+                jobs,
+                || (),
+                |_, (r, mut out)| {
+                    out.clear();
+                    let s = scan(&text[r], 0, &mut out);
+                    (out, s)
+                },
+            );
+            // The running total after each piece; `None` once one stopped.
+            let total = done.iter().try_fold(self.total, |t, (_, s)| match s.bad {
+                None => t.checked_add(s.total),
+                Some(_) => None,
+            });
+            for (out, s) in done {
+                if total.is_some() {
+                    self.edges.extend_from_slice(&out);
+                    self.max_id = self.max_id.max(s.max_id);
+                    self.lines += s.lines;
+                }
+                spare.push(out);
+            }
+            if let Some(total) = total {
+                self.total = total;
+                return Ok(());
+            }
+        }
+        let s = scan(text, self.total, &mut self.edges);
+        if let Some((k, bad)) = s.bad {
+            return Err(bad.at(self.lines + k));
+        }
+        self.total = s.total;
+        self.max_id = self.max_id.max(s.max_id);
+        self.lines += s.lines;
+        Ok(())
+    }
+}
+
+/// Cuts `text` into consecutive pieces, each ending at the first line end
+/// at least [`PIECE`] bytes past its start (the last at the text's end).
+fn pieces(text: &[u8]) -> Vec<Range<usize>> {
+    let mut cuts = Vec::new();
+    let mut start = 0;
+    while start < text.len() {
+        let from = (start + PIECE).min(text.len()) - 1;
+        let end = text[from..]
+            .iter()
+            .position(|&b| b == b'\n')
+            .map_or(text.len(), |p| from + p + 1);
+        cuts.push(start..end);
+        start = end;
+    }
+    cuts
+}
+
+/// What [`scan`] found in its lines.
+struct Scan {
+    /// Lines scanned, not counting a bad one.
+    lines: usize,
+    /// The running total weight after them.
+    total: Weight,
+    /// The largest id on them (0 if none).
+    max_id: VertexId,
+    /// The first bad line, counted from the text's first, and its fault.
+    bad: Option<(usize, Bad)>,
+}
+
+impl Scan {
+    /// Adds a parsed line's edge, if any, to the running sums and `out`.
+    fn take(&mut self, edge: Option<Entry>, out: &mut Vec<Entry>) -> Result<(), Bad> {
+        if let Some((i, j, w)) = edge {
+            self.total = self.total.checked_add(w).ok_or(Bad::Overflow)?;
+            self.max_id = self.max_id.max(i).max(j);
+            out.push((i, j, w));
+        }
+        Ok(())
+    }
+}
+
+/// Parses the lines of `text` in order onto `out`, the running total
+/// starting at `total`, up to the first bad line.
+fn scan(text: &[u8], total: Weight, out: &mut Vec<Entry>) -> Scan {
+    let mut s = Scan {
+        lines: 0,
+        total,
+        max_id: 0,
+        bad: None,
+    };
+    let mut rest = text;
+    while !rest.is_empty() {
+        let (edge, len) = next_line(rest);
+        rest = &rest[len..];
+        if let Err(bad) = edge.and_then(|edge| s.take(edge, out)) {
+            s.bad = Some((s.lines, bad));
+            break;
+        }
+        s.lines += 1;
+    }
+    s
+}
+
+/// Why a line was rejected.
+#[derive(Debug, Clone, Copy)]
+enum Bad {
+    /// The line is not UTF-8.
+    Utf8,
+    /// The line has a source but no target.
+    MissingTarget,
+    /// The named field is not a `u64`.
+    Unparsable(&'static str),
+    /// The named id is above [`MAX_VERTEX_ID`].
+    TooLarge(&'static str, u64),
+    /// The line's weight overflows the running total.
+    Overflow,
+}
+
+impl Bad {
+    /// The error for this fault on 0-based line `line`: the one
+    /// `BufRead::lines` gives for invalid UTF-8, else a parse error.
+    fn at(self, line: usize) -> PcdError {
+        match self {
+            Bad::Utf8 => io::Error::new(
+                io::ErrorKind::InvalidData,
+                "stream did not contain valid UTF-8",
+            )
+            .into(),
+            Bad::MissingTarget => PcdError::parse_at(line, "missing target"),
+            Bad::Unparsable(what) => PcdError::parse_at(line, format!("unparsable {what}")),
+            Bad::TooLarge(what, raw) => PcdError::parse_at(
+                line,
+                format!("{what} id {raw} exceeds the maximum {MAX_VERTEX_ID}"),
+            ),
+            Bad::Overflow => PcdError::parse_at(line, "total weight overflows the u64 accumulator"),
+        }
+    }
+}
+
+/// Parses the line at the start of `text`: `None` if it is blank or a
+/// comment. Returns the outcome and the line's length, its `\n`
+/// included. Fields are split at `char::is_whitespace`: one pass over
+/// the bytes finds the first three fields of an all-ASCII line, and any
+/// other line is checked as UTF-8 and split as a `str`.
+fn next_line(text: &[u8]) -> (Result<Option<Entry>, Bad>, usize) {
+    let mut fields = [0..0, 0..0, 0..0];
+    let (mut found, mut p, mut ascii) = (0, 0, true);
+    loop {
+        while p < text.len() && text[p] != b'\n' && is_space(text[p]) {
+            p += 1;
+        }
+        if p == text.len() || text[p] == b'\n' {
+            break;
+        }
+        let start = p;
+        while p < text.len() && !is_space(text[p]) {
+            ascii &= text[p].is_ascii();
+            p += 1;
+        }
+        if let Some(field) = fields.get_mut(found) {
+            *field = start..p;
+        }
+        found += 1;
+    }
+    let len = (p + 1).min(text.len());
+    let edge = if ascii {
+        let found = found.min(fields.len());
+        edge(fields[..found].iter().map(|f| &text[f.clone()]))
+    } else {
+        std::str::from_utf8(&text[..len])
+            .map_err(|_| Bad::Utf8)
+            .and_then(|line| edge(line.split_whitespace().map(str::as_bytes)))
+    };
+    (edge, len)
+}
+
+/// The ASCII bytes `char::is_whitespace` accepts: tab, LF, VT, FF, CR
+/// and space.
+fn is_space(b: u8) -> bool {
+    matches!(b, b'\t'..=b'\r' | b' ')
+}
+
+/// The edge a line's fields give: source, target and an optional weight
+/// (default 1), any further fields ignored; `None` for no fields or a
+/// first field starting with `#` or `%`.
+fn edge<'a>(mut fields: impl Iterator<Item = &'a [u8]>) -> Result<Option<Entry>, Bad> {
+    let source = match fields.next() {
+        Some(f) if !f.starts_with(b"#") && !f.starts_with(b"%") => f,
+        _ => return Ok(None),
+    };
+    let i = vertex(source, "source")?;
+    let j = vertex(fields.next().ok_or(Bad::MissingTarget)?, "target")?;
+    let w = match fields.next() {
+        Some(f) => number(f).ok_or(Bad::Unparsable("weight"))?,
+        None => 1,
+    };
+    Ok(Some((i, j, w)))
+}
+
+/// A vertex id field, `what` naming it in errors.
+fn vertex(field: &[u8], what: &'static str) -> Result<VertexId, Bad> {
+    let raw = number(field).ok_or(Bad::Unparsable(what))?;
+    if raw > MAX_VERTEX_ID {
+        Err(Bad::TooLarge(what, raw))
+    } else {
+        Ok(raw as VertexId)
+    }
+}
+
+/// A field as `u64::from_str` reads it: an optional `+`, then one or more
+/// ASCII digits, the value at most `u64::MAX`.
+fn number(field: &[u8]) -> Option<u64> {
+    let digits = field.strip_prefix(b"+").unwrap_or(field);
+    if digits.is_empty() {
+        return None;
+    }
+    digits.iter().try_fold(0u64, |n, &b| {
+        let d = b.wrapping_sub(b'0');
+        if d < 10 {
+            n.checked_mul(10)?.checked_add(u64::from(d))
+        } else {
+            None
+        }
+    })
 }
 
 /// Writes the graph as a weighted edge list (self-loops as `v v w`).

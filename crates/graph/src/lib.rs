@@ -33,7 +33,7 @@ pub use edge::{canonical_order, Edge};
 pub use pcd_util::{VertexId, Weight, NO_VERTEX};
 
 use pcd_util::par;
-use pcd_util::sync::{AtomicU64, RELAXED};
+use pcd_util::sync::RELAXED;
 
 /// Weighted undirected graph in the paper's bucketed triple representation.
 ///
@@ -365,20 +365,6 @@ fn selfw_of(self_loop: &[Weight]) -> Weight {
     par::sum(self_loop.len(), |v| self_loop[v])
 }
 
-/// Atomic histogram of `keys` into `n` counters (used for bucket sizing).
-pub(crate) fn atomic_histogram(n: usize, keys: &[VertexId]) -> Vec<usize> {
-    let counts: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-    par::for_each(keys.len(), |i| {
-        // ORDERING: RELAXED — histogram increment, atomicity only; the
-        // join barrier orders the into_inner() reads after it.
-        counts[keys[i] as usize].fetch_add(1, RELAXED);
-    });
-    counts
-        .into_iter()
-        .map(|c| c.into_inner() as usize)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -511,11 +497,5 @@ mod tests {
         g.volumes_into(&mut vol);
         assert_eq!(vol, vec![1 + 3, 1 + 2, 2 + 3]);
         assert_eq!(vol, g.volumes());
-    }
-
-    #[test]
-    fn histogram_counts() {
-        let keys = vec![0u32, 2, 2, 1, 2];
-        assert_eq!(atomic_histogram(3, &keys), vec![1, 1, 3]);
     }
 }

@@ -23,7 +23,10 @@
 //!   proposals and weighted scans are compared over every level;
 //! * the bidirectional adjacency (`Csr`) on an R-MAT with more than
 //!   `SEQ_CUTOFF` edges, whose striped count and scatter passes are
-//!   checked against a sequential build at every width.
+//!   checked against a sequential build at every width;
+//! * ingest: the edge-list reader on a text of more than `SEQ_CUTOFF`
+//!   lines and more than one block, whose pieces are parsed on workers,
+//!   and the graph builder on as many unsorted entries.
 //!
 //! The first-level check runs every kernel in the kind enums' `ALL`
 //! lists, the sequential oracles and the 2011 baselines included.
@@ -33,7 +36,7 @@ use parcomm::contract::ContractScratch;
 use parcomm::core::kernel::{contract_level, match_level};
 use parcomm::core::{score_all_into, DetectionResult, ScoreContext};
 use parcomm::gen::{rmat_graph, sbm_graph, RmatParams, SbmParams};
-use parcomm::graph::{Csr, GraphParts};
+use parcomm::graph::{builder, io, Csr, GraphParts};
 use parcomm::matching::verify::verify_matching;
 use parcomm::matching::MatchScratch;
 use parcomm::prelude::*;
@@ -247,5 +250,73 @@ fn csr_build_is_bit_identical_across_widths() {
         assert!(csr.wgt == wgt, "wgt differs at width {w}");
         assert_eq!(csr.self_loop, g.self_loops(), "self-loops at width {w}");
         assert_eq!(csr.total_weight, g.total_weight(), "m at width {w}");
+    }
+}
+
+/// Everything a graph stores.
+type Stored = (
+    usize,
+    u64,
+    Vec<u32>,
+    Vec<u32>,
+    Vec<u64>,
+    Vec<usize>,
+    Vec<usize>,
+    Vec<u64>,
+);
+
+fn stored(g: Graph) -> Stored {
+    let (nv, m) = (g.num_vertices(), g.total_weight());
+    let p = g.into_parts();
+    let (src, dst, w) = (p.src, p.dst, p.weight);
+    (
+        nv,
+        m,
+        src,
+        dst,
+        w,
+        p.bucket_begin,
+        p.bucket_end,
+        p.self_loop,
+    )
+}
+
+#[test]
+fn ingest_is_bit_identical_across_widths() {
+    // The scale-17 R-MAT's edge list twice over: more than `SEQ_CUTOFF`
+    // lines and more than one 4 MiB block of text, so the reader parses
+    // pieces on workers, and every parallel pass of the build leaves the
+    // caller. The builder alone gets the same edges out of order, each
+    // once in each orientation, so that its sort and run sums work.
+    let g = large_graph();
+    let mut text = Vec::new();
+    io::write_edge_list(&g, &mut text).unwrap();
+    let text = text.repeat(2);
+    assert!(text.len() > 4 << 20, "the text fits one block");
+    let loops = (0..g.num_vertices() as u32).map(|v| (v, v, g.self_loop(v)));
+    let entries: Vec<_> = (0..g.num_edges())
+        .rev()
+        .map(|e| g.edge(e))
+        .map(|(i, j, w)| (j, i, w))
+        .chain(g.edges())
+        .chain(loops)
+        .collect();
+    assert!(entries.len() > SEQ_CUTOFF, "builder regions run inline");
+    let nv = g.num_vertices();
+    let read = |w| with_threads(w, || stored(io::read_edge_list(&text[..]).unwrap()));
+    let build = |w| {
+        let entries = entries.clone();
+        with_threads(w, move || {
+            stored(builder::try_from_edges(nv, entries).unwrap())
+        })
+    };
+    let (read_base, build_base) = (read(WIDTHS[0]), build(WIDTHS[0]));
+    // Both double every weight of the input graph.
+    assert_eq!(read_base.2, g.srcs(), "read sources");
+    assert_eq!(build_base.2, g.srcs(), "built sources");
+    assert_eq!(read_base.1, 2 * g.total_weight(), "read total weight");
+    for &w in &WIDTHS[1..] {
+        assert!(read(w) == read_base, "read graph differs at width {w}");
+        assert!(build(w) == build_base, "built graph differs at width {w}");
     }
 }
