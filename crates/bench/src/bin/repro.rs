@@ -180,10 +180,6 @@ fn quality(suite: &[NamedGraph]) {
         let refined = pcd_core::refine::refine(&g.graph, &r.assignment, 10);
         report("  + refinement", &refined.assignment);
         report("louvain (seq)", &pcd_baseline::louvain(&g.graph));
-        report(
-            "labelprop (seq)",
-            &pcd_baseline::label_propagation(&g.graph, 30),
-        );
         // CNM is O(E log E)-ish with big constants; keep it to small graphs.
         if g.graph.num_edges() <= 700_000 {
             report("cnm (seq)", &pcd_baseline::cnm(&g.graph));

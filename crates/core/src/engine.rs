@@ -337,7 +337,7 @@ impl Detector {
     /// As [`Detector::run_isolated`], firing `observer` at level and phase
     /// boundaries. On a panic the observer's partial recording is the
     /// caller's to discard.
-    pub fn run_isolated_observed(
+    fn run_isolated_observed(
         &mut self,
         graph: Graph,
         observer: &mut dyn LevelObserver,

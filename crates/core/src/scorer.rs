@@ -53,7 +53,7 @@ impl Default for ScoreContext {
 
 /// Scores a single edge `(i, j, w)` under the chosen metric.
 #[inline]
-pub fn score_edge(kind: ScorerKind, g: &Graph, ctx: &ScoreContext, e: usize) -> f64 {
+fn score_edge(kind: ScorerKind, g: &Graph, ctx: &ScoreContext, e: usize) -> f64 {
     let (i, j, w) = g.edge(e);
     let (vi, vj) = (ctx.vol[i as usize], ctx.vol[j as usize]);
     match kind {

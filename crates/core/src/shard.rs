@@ -31,6 +31,7 @@ use pcd_graph::{builder, Graph};
 use pcd_util::par;
 use pcd_util::timing::Timer;
 use pcd_util::{PcdError, VertexId};
+use std::cmp::Reverse;
 
 /// Per-component record from [`detect_sharded_outcomes`]: the component's
 /// own detection result (or the structured error that felled it) plus the
@@ -61,11 +62,9 @@ impl ComponentOutcome {
 
 /// Runs WCC-sharded community detection over `graph` under `config`,
 /// regardless of [`Config::sharding`] (calling this *is* the opt-in),
-/// firing one observer (from `make_observer`) per engine-run component.
-/// The observers come back in component order so recorders can be folded
-/// deterministically (the pool size never shows). Trivial components (a
-/// single vertex with no weight) are synthesized without an engine run
-/// and contribute no observer.
+/// firing one observer (from `make_observer`) per component. The
+/// observers come back in component order so recorders can be folded
+/// deterministically (the pool size never shows).
 ///
 /// Validates the configuration up front and returns the first failing
 /// component's error *in component order* (a deterministic choice), or
@@ -101,7 +100,7 @@ where
     let mut results = Vec::with_capacity(ran.len());
     let mut observers = Vec::new();
     for (component, observer) in ran {
-        observers.extend(observer);
+        observers.push(observer);
         maps.push(component.old_of_new);
         results.push(component.outcome?);
     }
@@ -138,95 +137,43 @@ pub fn detect_sharded_outcomes(
 /// Detect stage: hands every part to [`detect_many_observed`] largest
 /// component first (classic LPT scheduling — the longest-running shard
 /// starts earliest, minimizing the tail), so each runs panic-isolated on
-/// a warm per-worker [`Detector`]. Trivial components (one vertex, zero
-/// weight) are synthesized without touching an engine when no budget is
-/// armed (an armed budget can breach even a trivial run — e.g.
-/// `max_levels: 0` or an expired deadline — so those go through the
-/// engine for bit-faithful termination reporting).
+/// a warm per-worker [`Detector`].
 ///
-/// Returns each part's outcome and observer in component order;
-/// synthesized parts carry no observer.
+/// Returns each part's outcome and observer in component order.
 fn run_components<O, F>(
     parts: Vec<ComponentPart>,
     config: &Config,
     make_observer: &F,
-) -> Result<Vec<(ComponentOutcome, Option<O>)>, PcdError>
+) -> Result<Vec<(ComponentOutcome, O)>, PcdError>
 where
     O: LevelObserver + Send,
     F: Fn() -> O + Sync,
 {
-    let may_synthesize = !config.budget.is_armed();
-    let mut maps = Vec::with_capacity(parts.len());
-    let mut slots: Vec<Option<Graph>> = Vec::with_capacity(parts.len());
-    let mut schedule: Vec<(usize, usize)> = Vec::new(); // (work estimate, part index)
-    for (i, part) in parts.into_iter().enumerate() {
-        let trivial =
-            may_synthesize && part.graph.num_vertices() == 1 && part.graph.total_weight() == 0;
-        if !trivial {
-            schedule.push((part.graph.num_vertices() + part.graph.num_edges(), i));
-        }
-        maps.push(part.old_of_new);
-        slots.push(Some(part.graph));
-    }
-    schedule.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-    let work: Vec<Graph> = schedule
-        .iter()
-        // analyze: allow(panic, reason = "non-trivial slots were filled two loops above and taken exactly once")
-        .map(|&(_, i)| slots[i].take().expect("slot filled above"))
-        .collect();
-    let mut ran: Vec<Option<_>> = detect_many_observed(work, config, make_observer)?
+    let mut scheduled: Vec<(usize, ComponentPart)> = parts.into_iter().enumerate().collect();
+    scheduled.sort_unstable_by_key(|(i, part)| {
+        let work = part.graph.num_vertices() + part.graph.num_edges();
+        (Reverse(work), *i)
+    });
+    let (placed, work): (Vec<_>, Vec<_>) = scheduled
         .into_iter()
-        .map(Some)
-        .collect();
+        .map(|(i, part)| ((i, part.old_of_new), part.graph))
+        .unzip();
+    let ran = detect_many_observed(work, config, make_observer)?;
 
     // Runs come back in schedule order; component order is the contract.
-    let mut position = vec![0; maps.len()];
-    for (pos, &(_, i)) in schedule.iter().enumerate() {
-        position[i] = pos;
-    }
-    Ok(maps
+    let mut out: Vec<_> = placed
         .into_iter()
-        .zip(slots)
-        .zip(position)
-        .map(|((old_of_new, slot), pos)| {
-            let (outcome, observer) = match slot {
-                Some(g) => (Ok(trivial_result(g)), None),
-                None => {
-                    // analyze: allow(panic, reason = "each scheduled part ran once and is taken once, at its own position")
-                    let (outcome, observer) = ran[pos].take().expect("scheduled part ran");
-                    (outcome, Some(observer))
-                }
-            };
+        .zip(ran)
+        .map(|((i, old_of_new), (outcome, observer))| {
             let component = ComponentOutcome {
                 old_of_new,
                 outcome,
             };
-            (component, observer)
+            (i, component, observer)
         })
-        .collect())
-}
-
-/// What one [`Detector`] run produces on a single-vertex, zero-weight
-/// graph, synthesized without the engine: the score phase finds no
-/// positive pair and exits at level 0 with the singleton partition.
-/// `shard::tests::trivial_result_matches_an_engine_run` pins every field
-/// against a real run.
-fn trivial_result(graph: Graph) -> DetectionResult {
-    DetectionResult {
-        assignment: vec![0],
-        num_communities: 1,
-        community_graph: graph,
-        community_vertex_counts: vec![1],
-        modularity: 0.0,
-        coverage: 1.0,
-        input_vertices: 1,
-        input_edges: 0,
-        levels: Vec::new(),
-        level_maps: Vec::new(),
-        stop_reason: StopReason::LocalMaximum,
-        termination: Termination::Converged,
-        total_secs: 0.0,
-    }
+        .collect();
+    out.sort_unstable_by_key(|&(i, ..)| i);
+    Ok(out.into_iter().map(|(_, c, o)| (c, o)).collect())
 }
 
 /// Merge-precedence rank of a stop reason: a budget breach anywhere wins
@@ -493,37 +440,6 @@ mod tests {
     /// [`crate::detect`] with [`Config::sharding`] on.
     fn detect_sharded(g: Graph, cfg: &Config) -> DetectionResult {
         crate::detect(g, &cfg.clone().with_sharding(true))
-    }
-
-    #[test]
-    fn trivial_result_matches_an_engine_run() {
-        let engine = Detector::new(Config::default())
-            .unwrap()
-            .run(Graph::empty(1))
-            .unwrap();
-        let synth = trivial_result(Graph::empty(1));
-        assert_eq!(synth.assignment, engine.assignment);
-        assert_eq!(synth.num_communities, engine.num_communities);
-        assert_eq!(
-            synth.community_vertex_counts,
-            engine.community_vertex_counts
-        );
-        assert_eq!(synth.modularity, engine.modularity);
-        assert_eq!(synth.coverage, engine.coverage);
-        assert_eq!(synth.input_vertices, engine.input_vertices);
-        assert_eq!(synth.input_edges, engine.input_edges);
-        assert_eq!(synth.levels.len(), engine.levels.len());
-        assert_eq!(synth.level_maps, engine.level_maps);
-        assert_eq!(synth.stop_reason, engine.stop_reason);
-        assert_eq!(synth.termination, engine.termination);
-        assert_eq!(
-            synth.community_graph.num_vertices(),
-            engine.community_graph.num_vertices()
-        );
-        assert_eq!(
-            synth.community_graph.total_weight(),
-            engine.community_graph.total_weight()
-        );
     }
 
     #[test]

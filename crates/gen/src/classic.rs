@@ -158,18 +158,6 @@ pub fn clique_ring_truth(k: usize, s: usize) -> Vec<VertexId> {
     (0..k * s).map(|v| (v / s) as u32).collect()
 }
 
-/// Complete bipartite graph `K(a, b)` — has no community structure under
-/// modularity; a useful adversarial case.
-pub fn complete_bipartite(a: usize, b: usize) -> Graph {
-    let mut g = GraphBuilder::new(a + b);
-    for i in 0..a as u32 {
-        for j in 0..b as u32 {
-            g = g.add_edge(i, a as u32 + j, 1);
-        }
-    }
-    g.build()
-}
-
 /// Two cliques of size `s` joined by one bridge — the minimal two-community
 /// graph.
 pub fn two_cliques(s: usize) -> Graph {
@@ -231,12 +219,6 @@ mod tests {
         let t = clique_ring_truth(k, s);
         assert_eq!(t[0], 0);
         assert_eq!(t[19], 3);
-    }
-
-    #[test]
-    fn bipartite_shape() {
-        let g = complete_bipartite(3, 4);
-        assert_eq!(g.num_edges(), 12);
     }
 
     #[test]

@@ -23,6 +23,6 @@ pub mod sbm;
 pub mod web;
 
 pub use lfr::{lfr_graph, LfrGraph, LfrParams};
-pub use rmat::{rmat_edges, rmat_graph, RmatParams};
+pub use rmat::{rmat_graph, RmatParams};
 pub use sbm::{sbm_graph, SbmParams};
 pub use web::{web_graph, WebParams};

@@ -57,14 +57,14 @@ impl RmatParams {
     }
 
     /// `2^scale · edge_factor` raw edge draws.
-    pub fn num_generated_edges(&self) -> usize {
+    fn num_generated_edges(&self) -> usize {
         self.num_vertices() * self.edge_factor as usize
     }
 }
 
 /// Generates the raw R-MAT edge multiset (self-loops and duplicates
 /// included, as the paper notes). Deterministic per `(seed, edge index)`.
-pub fn rmat_edges(p: &RmatParams) -> Vec<(VertexId, VertexId, Weight)> {
+fn rmat_edges(p: &RmatParams) -> Vec<(VertexId, VertexId, Weight)> {
     assert!(p.scale > 0 && p.scale <= 31, "scale out of range");
     assert!(
         (p.a + p.b + p.c + p.d() - 1.0).abs() < 1e-9 && p.d() >= 0.0,

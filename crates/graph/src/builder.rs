@@ -123,7 +123,7 @@ pub fn try_from_edges(
     // sort moves past every kept pair. So a graph's stored edges followed
     // by its self-loops, the order `io::write_edge_list` writes, are
     // still sorted, which the sort finds in one pass.
-    let mut self_loop = vec![0u64; nv];
+    let mut self_loop: Vec<Weight> = per_vertex(nv)?;
     {
         let loops = as_atomic_u64(&mut self_loop);
         par::for_each_mut(&mut edges, |_, e| {
@@ -149,9 +149,13 @@ pub fn try_from_edges(
 
     // Sorted by src, so vertex `v`'s bucket is the run of edges whose
     // source is `v`, starting where the sources below `v` end.
-    let bucket_begin: Vec<usize> = par::map(nv, |v| src.partition_point(|&s| (s as usize) < v));
-    let bucket_end: Vec<usize> = par::map(nv, |v| {
-        bucket_begin.get(v + 1).copied().unwrap_or(src.len())
+    let mut bucket_begin: Vec<usize> = per_vertex(nv)?;
+    par::for_each_mut(&mut bucket_begin, |v, b| {
+        *b = src.partition_point(|&s| (s as usize) < v);
+    });
+    let mut bucket_end: Vec<usize> = per_vertex(nv)?;
+    par::for_each_mut(&mut bucket_end, |v, e| {
+        *e = bucket_begin.get(v + 1).copied().unwrap_or(src.len());
     });
 
     Ok(Graph::from_parts(
@@ -163,6 +167,20 @@ pub fn try_from_edges(
         bucket_end,
         self_loop,
     ))
+}
+
+/// A zeroed array of one entry per vertex. An edge list names its vertex
+/// count through its largest id, so one huge id must come back as an
+/// error rather than abort the process when the allocation fails.
+fn per_vertex<T: Clone + Default>(nv: usize) -> Result<Vec<T>, PcdError> {
+    let mut out = Vec::new();
+    out.try_reserve_exact(nv).map_err(|_| {
+        PcdError::corrupt(format!(
+            "cannot allocate the per-vertex arrays of {nv} vertices"
+        ))
+    })?;
+    out.resize(nv, T::default());
+    Ok(out)
 }
 
 /// Segmented reduction over sorted entries: each run of equal `(src,
@@ -297,6 +315,16 @@ mod tests {
     fn try_from_edges_rejects_weight_overflow() {
         let err = try_from_edges(3, vec![(0, 1, u64::MAX), (1, 2, 1)]).unwrap_err();
         assert!(err.to_string().contains("overflow"), "{err}");
+    }
+
+    #[test]
+    fn per_vertex_arrays_fail_as_an_error() {
+        // Its byte size overflows `isize`, so no host can allocate it.
+        let nv = usize::MAX / 4;
+        let err = per_vertex::<u64>(nv).unwrap_err();
+        assert!(matches!(err, PcdError::Corrupt { .. }), "{err}");
+        assert!(err.to_string().contains(&nv.to_string()), "{err}");
+        assert_eq!(per_vertex::<u64>(3).unwrap(), vec![0; 3]);
     }
 
     #[test]

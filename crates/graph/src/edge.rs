@@ -46,12 +46,6 @@ pub fn canonical_order(i: VertexId, j: VertexId) -> (VertexId, VertexId) {
     }
 }
 
-/// The stored first endpoint for `(i, j)` — which bucket the edge lives in.
-#[inline]
-pub fn bucket_owner(i: VertexId, j: VertexId) -> VertexId {
-    canonical_order(i, j).0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -100,7 +94,7 @@ mod tests {
         // leaves (odd leaves, mixed parity with 0 -> leaf owns; even leaves,
         // same parity -> 0 owns since 0 < leaf).
         let owned_by_center = (1..101u32)
-            .filter(|&leaf| bucket_owner(0, leaf) == 0)
+            .filter(|&leaf| canonical_order(0, leaf).0 == 0)
             .count();
         assert_eq!(owned_by_center, 50);
     }

@@ -1,7 +1,7 @@
-//! Degree and size statistics — the numbers behind Table II and sanity
+//! Degree statistics — what `parcomm stats` prints, and sanity
 //! checks on generated graphs (power-law shape of R-MAT, etc.).
 
-use crate::{Csr, Graph};
+use crate::Csr;
 use pcd_util::par;
 
 /// Summary statistics of a graph's degree distribution.
@@ -63,86 +63,10 @@ pub fn degree_histogram_log2(csr: &Csr) -> Vec<usize> {
     hist
 }
 
-/// Degree assortativity coefficient (Pearson correlation of endpoint
-/// degrees over edges). Social networks are typically assortative (> 0),
-/// web graphs and R-MAT disassortative (< 0).
-pub fn degree_assortativity(csr: &Csr) -> f64 {
-    let nv = csr.num_vertices();
-    let degrees: Vec<f64> = (0..nv as u32).map(|v| csr.degree(v) as f64).collect();
-    // Iterate each undirected edge once via the ordered direction.
-    let mut n = 0f64;
-    let (mut sx, mut sy, mut sxx, mut syy, mut sxy) = (0f64, 0f64, 0f64, 0f64, 0f64);
-    for v in 0..nv as u32 {
-        for (u, _) in csr.neighbors(v) {
-            if u <= v {
-                continue;
-            }
-            // Count both orientations for the symmetric correlation.
-            for (x, y) in [
-                (degrees[v as usize], degrees[u as usize]),
-                (degrees[u as usize], degrees[v as usize]),
-            ] {
-                n += 1.0;
-                sx += x;
-                sy += y;
-                sxx += x * x;
-                syy += y * y;
-                sxy += x * y;
-            }
-        }
-    }
-    if n == 0.0 {
-        return 0.0;
-    }
-    let cov = sxy / n - (sx / n) * (sy / n);
-    let vx = sxx / n - (sx / n) * (sx / n);
-    let vy = syy / n - (sy / n) * (sy / n);
-    if vx <= 0.0 || vy <= 0.0 {
-        0.0
-    } else {
-        cov / (vx * vy).sqrt()
-    }
-}
-
-/// One row of the paper's Table II: graph name and sizes.
-#[derive(Debug, Clone)]
-pub struct GraphRow {
-    /// Display name.
-    pub name: String,
-    /// Vertex count.
-    pub nv: usize,
-    /// Unique stored edge count.
-    pub ne: usize,
-    /// Total weight (input edges represented).
-    pub total_weight: u64,
-}
-
-impl GraphRow {
-    /// Builds a row from a graph.
-    pub fn from_graph(name: &str, g: &Graph) -> Self {
-        GraphRow {
-            name: name.to_string(),
-            nv: g.num_vertices(),
-            ne: g.num_edges(),
-            total_weight: g.total_weight(),
-        }
-    }
-}
-
-impl std::fmt::Display for GraphRow {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{:<16} |V| = {:>12} |E| = {:>14} weight = {:>14}",
-            self.name, self.nv, self.ne, self.total_weight
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::GraphBuilder;
+    use crate::{Graph, GraphBuilder};
 
     #[test]
     fn stats_of_star() {
@@ -173,40 +97,6 @@ mod tests {
         let h = degree_histogram_log2(&Csr::from_graph(&g));
         assert_eq!(h[0], 5);
         assert_eq!(h[2], 1);
-    }
-
-    #[test]
-    fn row_formats() {
-        let g = GraphBuilder::new(2).add_pairs([(0, 1)]).build();
-        let row = GraphRow::from_graph("tiny", &g);
-        let s = row.to_string();
-        assert!(s.contains("tiny"));
-        assert!(s.contains("|V|"));
-    }
-
-    #[test]
-    fn assortativity_of_regular_graph_is_zero() {
-        // Every endpoint has the same degree: zero variance -> 0.
-        let g = GraphBuilder::new(6)
-            .add_pairs((0..6u32).map(|i| (i, (i + 1) % 6)))
-            .build();
-        assert_eq!(degree_assortativity(&Csr::from_graph(&g)), 0.0);
-    }
-
-    #[test]
-    fn star_is_disassortative() {
-        let g = GraphBuilder::new(6)
-            .add_pairs((1..6).map(|i| (0u32, i)))
-            .build();
-        let r = degree_assortativity(&Csr::from_graph(&g));
-        // Hubs connect only to leaves: strongly negative (degenerate case
-        // yields 0 variance on one side; use a double star instead).
-        let g2 = GraphBuilder::new(8)
-            .add_pairs([(0, 1), (0, 2), (0, 3), (4, 5), (4, 6), (4, 7), (0, 4)])
-            .build();
-        let r2 = degree_assortativity(&Csr::from_graph(&g2));
-        assert!(r <= 0.0);
-        assert!(r2 < 0.0, "r2 = {r2}");
     }
 
     #[test]

@@ -3,15 +3,14 @@
 //! matching's weight is "within a factor of two of the maximum possible
 //! value" (Preis), instead of taking it on faith.
 //!
-//! Exponential in `|V|`; restricted to tiny graphs (≤ ~20 vertices).
+//! Exponential in `|V|`; restricted to tiny graphs (≤ ~20 vertices), and
+//! compiled only for this crate's unit tests.
 
-use crate::Matching;
 use pcd_graph::Graph;
-use pcd_util::NO_VERTEX;
 
 /// Computes the maximum total score over all matchings of the
 /// positive-score subgraph. Panics if the graph has more than 24 vertices.
-pub fn max_weight_matching_score(g: &Graph, scores: &[f64]) -> f64 {
+pub(crate) fn max_weight_matching_score(g: &Graph, scores: &[f64]) -> f64 {
     assert!(g.num_vertices() <= 24, "brute force limited to tiny graphs");
     assert_eq!(scores.len(), g.num_edges());
     let edges: Vec<(u32, u32, f64)> = (0..g.num_edges())
@@ -43,39 +42,6 @@ pub fn max_weight_matching_score(g: &Graph, scores: &[f64]) -> f64 {
     dfs(&edges, 0)
 }
 
-/// Exact maximum-weight matching (edge set), same restrictions.
-pub fn max_weight_matching(g: &Graph, scores: &[f64]) -> Matching {
-    assert!(g.num_vertices() <= 24, "brute force limited to tiny graphs");
-    let edges: Vec<usize> = (0..g.num_edges()).filter(|&e| scores[e] > 0.0).collect();
-    fn dfs(g: &Graph, scores: &[f64], edges: &[usize], used: u32) -> (f64, Vec<usize>) {
-        match edges.split_first() {
-            None => (0.0, Vec::new()),
-            Some((&e, rest)) => {
-                let (skip_w, skip_set) = dfs(g, scores, rest, used);
-                let (i, j, _) = g.edge(e);
-                if used & (1 << i) == 0 && used & (1 << j) == 0 {
-                    let (mut take_w, mut take_set) =
-                        dfs(g, scores, rest, used | (1 << i) | (1 << j));
-                    take_w += scores[e];
-                    if take_w > skip_w {
-                        take_set.push(e);
-                        return (take_w, take_set);
-                    }
-                }
-                (skip_w, skip_set)
-            }
-        }
-    }
-    let (_, set) = dfs(g, scores, &edges, 0);
-    let mut mate = vec![NO_VERTEX; g.num_vertices()];
-    for &e in &set {
-        let (i, j, _) = g.edge(e);
-        mate[i as usize] = j;
-        mate[j as usize] = i;
-    }
-    Matching::new(mate, set)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -102,20 +68,10 @@ mod tests {
     }
 
     #[test]
-    fn exact_matching_is_valid() {
-        let g = pcd_gen::classic::clique(6);
-        let s = vec![1.0; g.num_edges()];
-        let m = max_weight_matching(&g, &s);
-        assert_eq!(crate::verify::verify_matching(&g, &s, &m), Ok(()));
-        assert_eq!(m.len(), 3); // perfect matching of K6
-    }
-
-    #[test]
     fn all_negative_scores_empty_optimum() {
         let g = pcd_gen::classic::ring(5);
         let s = vec![-1.0; g.num_edges()];
         assert_eq!(max_weight_matching_score(&g, &s), 0.0);
-        assert!(max_weight_matching(&g, &s).is_empty());
     }
 
     #[test]

@@ -27,7 +27,8 @@
 //! matching that is maximal over the positive-score subgraph; the paper
 //! argues weight within a factor of two of the maximum.
 
-pub mod brute;
+#[cfg(test)]
+mod brute;
 pub mod edge_sweep;
 pub mod labelprop;
 pub mod parallel;
@@ -35,14 +36,12 @@ pub mod seq;
 pub mod verify;
 
 pub use labelprop::{match_within_labels, LabelScratch};
-pub use parallel::{
-    match_unmatched_list, match_unmatched_list_capped, match_unmatched_list_scratch, MatchScratch,
-};
+pub use parallel::{match_unmatched_list, match_unmatched_list_scratch, MatchScratch};
 
 use pcd_graph::Graph;
 use pcd_util::{VertexId, NO_VERTEX};
 
-/// Outcome of a round-capped matching run ([`match_unmatched_list_capped`]).
+/// Outcome of a round-capped matching run ([`match_unmatched_list_scratch`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct MatchOutcome {
     /// The matching — always valid and maximal over positive scores,

@@ -133,10 +133,16 @@ impl MatchScratch {
 ///
 /// `scores[e]` aligns with the graph's edge arrays. Returns a matching that
 /// is maximal over the positive-score subgraph and deterministic for any
-/// thread count. [`match_unmatched_list_capped`] also reports the number
+/// thread count. [`match_unmatched_list_scratch`] also reports the number
 /// of rounds taken; this entry point discards it.
 pub fn match_unmatched_list(g: &Graph, scores: &[f64]) -> Matching {
     match_unmatched_list_capped(g, scores, usize::MAX).matching
+}
+
+/// [`match_unmatched_list_scratch`] on a fresh [`MatchScratch`].
+fn match_unmatched_list_capped(g: &Graph, scores: &[f64], max_rounds: usize) -> MatchOutcome {
+    let mut scratch = MatchScratch::new();
+    match_unmatched_list_scratch(g, scores, max_rounds, &mut scratch)
 }
 
 /// As [`match_unmatched_list`], also returning the round count, with a
@@ -147,16 +153,11 @@ pub fn match_unmatched_list(g: &Graph, scores: &[f64]) -> Matching {
 /// eligible edge), but a production service guards against its own bugs:
 /// a miscompiled CAS loop or a corrupted score array must cost throughput,
 /// not liveness. The result is a valid maximal matching either way.
-pub fn match_unmatched_list_capped(g: &Graph, scores: &[f64], max_rounds: usize) -> MatchOutcome {
-    let mut scratch = MatchScratch::new();
-    match_unmatched_list_scratch(g, scores, max_rounds, &mut scratch)
-}
-
-/// As [`match_unmatched_list_capped`], running entirely inside a caller-owned
-/// [`MatchScratch`]. The result is bit-identical to the owning entry point
-/// for any thread count; the only difference is where the buffers live.
-/// After the first call at a given graph size, further calls perform no
-/// heap allocation (graphs shrink level over level, so capacity carries).
+///
+/// Runs entirely inside the caller-owned [`MatchScratch`]; the result is
+/// bit-identical for any thread count and any scratch history. After the
+/// first call at a given graph size, further calls perform no heap
+/// allocation (graphs shrink level over level, so capacity carries).
 pub fn match_unmatched_list_scratch(
     g: &Graph,
     scores: &[f64],

@@ -63,67 +63,6 @@ pub fn community_conductances(g: &Graph, assignment: &[VertexId]) -> Vec<f64> {
     })
 }
 
-/// Summary of a conductance distribution.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ConductanceStats {
-    /// Unweighted mean conductance over non-empty communities.
-    pub mean: f64,
-    /// Worst (largest) conductance.
-    pub max: f64,
-    /// Weighted by community volume.
-    pub volume_weighted_mean: f64,
-}
-
-/// Aggregates [`community_conductances`] (ignoring empty communities).
-pub fn conductance_stats(g: &Graph, assignment: &[VertexId]) -> ConductanceStats {
-    let phis = community_conductances(g, assignment);
-    if phis.is_empty() {
-        return ConductanceStats {
-            mean: 0.0,
-            max: 0.0,
-            volume_weighted_mean: 0.0,
-        };
-    }
-    // Volumes for weighting.
-    let k = phis.len();
-    let mut vol = vec![0u64; k];
-    {
-        let vol_c = as_atomic_u64(&mut vol);
-        // ORDERING: RELAXED — volume accumulation, atomicity only; the
-        // join barriers publish the totals to the filter below.
-        par::for_each(g.num_vertices(), |v| {
-            let s = g.self_loop(v as u32);
-            if s > 0 {
-                vol_c[assignment[v] as usize].fetch_add(2 * s, RELAXED);
-            }
-        });
-        par::for_each(g.num_edges(), |e| {
-            let (i, j, w) = g.edge(e);
-            vol_c[assignment[i as usize] as usize].fetch_add(w, RELAXED);
-            vol_c[assignment[j as usize] as usize].fetch_add(w, RELAXED);
-        });
-    }
-    let nonempty: Vec<usize> = (0..k).filter(|&c| vol[c] > 0).collect();
-    let n = nonempty.len().max(1) as f64;
-    let mean = nonempty.iter().map(|&c| phis[c]).sum::<f64>() / n;
-    let max = nonempty.iter().map(|&c| phis[c]).fold(0.0, f64::max);
-    let total_vol: u64 = vol.iter().sum();
-    let vw = if total_vol == 0 {
-        0.0
-    } else {
-        nonempty
-            .iter()
-            .map(|&c| phis[c] * vol[c] as f64)
-            .sum::<f64>()
-            / total_vol as f64
-    };
-    ConductanceStats {
-        mean,
-        max,
-        volume_weighted_mean: vw,
-    }
-}
-
 /// Conductance delta used by the conductance scorer (see `pcd-core`):
 /// the merged community's conductance minus the mean of the two parts',
 /// negated so that positive = improvement.
@@ -184,17 +123,6 @@ mod tests {
         for phi in phis {
             assert!((phi - 0.6).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn stats_aggregate() {
-        let g = pcd_gen::classic::two_cliques(5);
-        let mut a = vec![0u32; 10];
-        a[5..].iter_mut().for_each(|x| *x = 1);
-        let s = conductance_stats(&g, &a);
-        assert!((s.mean - 1.0 / 21.0).abs() < 1e-12);
-        assert!((s.max - 1.0 / 21.0).abs() < 1e-12);
-        assert!((s.volume_weighted_mean - 1.0 / 21.0).abs() < 1e-12);
     }
 
     #[test]

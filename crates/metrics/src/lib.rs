@@ -22,11 +22,11 @@ pub mod nmi;
 pub mod report;
 pub mod sizes;
 
-pub use conductance::{community_conductances, conductance_stats, ConductanceStats};
+pub use conductance::community_conductances;
 pub use modularity::{community_graph_modularity, community_graph_modularity_with_vol, modularity};
 pub use nmi::{adjusted_rand_index, normalized_mutual_information};
 pub use report::{community_reports, largest_communities, CommunityReport};
-pub use sizes::{community_sizes, coverage, SizeStats};
+pub use sizes::coverage;
 
 use pcd_util::VertexId;
 

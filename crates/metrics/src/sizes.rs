@@ -1,66 +1,8 @@
-//! Community size distributions and coverage.
+//! Coverage: the fraction of the total weight inside communities.
 
 use pcd_graph::Graph;
 use pcd_util::par;
-use pcd_util::sync::{as_atomic_u64, RELAXED};
 use pcd_util::VertexId;
-
-/// Number of members per community (dense ids assumed; use
-/// [`crate::compact_labels`] first if needed).
-pub fn community_sizes(assignment: &[VertexId]) -> Vec<usize> {
-    let k = assignment
-        .iter()
-        .copied()
-        .max()
-        .map_or(0, |x| x as usize + 1);
-    let mut sizes = vec![0u64; k];
-    {
-        let cells = as_atomic_u64(&mut sizes);
-        par::for_each(assignment.len(), |v| {
-            // ORDERING: RELAXED — histogram increment, atomicity only;
-            // the join barrier publishes the counts.
-            cells[assignment[v] as usize].fetch_add(1, RELAXED);
-        });
-    }
-    sizes.into_iter().map(|s| s as usize).collect()
-}
-
-/// Summary of a community size distribution.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SizeStats {
-    /// Non-empty community count.
-    pub num_communities: usize,
-    /// Smallest community size.
-    pub min: usize,
-    /// Largest community size.
-    pub max: usize,
-    /// Mean community size.
-    pub mean: f64,
-}
-
-impl SizeStats {
-    /// Summarises the sizes of an assignment.
-    pub fn from_assignment(assignment: &[VertexId]) -> Self {
-        let sizes = community_sizes(assignment);
-        let nonempty: Vec<usize> = sizes.into_iter().filter(|&s| s > 0).collect();
-        if nonempty.is_empty() {
-            return SizeStats {
-                num_communities: 0,
-                min: 0,
-                max: 0,
-                mean: 0.0,
-            };
-        }
-        SizeStats {
-            num_communities: nonempty.len(),
-            // analyze: allow(panic, reason = "the empty case early-returned above, so `nonempty` has entries")
-            min: *nonempty.iter().min().unwrap(),
-            // analyze: allow(panic, reason = "same non-empty argument as `min` on the previous line")
-            max: *nonempty.iter().max().unwrap(),
-            mean: nonempty.iter().sum::<usize>() as f64 / nonempty.len() as f64,
-        }
-    }
-}
 
 /// Coverage of `assignment` over `g`: fraction of total weight falling
 /// inside communities (self-loops always count as internal).
@@ -84,21 +26,6 @@ pub fn coverage(g: &Graph, assignment: &[VertexId]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn sizes_counted() {
-        assert_eq!(community_sizes(&[0, 1, 1, 2, 1]), vec![1, 3, 1]);
-    }
-
-    #[test]
-    fn stats_skip_empty_ids() {
-        // Community 1 unused.
-        let s = SizeStats::from_assignment(&[0, 0, 2]);
-        assert_eq!(s.num_communities, 2);
-        assert_eq!(s.min, 1);
-        assert_eq!(s.max, 2);
-        assert_eq!(s.mean, 1.5);
-    }
 
     #[test]
     fn coverage_of_perfect_split() {

@@ -23,7 +23,7 @@ pub mod registry;
 pub mod ring;
 
 pub use json::{metrics_json, trace_json};
-pub use observer::{merge_runs, TraceObserver, DEFAULT_SPAN_CAPACITY};
+pub use observer::{merge_runs, TraceObserver};
 pub use prometheus::encode as prometheus_text;
 pub use registry::{
     decade_bounds, CounterId, CounterView, FamilyView, GaugeId, GaugeView, HistogramId,

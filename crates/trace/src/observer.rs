@@ -24,7 +24,7 @@ use pcd_util::{PcdError, Phase};
 
 /// Default span-ring capacity: deep enough for hundreds of levels (a level
 /// contributes four spans, a run one more).
-pub const DEFAULT_SPAN_CAPACITY: usize = 4096;
+const DEFAULT_SPAN_CAPACITY: usize = 4096;
 
 fn phase_index(phase: Phase) -> usize {
     match phase {
@@ -90,7 +90,7 @@ impl TraceObserver {
     /// A recorder whose ring holds up to `capacity` spans. All metric
     /// series and the ring buffer are allocated here; the observer hooks
     /// never allocate.
-    pub fn with_span_capacity(capacity: usize) -> Self {
+    fn with_span_capacity(capacity: usize) -> Self {
         let mut reg = Registry::new();
         let runs_total = reg.counter("pcd_runs_total", "Completed detection runs.", &[]);
         let levels_total = reg.counter(
@@ -661,8 +661,8 @@ mod tests {
 
     #[test]
     fn sharded_recorders_merge_deterministically() {
-        // Two clique rings plus an isolated vertex: two engine-run
-        // components and one synthesized trivial component (no metrics).
+        // Two clique rings plus an isolated vertex: three components, each
+        // an engine run with its own recorder.
         let a = pcd_gen::classic::clique_ring(4, 5);
         let b = pcd_gen::classic::clique_ring(3, 4);
         let na = a.num_vertices();
@@ -672,14 +672,13 @@ mod tests {
         let cfg = Config::default();
 
         let (r, reg) = traced_sharded(g.clone(), &cfg);
-        assert_eq!(counter(&reg, "pcd_runs_total"), 2, "trivial shard untraced");
+        assert_eq!(counter(&reg, "pcd_runs_total"), 3);
         let levels: u64 = {
             // Per-component level totals: recompute from solo runs.
             let split = pcd_graph::subgraph::split_components(&g);
             split
                 .parts
                 .iter()
-                .filter(|p| p.graph.total_weight() > 0)
                 .map(|p| {
                     pcd_core::try_detect(p.graph.clone(), &cfg)
                         .unwrap()
@@ -689,7 +688,7 @@ mod tests {
                 .sum()
         };
         assert_eq!(counter(&reg, "pcd_levels_total"), levels);
-        assert_eq!(termination_counter(&reg, "converged"), 2);
+        assert_eq!(termination_counter(&reg, "converged"), 3);
 
         // Pool-size independence of the merged deterministic counters.
         let (r1, reg1) = pcd_util::pool::with_threads(1, {

@@ -314,17 +314,20 @@ impl Registry {
     }
 
     /// Current value of a counter.
-    pub fn counter_value(&self, id: CounterId) -> u64 {
+    #[cfg(test)]
+    fn counter_value(&self, id: CounterId) -> u64 {
         self.counters[id.0].value
     }
 
     /// Current value of a gauge.
-    pub fn gauge_value(&self, id: GaugeId) -> f64 {
+    #[cfg(test)]
+    fn gauge_value(&self, id: GaugeId) -> f64 {
         self.gauges[id.0].value
     }
 
     /// Total count of a histogram.
-    pub fn histogram_count(&self, id: HistogramId) -> u64 {
+    #[cfg(test)]
+    fn histogram_count(&self, id: HistogramId) -> u64 {
         self.histograms[id.0].count
     }
 

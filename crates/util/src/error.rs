@@ -162,12 +162,6 @@ impl PcdError {
         }
     }
 
-    /// True if this error (or the error it wraps) is an
-    /// [`PcdError::InvariantViolation`].
-    pub fn is_invariant_violation(&self) -> bool {
-        matches!(self.root(), PcdError::InvariantViolation { .. })
-    }
-
     /// True if this error (or the error it wraps) is a
     /// [`PcdError::BudgetExceeded`].
     pub fn is_budget_exceeded(&self) -> bool {
@@ -271,17 +265,9 @@ mod tests {
     }
 
     #[test]
-    fn invariant_detection_through_context() {
-        let e = PcdError::invariant(1, Phase::Score, "NaN").context("detect");
-        assert!(e.is_invariant_violation());
-        assert!(!PcdError::usage("nope").is_invariant_violation());
-    }
-
-    #[test]
     fn budget_and_poison_classify_through_context() {
         let e = PcdError::budget("deadline", 3, "5ms elapsed").context("detect");
         assert!(e.is_budget_exceeded());
-        assert!(!e.is_invariant_violation());
         assert!(e.to_string().contains("budget exceeded (deadline)"));
         assert!(e.to_string().contains("3 completed level(s)"));
 

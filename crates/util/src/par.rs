@@ -108,7 +108,7 @@ fn allowed_width(parallel: bool) -> usize {
 /// region, or a width of 1 — and the caller's width otherwise. A loop that
 /// keeps one piece of state per participant sizes that state with it, as
 /// [`Stripes`] does.
-pub fn width_for(n: usize) -> usize {
+fn width_for(n: usize) -> usize {
     allowed_width(n > SEQ_CUTOFF)
 }
 
@@ -388,7 +388,7 @@ pub fn for_each_mut<T: Send>(data: &mut [T], f: impl Fn(usize, &mut T) + Sync) {
 
 /// As [`for_each_mut`], with a per-worker state made by `init` (once per
 /// participating thread, and once when the region runs inline).
-pub fn for_each_mut_init<T: Send, S>(
+fn for_each_mut_init<T: Send, S>(
     data: &mut [T],
     init: impl Fn() -> S + Sync,
     f: impl Fn(&mut S, usize, &mut T) + Sync,

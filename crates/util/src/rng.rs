@@ -83,7 +83,7 @@ impl ChaCha8Rng {
     }
 
     /// Selects stream `stream`, keeping the position within the stream.
-    pub fn set_stream(&mut self, stream: u64) {
+    fn set_stream(&mut self, stream: u64) {
         self.stream = stream;
         if self.index != BUF_WORDS {
             // Words already buffered belong to the old stream: regenerate

@@ -20,7 +20,7 @@
 //!    [`crate::par`] region, read only after the region ends. The
 //!    region's thread joins are the happens-before edge; the atomics only
 //!    need atomicity.
-//! 2. **CAS publish/observe** ([`ACQ_REL`] / [`ACQUIRE`]): a register
+//! 2. **CAS publish/observe** (`ACQ_REL` / [`ACQUIRE`]): a register
 //!    whose winning value is *read by other threads in the same parallel
 //!    region* (the matcher's best-proposal registers). The successful RMW
 //!    is `AcqRel`; the racing readers load with `Acquire`.
@@ -71,7 +71,7 @@ pub use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU32, AtomicU64, AtomicU
 /// Never use it to *publish* data another thread reads before the join.
 pub const RELAXED: Ordering = Ordering::Relaxed;
 
-/// `Ordering::Acquire` — observe a register published by an [`ACQ_REL`]
+/// `Ordering::Acquire` — observe a register published by an `ACQ_REL`
 /// RMW *within the same parallel region* (pattern 2). The matcher's
 /// resolve pass loads best-proposal registers with this so that a register
 /// value implies the proposing thread's prior writes are visible.
@@ -81,7 +81,7 @@ pub const ACQUIRE: Ordering = Ordering::Acquire;
 /// current winner and publishes a new one (pattern 2): the matcher's
 /// CAS-max proposal loops. Failure orderings stay [`RELAXED`]; a failed
 /// CAS publishes nothing.
-pub const ACQ_REL: Ordering = Ordering::AcqRel;
+const ACQ_REL: Ordering = Ordering::AcqRel;
 
 /// CAS loop that installs `new` for as long as `improves(current)` holds;
 /// returns `true` if `new` was installed, `false` once the current value

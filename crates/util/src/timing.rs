@@ -59,11 +59,6 @@ impl TickClock {
     pub fn ticks(&self) -> u64 {
         u64::try_from(self.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX)
     }
-
-    /// Converts a tick count from this clock into seconds.
-    pub fn ticks_to_secs(ticks: u64) -> f64 {
-        ticks as f64 * 1e-9
-    }
 }
 
 impl Default for TickClock {
@@ -148,7 +143,5 @@ mod tests {
         let a = clock.ticks();
         let b = clock.ticks();
         assert!(b >= a);
-        assert_eq!(TickClock::ticks_to_secs(1_500_000_000), 1.5);
-        assert_eq!(TickClock::ticks_to_secs(0), 0.0);
     }
 }

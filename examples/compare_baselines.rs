@@ -1,11 +1,11 @@
 //! Quality comparison: the paper's parallel agglomerative detector against
-//! the sequential baselines (CNM, Louvain, label propagation) — the
+//! the sequential baselines (CNM, Louvain) — the
 //! quantitative version of the paper's "modularities appear reasonable
 //! compared with … SNAP" remark.
 //!
 //! Run with: `cargo run --release --example compare_baselines`
 
-use parcomm::baseline::{cnm, label_propagation, louvain};
+use parcomm::baseline::{cnm, louvain};
 use parcomm::prelude::*;
 use std::time::Instant;
 
@@ -64,10 +64,6 @@ fn run_all(name: &str, graph: &Graph, truth: Option<&[u32]>) {
     let t = Instant::now();
     let a = louvain(graph);
     rows.push(eval(&a, t.elapsed().as_secs_f64(), "louvain (seq)"));
-
-    let t = Instant::now();
-    let a = label_propagation(graph, 50);
-    rows.push(eval(&a, t.elapsed().as_secs_f64(), "labelprop (seq)"));
 
     println!(
         "{:<18} {:>8} {:>8} {:>8} {:>8} {:>9}",

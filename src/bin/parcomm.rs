@@ -29,8 +29,7 @@ commands:
   detect <graph-file> [options] run community detection
   stats <graph-file>            structural statistics
   convert <in-file> <out-file>  convert between edge-list and .bin
-  compare <graph-file>          vs CNM / Louvain / label propagation
-  seed <graph-file> <vertex>    Andersen-Lang seed-set expansion
+  compare <graph-file>          vs CNM / Louvain
   communities <graph-file>      per-community report
 
 gen options:
@@ -66,9 +65,6 @@ detect options:
   --metrics FILE   write run metrics; .prom = Prometheus text exposition,
                    anything else = parcomm-metrics-v1 JSON
   --trace FILE     write the span trace (parcomm-trace-v1 JSON)
-
-seed options:
-  --max-size N     expansion budget (default 1000)
 
 communities options:
   --top N          how many largest communities to print (default 20)
@@ -128,7 +124,6 @@ fn main() -> ExitCode {
         "stats" => cmd_stats(rest),
         "convert" => cmd_convert(rest),
         "compare" => cmd_compare(rest),
-        "seed" => cmd_seed(rest),
         "communities" => cmd_communities(rest),
         other => Err(PcdError::usage(format!(
             "unknown command '{other}' (run parcomm --help)"
@@ -790,48 +785,11 @@ fn compare_report(g: Graph) -> Result<(), PcdError> {
     let t = std::time::Instant::now();
     let a = parcomm::baseline::louvain(&g);
     report("louvain (seq)", &a, t.elapsed().as_secs_f64());
-    let t = std::time::Instant::now();
-    let a = parcomm::baseline::louvain_parallel(&g);
-    report("louvain (par)", &a, t.elapsed().as_secs_f64());
-    let t = std::time::Instant::now();
-    let a = parcomm::baseline::label_propagation(&g, 30);
-    report("labelprop", &a, t.elapsed().as_secs_f64());
     if g.num_edges() <= 500_000 {
         let t = std::time::Instant::now();
         let a = parcomm::baseline::cnm(&g);
         report("cnm", &a, t.elapsed().as_secs_f64());
     }
-    Ok(())
-}
-
-fn cmd_seed(args: &[String]) -> Result<(), PcdError> {
-    let f = Flags(args);
-    f.check_allowed("seed", &["--max-size"])?;
-    let path = f
-        .positional(0)
-        .ok_or_else(|| usage("seed: missing graph file"))?;
-    let seed: u32 = f
-        .positional(1)
-        .ok_or_else(|| usage("seed: missing seed vertex"))?
-        .parse()
-        .map_err(|_| usage("bad seed vertex"))?;
-    let max_size: usize = f.parse("--max-size", 1000)?;
-    let g = load(path)?;
-    if seed as usize >= g.num_vertices() {
-        return Err(usage(format!(
-            "seed {seed} out of range (|V| = {})",
-            g.num_vertices()
-        )));
-    }
-    let c = parcomm::baseline::seed_expand(&g, seed, max_size);
-    println!(
-        "community of vertex {seed}: {} members, conductance {:.4}",
-        c.members.len(),
-        c.conductance
-    );
-    let mut members = c.members;
-    members.sort_unstable();
-    println!("{members:?}");
     Ok(())
 }
 

@@ -1,6 +1,6 @@
 //! Integration tests for the extension features: multilevel refinement,
-//! numbering invariance, community extraction, seed expansion, and the
-//! parallel Louvain baseline — all wired through the public facade.
+//! numbering invariance, community extraction and map contraction as a
+//! Louvain aggregation — all wired through the public facade.
 
 use parcomm::core::multilevel::refine_multilevel;
 use parcomm::graph::extract::extract_communities;
@@ -99,39 +99,6 @@ fn extracted_subgraphs_have_low_conductance() {
         internal > external,
         "internal {internal} external {external}"
     );
-}
-
-#[test]
-fn seed_expansion_returns_whole_cliques() {
-    // On a ring of cliques the conductance of j consecutive cliques is
-    // 2/vol(j), which *decreases* with j up to half the ring — so the
-    // sweep legitimately returns a union of consecutive whole cliques
-    // containing the seed's. Partial cliques would raise the cut and are
-    // never optimal.
-    let g = parcomm::gen::classic::clique_ring(8, 8);
-    let local = parcomm::baseline::seed_expand(&g, 3, 40);
-    // The seed's own clique (vertices 0..8) is fully inside.
-    for v in 0..8u32 {
-        assert!(local.members.contains(&v), "clique member {v} missing");
-    }
-    // Whole cliques only.
-    assert_eq!(local.members.len() % 8, 0, "partial clique returned");
-    // And the cut is the two ring bridges.
-    let vol = local.members.len() as f64 / 8.0 * 58.0; // per-clique volume
-    assert!(
-        (local.conductance - 2.0 / vol).abs() < 1e-9,
-        "phi = {}",
-        local.conductance
-    );
-}
-
-#[test]
-fn parallel_louvain_consistent_with_sequential_quality() {
-    let lfr = parcomm::gen::lfr_graph(&parcomm::gen::LfrParams::benchmark(3_000, 0.2, 11));
-    let q_seq = parcomm::metrics::modularity(&lfr.graph, &parcomm::baseline::louvain(&lfr.graph));
-    let q_par =
-        parcomm::metrics::modularity(&lfr.graph, &parcomm::baseline::louvain_parallel(&lfr.graph));
-    assert!((q_seq - q_par).abs() < 0.1, "{q_seq} vs {q_par}");
 }
 
 #[test]

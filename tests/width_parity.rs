@@ -26,7 +26,10 @@
 //!   checked against a sequential build at every width;
 //! * ingest: the edge-list reader on a text of more than `SEQ_CUTOFF`
 //!   lines and more than one block, whose pieces are parsed on workers,
-//!   and the graph builder on as many unsorted entries.
+//!   and the graph builder on as many unsorted entries;
+//! * sharded detection of a disjoint union with more than `SEQ_CUTOFF`
+//!   vertices and edges, so the component labelling, the split into
+//!   parts and the batch over the parts leave the caller.
 //!
 //! The first-level check runs every kernel in the kind enums' `ALL`
 //! lists, the sequential oracles and the 2011 baselines included.
@@ -180,6 +183,10 @@ fn detect_at_every_width(g: &Graph, cfg: &Config) -> DetectionResult {
             base.modularity.to_bits(),
             "Q at width {w}"
         );
+        assert_eq!(
+            r.community_vertex_counts, base.community_vertex_counts,
+            "community sizes at width {w}"
+        );
         assert_eq!(r.levels.len(), base.levels.len(), "levels at width {w}");
         for (a, b) in r.levels.iter().zip(&base.levels) {
             assert_eq!(a.num_edges, b.num_edges, "level |E| at width {w}");
@@ -221,6 +228,38 @@ fn default_detection_on_dense_rmat_is_bit_identical_across_widths() {
     // are split by bucket length: the liveness, propose and keep passes.
     let cfg = Config::default().with_recorded_levels();
     let base = detect_at_every_width(&dense_rmat(), &cfg);
+    assert!(base.levels.len() > 1, "stopped after one level");
+}
+
+/// A disjoint union with more than `SEQ_CUTOFF` vertices and edges:
+/// R-MAT 14, 200 planted partitions of 256 vertices, a run of 1 000
+/// isolated vertices and one vertex whose only edge is a self-loop.
+fn sharded_union() -> Graph {
+    let mut parts = vec![rmat_graph(&RmatParams::paper(14, 5))];
+    parts.extend((0..200).map(|i| sbm_graph(&SbmParams::planted_partition(256, 4, 100 + i)).graph));
+    let mut edges = Vec::new();
+    let mut offset = 0;
+    for g in &parts {
+        edges.extend(g.edges().map(|(i, j, w)| (i + offset, j + offset, w)));
+        edges.extend(
+            (0..g.num_vertices() as u32)
+                .filter(|&v| g.self_loop(v) > 0)
+                .map(|v| (v + offset, v + offset, g.self_loop(v))),
+        );
+        offset += g.num_vertices() as u32;
+    }
+    let self_loop_only = offset + 1_000;
+    edges.push((self_loop_only, self_loop_only, 3));
+    let g = builder::from_edges(self_loop_only as usize + 1, edges);
+    assert!(g.num_vertices() > SEQ_CUTOFF, "vertex regions run inline");
+    assert!(g.num_edges() > SEQ_CUTOFF, "edge regions run inline");
+    g
+}
+
+#[test]
+fn sharded_detection_is_bit_identical_across_widths() {
+    let cfg = Config::default().with_sharding(true).with_recorded_levels();
+    let base = detect_at_every_width(&sharded_union(), &cfg);
     assert!(base.levels.len() > 1, "stopped after one level");
 }
 

@@ -18,6 +18,7 @@
 //! | `panic`        | no `unwrap`/`expect`/`panic!`-family in library code | yes |
 //! | `ordering`     | atomic call sites name a shim ordering constant and carry an `// ORDERING:` rationale | yes |
 //! | `api`          | `pub` surface matches the checked-in `API.lock` | via `--bless` |
+//! | `reach`        | every public `fn`/`const`/`static` outside a trait is named by another file | yes |
 //! | `waiver`       | waiver hygiene (reason present, budget respected, no dead waivers) | no |
 //!
 //! # Waiver grammar
@@ -46,7 +47,17 @@ use std::process::ExitCode;
 use lexer::{Token, TokenKind};
 
 /// Directories scanned for Rust sources, relative to the repo root.
-pub(crate) const SCAN_DIRS: &[&str] = &["crates", "src", "tests", "examples", "xtask", "tools"];
+/// `benchmark/src` is read only as callers for `reach`; no per-file rule
+/// runs there.
+pub(crate) const SCAN_DIRS: &[&str] = &[
+    "crates",
+    "src",
+    "tests",
+    "examples",
+    "xtask",
+    "tools",
+    "benchmark/src",
+];
 
 /// Fixture corpus: planted violations live here on purpose, so rule
 /// passes skip it. The lexer self-test still covers it.
@@ -59,7 +70,6 @@ pub(crate) const API_LOCK: &str = "API.lock";
 /// Files not listed may not waive that rule at all. Growing a budget is
 /// a reviewed xtask edit, mirroring `UNSAFE_BUDGET`.
 pub(crate) const WAIVER_BUDGETS: &[(&str, &str, usize)] = &[
-    ("crates/baseline/src/labelprop.rs", "panic", 2),
     ("crates/contract/src/bucket.rs", "alloc", 1),
     ("crates/core/src/budget.rs", "panic", 1),
     ("crates/core/src/driver.rs", "panic", 1),
@@ -67,7 +77,6 @@ pub(crate) const WAIVER_BUDGETS: &[(&str, &str, usize)] = &[
     ("crates/core/src/fault.rs", "panic", 1),
     ("crates/core/src/louvain.rs", "alloc", 2),
     ("crates/core/src/scorer.rs", "alloc", 1),
-    ("crates/core/src/shard.rs", "panic", 2),
     ("crates/graph/src/builder.rs", "panic", 1),
     ("crates/graph/src/components.rs", "panic", 1),
     ("crates/graph/src/csr.rs", "alloc", 1),
@@ -75,14 +84,13 @@ pub(crate) const WAIVER_BUDGETS: &[(&str, &str, usize)] = &[
     ("crates/matching/src/edge_sweep.rs", "alloc", 4),
     ("crates/matching/src/parallel.rs", "alloc", 3),
     ("crates/matching/src/seq.rs", "panic", 1),
-    ("crates/metrics/src/sizes.rs", "panic", 2),
     ("crates/trace/src/observer.rs", "panic", 3),
     ("crates/util/src/scan.rs", "panic", 1),
     ("crates/util/src/timing.rs", "panic", 3),
 ];
 
 /// Rules that accept `// analyze: allow(...)` waivers.
-const WAIVABLE: &[&str] = &["alloc", "panic", "ordering"];
+const WAIVABLE: &[&str] = &["alloc", "panic", "ordering", "reach"];
 
 /// One finding. Ordering is (file, line, rule) so reports are stable.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -224,55 +232,125 @@ fn parse_waivers(src: &str, tokens: &[Token]) -> Vec<Waiver> {
     out
 }
 
-/// Runs every per-file rule on one file's content and applies waiver
-/// logic. `rel` must be the repo-relative path with forward slashes.
-pub(crate) fn analyze_file(rel: &str, src: &str) -> Vec<Violation> {
-    let tokens = lexer::lex(src);
-    let structure = structure::analyze(src, &tokens);
-    let code: Vec<usize> = tokens
-        .iter()
-        .enumerate()
-        .filter(|(_, t)| {
-            !matches!(
-                t.kind,
-                TokenKind::Whitespace | TokenKind::LineComment | TokenKind::BlockComment
-            )
-        })
-        .map(|(i, _)| i)
-        .collect();
-    let ctx = FileCtx {
-        rel,
-        src,
-        tokens: &tokens,
-        code: &code,
-        structure: &structure,
-    };
+/// One file lexed, with its structure pass and code-token index.
+struct Lexed<'a> {
+    rel: &'a str,
+    src: &'a str,
+    tokens: Vec<Token>,
+    code: Vec<usize>,
+    structure: structure::Structure,
+}
 
-    let mut raw = Vec::new();
-    // Lexical health first: a file that doesn't lex can't be trusted by
-    // the other passes, but we still run them (tokens exist).
-    for (i, t) in tokens.iter().enumerate() {
-        if t.kind == TokenKind::Error {
-            let _ = i;
-            raw.push(Violation {
-                file: rel.to_string(),
-                line: t.line,
-                rule: "lex",
-                msg: format!(
-                    "unterminated or malformed lexical construct starting here: {:?}",
-                    &src[t.start..t.end.min(t.start + 24)]
-                ),
-            });
+impl<'a> Lexed<'a> {
+    fn new(rel: &'a str, src: &'a str) -> Self {
+        let tokens = lexer::lex(src);
+        let structure = structure::analyze(src, &tokens);
+        let code: Vec<usize> = tokens
+            .iter()
+            .enumerate()
+            .filter(|(_, t)| {
+                !matches!(
+                    t.kind,
+                    TokenKind::Whitespace | TokenKind::LineComment | TokenKind::BlockComment
+                )
+            })
+            .map(|(i, _)| i)
+            .collect();
+        Lexed {
+            rel,
+            src,
+            tokens,
+            code,
+            structure,
         }
     }
-    rules::atomics::check(&ctx, &mut raw);
-    rules::unsafe_budget::check(&ctx, &mut raw);
-    rules::kernel_fence::check(&ctx, &mut raw);
-    rules::alloc::check(&ctx, &mut raw);
-    rules::panic_free::check(&ctx, &mut raw);
-    rules::ordering::check(&ctx, &mut raw);
 
-    apply_waivers(rel, src, &tokens, raw)
+    fn ctx(&self) -> FileCtx<'_> {
+        FileCtx {
+            rel: self.rel,
+            src: self.src,
+            tokens: &self.tokens,
+            code: &self.code,
+            structure: &self.structure,
+        }
+    }
+}
+
+/// Runs every per-file rule on one file's content and applies waiver
+/// logic. `rel` must be the repo-relative path with forward slashes.
+#[cfg(test)]
+fn analyze_file(rel: &str, src: &str) -> Vec<Violation> {
+    check_file(&Lexed::new(rel, src).ctx(), Vec::new())
+}
+
+/// The per-file rules on `ctx`, plus `cross` (this file's findings from
+/// the whole-tree `reach` pass), through this file's waivers.
+fn check_file(ctx: &FileCtx, cross: Vec<Violation>) -> Vec<Violation> {
+    let mut raw = cross;
+    // Lexical health first: a file that doesn't lex can't be trusted by
+    // the other passes, but we still run them (tokens exist).
+    for t in ctx.tokens.iter().filter(|t| t.kind == TokenKind::Error) {
+        raw.push(Violation {
+            file: ctx.rel.to_string(),
+            line: t.line,
+            rule: "lex",
+            msg: format!(
+                "unterminated or malformed lexical construct starting here: {:?}",
+                &ctx.src[t.start..t.end.min(t.start + 24)]
+            ),
+        });
+    }
+    rules::atomics::check(ctx, &mut raw);
+    rules::unsafe_budget::check(ctx, &mut raw);
+    rules::kernel_fence::check(ctx, &mut raw);
+    rules::alloc::check(ctx, &mut raw);
+    rules::panic_free::check(ctx, &mut raw);
+    rules::ordering::check(ctx, &mut raw);
+
+    apply_waivers(ctx.rel, ctx.src, ctx.tokens, raw)
+}
+
+/// Analyzes `files` (repo-relative path, source) as one tree: the
+/// per-file rules on every file outside `benchmark/`, and `reach` over
+/// the public items of the library files. Returns the violations and
+/// the sorted `API.lock` rows.
+pub(crate) fn analyze_files(files: &[(String, String)]) -> (Vec<Violation>, Vec<String>) {
+    let lexed: Vec<Lexed> = files
+        .iter()
+        .map(|(rel, src)| Lexed::new(rel, src))
+        .collect();
+    let mut items = Vec::new();
+    let mut names = Vec::with_capacity(lexed.len());
+    for (f, l) in lexed.iter().enumerate() {
+        let ctx = l.ctx();
+        if rules::api_lock::in_scope(l.rel) {
+            let mut found = Vec::new();
+            rules::api_lock::collect(&ctx, &mut found);
+            items.extend(found.into_iter().map(|item| (f, item)));
+        }
+        names.push(if rules::reach::searched(l.rel) {
+            rules::reach::names(&ctx)
+        } else {
+            rules::reach::Names::default()
+        });
+    }
+    let rels: Vec<&str> = lexed.iter().map(|l| l.rel).collect();
+    let mut unreached = Vec::new();
+    rules::reach::check(&rels, &names, &items, &mut unreached);
+
+    let mut violations = Vec::new();
+    for l in lexed.iter().filter(|l| !l.rel.starts_with("benchmark/")) {
+        let cross = unreached
+            .iter()
+            .filter(|v| v.file == l.rel)
+            .cloned()
+            .collect();
+        violations.extend(check_file(&l.ctx(), cross));
+    }
+    let mut rows: Vec<String> = items.into_iter().map(|(_, item)| item.row).collect();
+    rows.sort();
+    rows.dedup();
+    (violations, rows)
 }
 
 /// Waiver application: a waiver suppresses same-rule violations on its
@@ -407,51 +485,26 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) {
 /// of diffing against it.
 pub(crate) fn analyze_tree(root: &Path, bless: bool) -> Vec<Violation> {
     let mut violations = Vec::new();
-    let mut api_entries: Vec<String> = Vec::new();
-
+    let mut files = Vec::new();
     for file in collect_files(root, false) {
         let rel = file
             .strip_prefix(root)
             .unwrap_or(&file)
             .to_string_lossy()
             .replace('\\', "/");
-        let Ok(src) = std::fs::read_to_string(&file) else {
-            violations.push(Violation {
+        match std::fs::read_to_string(&file) {
+            Ok(src) => files.push((rel, src)),
+            Err(_) => violations.push(Violation {
                 file: rel,
                 line: 0,
                 rule: "lex",
                 msg: "unreadable file".to_string(),
-            });
-            continue;
-        };
-        violations.extend(analyze_file(&rel, &src));
-        if rules::api_lock::in_scope(&rel) {
-            let tokens = lexer::lex(&src);
-            let structure = structure::analyze(&src, &tokens);
-            let code: Vec<usize> = tokens
-                .iter()
-                .enumerate()
-                .filter(|(_, t)| {
-                    !matches!(
-                        t.kind,
-                        TokenKind::Whitespace | TokenKind::LineComment | TokenKind::BlockComment
-                    )
-                })
-                .map(|(i, _)| i)
-                .collect();
-            let ctx = FileCtx {
-                rel: &rel,
-                src: &src,
-                tokens: &tokens,
-                code: &code,
-                structure: &structure,
-            };
-            rules::api_lock::collect(&ctx, &mut api_entries);
+            }),
         }
     }
+    let (found, api_entries) = analyze_files(&files);
+    violations.extend(found);
 
-    api_entries.sort();
-    api_entries.dedup();
     let lock_path = root.join(API_LOCK);
     if bless {
         let mut doc = String::from(rules::api_lock::HEADER);
@@ -503,31 +556,6 @@ pub(crate) fn run(args: &[String]) -> ExitCode {
         }
         ExitCode::FAILURE
     }
-}
-
-/// Test helper: lexes `src` and hands a [`FileCtx`] to `f`.
-#[cfg(test)]
-fn with_ctx<T>(rel: &str, src: &str, f: impl FnOnce(&FileCtx) -> T) -> T {
-    let tokens = lexer::lex(src);
-    let structure = structure::analyze(src, &tokens);
-    let code: Vec<usize> = tokens
-        .iter()
-        .enumerate()
-        .filter(|(_, t)| {
-            !matches!(
-                t.kind,
-                TokenKind::Whitespace | TokenKind::LineComment | TokenKind::BlockComment
-            )
-        })
-        .map(|(i, _)| i)
-        .collect();
-    f(&FileCtx {
-        rel,
-        src,
-        tokens: &tokens,
-        code: &code,
-        structure: &structure,
-    })
 }
 
 #[cfg(test)]
@@ -773,10 +801,10 @@ mod tests {
                    impl S { pub fn inherent(&self) {} }\n\
                    pub mod inner { pub const K: u32 = 1; }\n\
                    pub use crate::S as Re;\n";
-        let mut entries = Vec::new();
-        with_ctx("crates/demo/src/lib.rs", src, |ctx| {
-            rules::api_lock::collect(ctx, &mut entries)
-        });
+        let mut items = Vec::new();
+        let lexed = Lexed::new("crates/demo/src/lib.rs", src);
+        rules::api_lock::collect(&lexed.ctx(), &mut items);
+        let entries: Vec<String> = items.into_iter().map(|i| i.row).collect();
         assert!(
             entries.contains(&"pcd-demo\t-\t-\tstruct\tS".to_string()),
             "{entries:?}"
@@ -818,6 +846,75 @@ mod tests {
             "{msgs:?}"
         );
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    // ---- reach ----------------------------------------------------
+
+    /// Violations of `files` (path, source) analyzed as one tree.
+    fn tree(files: &[(&str, &str)]) -> Vec<Violation> {
+        let owned: Vec<(String, String)> = files
+            .iter()
+            .map(|(rel, src)| (rel.to_string(), src.to_string()))
+            .collect();
+        analyze_files(&owned).0
+    }
+
+    #[test]
+    fn unreached_pub_fn_is_reported() {
+        let v = tree(&[
+            (LIB, "pub fn lonely() {}\nfn own() { lonely() }\n"),
+            (
+                "tests/t.rs",
+                "// lonely\nfn t() -> &'static str { \"lonely\" }\n",
+            ),
+        ]);
+        assert_eq!(rules_of(&v), vec!["reach"], "{v:?}");
+        assert_eq!((v[0].file.as_str(), v[0].line), (LIB, 1), "{v:?}");
+        // One identifier in another file reaches it.
+        let v = tree(&[
+            (LIB, "pub fn lonely() {}\n"),
+            ("tests/t.rs", "fn t() { lonely() }\n"),
+        ]);
+        assert!(v.is_empty(), "{v:?}");
+    }
+
+    #[test]
+    fn reach_waiver_silences_and_spends_the_budget() {
+        let src = "// analyze: allow(reach, reason = \"kept for downstream callers\")\n\
+                   pub fn lonely() {}\n";
+        let v = tree(&[(LIB, src)]);
+        // Like every waiver it counts against the file's budget (LIB has none).
+        assert_eq!(rules_of(&v), vec!["waiver"], "{v:?}");
+        assert!(v[0].msg.contains("budget 0"), "{v:?}");
+    }
+
+    #[test]
+    fn dead_reach_waiver_is_reported() {
+        let src = "// analyze: allow(reach, reason = \"stale\")\npub fn used() {}\n";
+        let v = tree(&[(LIB, src), ("examples/e.rs", "fn main() { used() }\n")]);
+        assert_eq!(rules_of(&v), vec!["waiver"], "{v:?}");
+        assert!(v[0].msg.contains("dead waiver"), "{v:?}");
+    }
+
+    #[test]
+    fn own_crate_reexport_does_not_reach() {
+        let inner = "crates/fixture/src/inner.rs";
+        let v = tree(&[
+            (inner, "pub fn hidden() {}\n"),
+            (LIB, "pub mod inner;\npub use inner::hidden;\n"),
+        ]);
+        assert_eq!(rules_of(&v), vec!["reach"], "{v:?}");
+        assert_eq!(v[0].file, inner, "{v:?}");
+    }
+
+    #[test]
+    fn alias_of_a_reexport_reaches_the_original() {
+        let v = tree(&[
+            ("crates/fixture/src/inner.rs", "pub fn original() {}\n"),
+            (LIB, "pub mod inner;\npub use inner::original as renamed;\n"),
+            ("tests/t.rs", "fn t() { fixture::renamed() }\n"),
+        ]);
+        assert!(v.is_empty(), "{v:?}");
     }
 
     // ---- fixture corpus -------------------------------------------

@@ -60,7 +60,7 @@ enum Frame {
 }
 
 /// Crate name and intra-crate module path derived from the file path.
-fn crate_and_module(rel: &str) -> (String, String) {
+pub(crate) fn crate_and_module(rel: &str) -> (String, String) {
     let (krate, tail) = if let Some(rest) = rel.strip_prefix("crates/") {
         let (dir, tail) = rest.split_once("/src/").unwrap_or((rest, ""));
         (format!("pcd-{dir}"), tail)
@@ -80,14 +80,20 @@ fn crate_and_module(rel: &str) -> (String, String) {
     (krate, segments.join("::"))
 }
 
-/// Collects this file's public items as formatted lock lines.
-pub(crate) fn collect(ctx: &FileCtx, out: &mut Vec<String>) {
+/// One public item: its `API.lock` row and the line its name is on.
+pub(crate) struct ApiItem {
+    pub row: String,
+    pub line: u32,
+}
+
+/// Collects this file's public items.
+pub(crate) fn collect(ctx: &FileCtx, out: &mut Vec<ApiItem>) {
     let (krate, file_mod) = crate_and_module(ctx.rel);
     let mut frames: Vec<Frame> = Vec::new();
     // Pending frame kind for the next `{` (set by mod/trait/impl headers).
     let mut pending: Option<Frame> = None;
 
-    let emit = |out: &mut Vec<String>, frames: &[Frame], kind: &str, name: &str| {
+    let emit = |out: &mut Vec<ApiItem>, frames: &[Frame], kind: &str, name: &str, line: u32| {
         let mut modpath = file_mod.clone();
         let mut container = "-".to_string();
         for f in frames {
@@ -107,7 +113,10 @@ pub(crate) fn collect(ctx: &FileCtx, out: &mut Vec<String>) {
         if modpath.is_empty() {
             modpath = "-".to_string();
         }
-        out.push(format!("{krate}\t{modpath}\t{container}\t{kind}\t{name}"));
+        out.push(ApiItem {
+            row: format!("{krate}\t{modpath}\t{container}\t{kind}\t{name}"),
+            line,
+        });
     };
 
     let code = ctx.code;
@@ -169,14 +178,15 @@ pub(crate) fn collect(ctx: &FileCtx, out: &mut Vec<String>) {
                     let _ = tname;
                     if let Some(&n) = code.get(p + 1) {
                         if ctx.tokens[n].kind == TokenKind::Ident {
-                            emit(out, &frames, text, ctx.text(n));
+                            emit(out, &frames, text, ctx.text(n), ctx.line(n));
                         }
                     }
                 }
             }
             "pub" => {
                 if let Some((kind, name, next_p, is_trait)) = pub_item(ctx, p) {
-                    emit(out, &frames, &kind, &name);
+                    let line = ctx.line(code[next_p - 1]);
+                    emit(out, &frames, &kind, &name, line);
                     if is_trait {
                         pending = Some(Frame::Trait(name, true));
                     } else if kind == "mod" {

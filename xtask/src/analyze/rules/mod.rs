@@ -7,7 +7,8 @@
 //! `xtask lint`; the four new passes (`alloc`, `panic_free`, `ordering`,
 //! `api_lock`) are the compile-review counterparts of the runtime
 //! alloc-stats gate, the panic-safety policy, the DESIGN.md §9 ordering
-//! discipline, and semver review.
+//! discipline, and semver review. `reach` is the whole-tree pass that
+//! keeps public items with no caller out of `API.lock`.
 
 pub(crate) mod alloc;
 pub(crate) mod api_lock;
@@ -15,4 +16,5 @@ pub(crate) mod atomics;
 pub(crate) mod kernel_fence;
 pub(crate) mod ordering;
 pub(crate) mod panic_free;
+pub(crate) mod reach;
 pub(crate) mod unsafe_budget;
