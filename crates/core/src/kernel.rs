@@ -24,7 +24,7 @@
 //! [`Config`]: crate::Config
 
 use crate::config::{ContractorKind, MatcherKind};
-use crate::louvain::synchronous_move_phase;
+use crate::louvain::{synchronous_move_phase, CommitRule};
 use pcd_contract::{bucket, linked, seq as contract_seq, ContractScratch, Placement, RowSort};
 use pcd_graph::{Graph, GraphParts};
 use pcd_matching::{
@@ -70,7 +70,7 @@ pub fn match_level(
         },
         MatcherKind::LouvainMove => {
             let mut ls = scratch.take_label();
-            let stats = synchronous_move_phase(g, round_cap, &mut ls);
+            let stats = synchronous_move_phase(g, None, round_cap, CommitRule::Revalidate, &mut ls);
             let mut boosted = std::mem::take(&mut ls.boosted);
             let inner = match_within_labels(g, scores, &ls.labels, &mut boosted, scratch);
             ls.boosted = boosted;
@@ -167,7 +167,8 @@ mod tests {
                 },
                 MatcherKind::LouvainMove => {
                     let mut ls = LabelScratch::new();
-                    let stats = synchronous_move_phase(&g, 1000, &mut ls);
+                    let stats =
+                        synchronous_move_phase(&g, None, 1000, CommitRule::Revalidate, &mut ls);
                     let inner = match_within_labels(
                         &g,
                         &scores,

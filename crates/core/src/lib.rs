@@ -51,7 +51,7 @@ pub use driver::{detect, try_detect};
 pub use engine::{detect_many, detect_many_observed, Detector};
 #[cfg(feature = "fault-injection")]
 pub use fault::FaultPlan;
-pub use louvain::{synchronous_move_phase, MoveStats};
+pub use louvain::{synchronous_move_phase, CommitRule, MoveStats};
 pub use multilevel::{refine_multilevel, MultilevelOutcome};
 pub use observer::{LevelObserver, NoopObserver, Tee};
 pub use pcd_util::sync::CancelToken;

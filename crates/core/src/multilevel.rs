@@ -10,10 +10,11 @@
 //! there, so coarse-grained moves (whole sub-communities) happen cheaply
 //! on small graphs and fine-grained fixes on the original.
 
-use crate::refine::refine;
+use crate::louvain::{synchronous_move_phase, CommitRule};
 use crate::DetectionResult;
 use pcd_contract::{contract_map_into, ContractScratch};
 use pcd_graph::{Graph, GraphParts};
+use pcd_matching::LabelScratch;
 use pcd_util::par;
 use pcd_util::VertexId;
 
@@ -33,7 +34,9 @@ pub struct MultilevelOutcome {
 /// [`crate::Config::with_recorded_levels`]) over its dendrogram, from the
 /// coarsest level down to `original`.
 ///
-/// `sweeps_per_level` bounds the local-move sweeps at each level.
+/// `sweeps_per_level` bounds the local-move sweeps at each level. Every
+/// level refines through one [`LabelScratch`], whose labels carry the
+/// refined partition down to the next finer level.
 pub fn refine_multilevel(
     original: &Graph,
     result: &DetectionResult,
@@ -46,6 +49,7 @@ pub fn refine_multilevel(
     let mut part_at_level: Vec<VertexId> = (0..coarse_n as u32).collect();
     let mut q_trajectory = Vec::with_capacity(depth + 1);
     let mut scratch = ContractScratch::new();
+    let mut labels = LabelScratch::new();
 
     // Walk levels from coarsest (k = depth) down to the original (k = 0).
     for k in (0..=depth).rev() {
@@ -71,14 +75,20 @@ pub fn refine_multilevel(
         // inherits its coarse parent's community.
         if k < depth {
             let map = &result.level_maps[k]; // level-k vertex -> level-k+1 vertex
-            part_at_level = par::map(num_level_vertices, |v| part_at_level[map[v] as usize]);
+            let refined = &labels.labels;
+            part_at_level = par::map(num_level_vertices, |v| refined[map[v] as usize]);
         }
-        let refined = refine(level_graph, &part_at_level, sweeps_per_level);
-        part_at_level = refined.assignment;
-        q_trajectory.push(refined.q_after);
+        synchronous_move_phase(
+            level_graph,
+            Some(&part_at_level),
+            sweeps_per_level,
+            CommitRule::Repick,
+            &mut labels,
+        );
+        q_trajectory.push(pcd_metrics::modularity(level_graph, &labels.labels));
     }
 
-    let (dense, num_communities) = pcd_metrics::compact_labels(&part_at_level);
+    let (dense, num_communities) = pcd_metrics::compact_labels(&labels.labels);
     MultilevelOutcome {
         assignment: dense,
         num_communities,

@@ -3,24 +3,27 @@
 //!
 //! After agglomeration, single vertices can often improve the metric by
 //! switching to a neighbouring community (matching merges whole pairs and
-//! cannot fix individual misplacements). Each sweep:
+//! cannot fix individual misplacements). Refinement is the Louvain move
+//! phase ([`synchronous_move_phase`]) started from the detected partition
+//! instead of singletons:
 //!
-//! 1. **Propose (parallel):** against a frozen partition, every vertex
-//!    tallies its edge weight into each adjacent community and computes
-//!    the best move's modularity gain.
-//! 2. **Apply (sequential, deterministic):** candidate moves are replayed
-//!    in vertex order, re-validating the gain against the *current* state,
-//!    so the refined modularity is monotonically non-decreasing —
-//!    something fully concurrent moves cannot guarantee.
+//! 1. **Propose (parallel):** against the sweep-start partition, every
+//!    vertex tallies its edge weight into each adjacent community and
+//!    picks its best label.
+//! 2. **Commit (sequential, deterministic):** proposing vertices are
+//!    visited in vertex order and re-pick their best label against the
+//!    *current* partition ([`CommitRule::Repick`]), so the refined
+//!    modularity is monotonically non-decreasing — something fully
+//!    concurrent moves cannot guarantee.
 //!
 //! The expensive tally work happens in phase 1; phase 2 touches only the
-//! few vertices whose frozen-state gain was positive.
+//! few vertices whose sweep-start gain was positive.
 
+use crate::louvain::{synchronous_move_phase, CommitRule, MoveStats};
 use pcd_contract::{contract_map_into, ContractScratch};
-use pcd_graph::{Csr, Graph, GraphParts};
-use pcd_util::par;
-use pcd_util::{VertexId, Weight};
-use std::collections::HashMap;
+use pcd_graph::{Graph, GraphParts};
+use pcd_matching::LabelScratch;
+use pcd_util::VertexId;
 
 /// Outcome of a refinement pass.
 #[derive(Debug, Clone)]
@@ -29,8 +32,9 @@ pub struct Refinement {
     /// communities are *not* re-compacted — use
     /// [`pcd_metrics::compact_labels`] if dense ids are needed).
     pub assignment: Vec<VertexId>,
-    /// Vertices moved per sweep.
-    pub moves_per_sweep: Vec<usize>,
+    /// Sweeps run, vertices moved, and whether the last sweep proposed
+    /// no move.
+    pub stats: MoveStats,
     /// Modularity before and after.
     pub q_before: f64,
     /// Modularity after refinement.
@@ -38,106 +42,26 @@ pub struct Refinement {
 }
 
 /// Refines `assignment` over the original graph `g` with up to
-/// `max_sweeps` propose/apply rounds. Stops early when a sweep moves no
-/// vertex.
+/// `max_sweeps` propose/commit rounds. Stops early when a sweep proposes
+/// no move.
 pub fn refine(g: &Graph, assignment: &[VertexId], max_sweeps: usize) -> Refinement {
-    assert_eq!(assignment.len(), g.num_vertices());
-    let csr = Csr::from_graph(g);
-    let nv = csr.num_vertices();
-    let m = g.total_weight();
     let q_before = pcd_metrics::modularity(g, assignment);
-    let mut assignment = assignment.to_vec();
-    let mut moves_per_sweep = Vec::new();
-    if m == 0 || nv == 0 {
-        return Refinement {
-            assignment,
-            moves_per_sweep,
-            q_before,
-            q_after: q_before,
-        };
-    }
-    let mf = m as f64;
-
-    // Per-vertex volumes and community volumes.
-    let vol_v: Vec<Weight> = (0..nv as u32).map(|v| csr.volume(v)).collect();
-    let k = assignment.iter().copied().max().unwrap_or(0) as usize + 1;
-    let mut vol_c: Vec<i64> = vec![0; k];
-    for v in 0..nv {
-        vol_c[assignment[v] as usize] += vol_v[v] as i64;
-    }
-
-    for _ in 0..max_sweeps {
-        let frozen = assignment.clone();
-        let frozen_vol = vol_c.clone();
-
-        // Phase 1: parallel proposals against the frozen partition.
-        let proposed = par::map(nv, |v| {
-            let v = v as u32;
-            best_move(&csr, &frozen, &frozen_vol, &vol_v, mf, v).map(|c| (v, c))
-        });
-        let candidates = proposed.into_iter().flatten();
-
-        // Phase 2: deterministic sequential apply with revalidation.
-        let mut moved = 0usize;
-        for (v, _) in candidates {
-            if let Some(target) = best_move(&csr, &assignment, &vol_c, &vol_v, mf, v) {
-                let cur = assignment[v as usize] as usize;
-                vol_c[cur] -= vol_v[v as usize] as i64;
-                vol_c[target as usize] += vol_v[v as usize] as i64;
-                assignment[v as usize] = target;
-                moved += 1;
-            }
-        }
-        moves_per_sweep.push(moved);
-        if moved == 0 {
-            break;
-        }
-    }
-
+    let mut scratch = LabelScratch::new();
+    let stats = synchronous_move_phase(
+        g,
+        Some(assignment),
+        max_sweeps,
+        CommitRule::Repick,
+        &mut scratch,
+    );
+    let assignment = scratch.labels;
     let q_after = pcd_metrics::modularity(g, &assignment);
     Refinement {
         assignment,
-        moves_per_sweep,
+        stats,
         q_before,
         q_after,
     }
-}
-
-/// The best strictly-improving move for `v`, if any: the community (among
-/// neighbours) maximising `ΔQ = w_vc/m − k_v·vol_c'/(2m²)` over staying.
-fn best_move(
-    csr: &Csr,
-    assignment: &[VertexId],
-    vol_c: &[i64],
-    vol_v: &[Weight],
-    mf: f64,
-    v: u32,
-) -> Option<VertexId> {
-    let vu = v as usize;
-    if csr.degree(v) == 0 {
-        return None;
-    }
-    let mut links: HashMap<u32, u64> = HashMap::new();
-    for (u, w) in csr.neighbors(v) {
-        *links.entry(assignment[u as usize]).or_insert(0) += w;
-    }
-    let cur = assignment[vu];
-    let kv = vol_v[vu] as f64;
-    let score = |w_c: f64, vol: f64| w_c / mf - kv * vol / (2.0 * mf * mf);
-    let w_cur = *links.get(&cur).unwrap_or(&0) as f64;
-    let stay = score(w_cur, vol_c[cur as usize] as f64 - kv);
-    let mut cands: Vec<u32> = links.keys().copied().filter(|&c| c != cur).collect();
-    cands.sort_unstable();
-    let mut best = None;
-    let mut best_score = stay + 1e-15;
-    for c in cands {
-        let s = score(links[&c] as f64, vol_c[c as usize] as f64);
-        if s > best_score {
-            best_score = s;
-            best = Some(c);
-        }
-    }
-    best
 }
 
 /// Refines an already-computed detection of `original` (e.g. one produced
@@ -204,13 +128,32 @@ mod tests {
     }
 
     #[test]
+    fn labels_need_not_be_dense() {
+        // The same misplacement under labels 100 and 7: the move phase
+        // sizes its per-label arrays by the largest label, not by |V|.
+        let g = pcd_gen::classic::two_cliques(6);
+        let mut a: Vec<u32> = (0..12).map(|v| if v < 6 { 100 } else { 7 }).collect();
+        a[3] = 7;
+        let out = refine(&g, &a, 3);
+        assert_eq!(out.assignment[3], 100);
+        assert!(out.q_after > out.q_before);
+    }
+
+    #[test]
     fn refinement_is_idempotent_at_fixpoint() {
         let g = pcd_gen::classic::clique_ring(6, 6);
         let truth = pcd_gen::classic::clique_ring_truth(6, 6);
         let out = refine(&g, &truth, 3);
         // The planted partition is locally optimal: nothing moves.
         assert_eq!(out.assignment, truth);
-        assert_eq!(out.moves_per_sweep, vec![0]);
+        assert_eq!(
+            out.stats,
+            MoveStats {
+                sweeps: 1,
+                moves: 0,
+                converged: true
+            }
+        );
     }
 
     #[test]
@@ -249,8 +192,12 @@ mod tests {
     fn deterministic_across_thread_counts() {
         let g = pcd_gen::rmat_graph(&pcd_gen::RmatParams::paper(9, 5));
         let r = crate::detect(g.clone(), &Config::default());
-        let a1 = pcd_util::pool::with_threads(1, || refine(&g, &r.assignment, 4).assignment);
-        let a4 = pcd_util::pool::with_threads(4, || refine(&g, &r.assignment, 4).assignment);
-        assert_eq!(a1, a4);
+        let run = |threads| {
+            pcd_util::pool::with_threads(threads, || {
+                let out = refine(&g, &r.assignment, 4);
+                (out.assignment, out.stats, out.q_after.to_bits())
+            })
+        };
+        assert_eq!(run(1), run(4));
     }
 }

@@ -5,7 +5,7 @@
 //! phase, refinement, the baselines and per-vertex neighbourhood scans
 //! want every vertex's full adjacency. [`Csr::refresh`] builds it into the
 //! capacity its buffers already have, on the stripe-private count → cursor
-//! → scatter that contraction uses ([`par::Stripes`]):
+//! → scatter that contraction uses ([`Stripes`]):
 //!
 //! 1. **Count.** Each stripe of edges bumps both endpoints in its own row
 //!    of counters. The column sums are the degrees, and their prefix sum
@@ -13,11 +13,14 @@
 //! 2. **Scatter.** Each edge takes one slot in each endpoint's row
 //!    through its stripe's cursors, so every slot has one writer and no
 //!    edge takes an atomic read-modify-write.
-//! 3. **Sort** each row by neighbour id in place, through one reused
-//!    buffer per worker, in a pass cut by row length.
+//!
+//! The stripes cut the edges in order and each stripe's cursors start
+//! where the stripes before it end, so the scatter is a stable counting
+//! sort: every row lists its edges in the graph's edge order, at any
+//! width. Rows are not sorted by neighbour id; no reader needs that.
 
 use crate::Graph;
-use pcd_util::par::{self, Stripes};
+use pcd_util::par::Stripes;
 use pcd_util::scan::exclusive_prefix_sum;
 use pcd_util::sync::{as_atomic_u32, as_atomic_u64, RELAXED};
 use pcd_util::{VertexId, Weight};
@@ -27,7 +30,7 @@ use pcd_util::{VertexId, Weight};
 pub struct Csr {
     /// `xadj[v]..xadj[v+1]` indexes `adj`/`wgt` for vertex `v`.
     pub xadj: Vec<usize>,
-    /// Neighbour ids, sorted ascending within each vertex.
+    /// Neighbour ids, each row in the graph's edge order.
     pub adj: Vec<VertexId>,
     /// Weight of the edge to the corresponding neighbour.
     pub wgt: Vec<Weight>,
@@ -47,7 +50,7 @@ impl Csr {
         csr
     }
 
-    /// Rebuilds the adjacency for `g` in place (module docs, steps 1–3),
+    /// Rebuilds the adjacency for `g` in place (module docs, steps 1–2),
     /// reusing the capacity of every buffer, as
     /// `ScoreContext::refresh` does for the scorer's context.
     pub fn refresh(&mut self, g: &Graph) {
@@ -85,7 +88,7 @@ impl Csr {
         stripes.for_each(|mut row, range| {
             // ORDERING: RELAXED — each take hands out a distinct slot of
             // the stripe's own run of the row, so every slot has one
-            // writer; the join barrier publishes the rows to the sort.
+            // writer; the join barrier publishes the rows.
             for e in range {
                 let (i, j, w) = g.edge(e);
                 let s = row.take(i as usize);
@@ -96,36 +99,8 @@ impl Csr {
                 wgt_c[s].store(w, RELAXED);
             }
         });
-
-        // One pass per vertex, cut by row length: copy the self-loop and
-        // sort the row by neighbour id through the worker's buffer.
-        self_loop.clear();
         self_loop.resize(nv, 0);
-        par::for_each_mut_init_weighted(
-            self_loop,
-            xadj,
-            // analyze: allow(alloc, reason = "one sort buffer per participating thread, reused across the rows it sorts")
-            Vec::new,
-            |buf: &mut Vec<(VertexId, Weight)>, v, loop_w| {
-                *loop_w = g.self_loop(v as VertexId);
-                let (lo, hi) = (xadj[v], xadj[v + 1]);
-                if hi - lo < 2 {
-                    return;
-                }
-                // ORDERING: RELAXED — row `v` is this task's alone, and
-                // the join barrier publishes the sorted rows.
-                buf.clear();
-                buf.resize(hi - lo, (0, 0));
-                for (slot, s) in buf.iter_mut().zip(lo..hi) {
-                    *slot = (adj_c[s].load(RELAXED), wgt_c[s].load(RELAXED));
-                }
-                buf.sort_unstable();
-                for (&(a, w), s) in buf.iter().zip(lo..hi) {
-                    adj_c[s].store(a, RELAXED);
-                    wgt_c[s].store(w, RELAXED);
-                }
-            },
-        );
+        self_loop.copy_from_slice(g.self_loops());
         *total_weight = g.total_weight();
     }
 
@@ -189,18 +164,9 @@ mod tests {
         assert_eq!(csr.degree(1), 2);
         assert_eq!(csr.degree(2), 2);
         assert_eq!(csr.degree(3), 1);
-        let n1: Vec<_> = csr.neighbors(1).collect();
+        let mut n1: Vec<_> = csr.neighbors(1).collect();
+        n1.sort_unstable();
         assert_eq!(n1, vec![(0, 1), (2, 1)]);
-    }
-
-    #[test]
-    fn neighbors_sorted() {
-        let g = GraphBuilder::new(6)
-            .add_pairs([(3, 5), (3, 0), (3, 4), (3, 1), (3, 2)])
-            .build();
-        let csr = Csr::from_graph(&g);
-        let n: Vec<_> = csr.neighbors(3).map(|(v, _)| v).collect();
-        assert_eq!(n, vec![0, 1, 2, 4, 5]);
     }
 
     #[test]
@@ -247,7 +213,9 @@ mod tests {
         assert_eq!(csr.wgt, fresh.wgt);
         assert_eq!(csr.self_loop, fresh.self_loop);
         assert_eq!(csr.total_weight, fresh.total_weight);
-        assert_eq!(csr.neighbors(0).collect::<Vec<_>>(), [(3, 1), (4, 1)]);
+        let mut row: Vec<_> = csr.neighbors(0).collect();
+        row.sort_unstable();
+        assert_eq!(row, [(3, 1), (4, 1)]);
         assert!(csr.scratch_bytes() > fresh.scratch_bytes());
     }
 

@@ -459,8 +459,9 @@ fn read_u32<R: Read>(r: &mut R) -> io::Result<u32> {
 
 /// Writes the METIS / DIMACS-challenge graph format: a header
 /// `nv ne fmt` with `fmt = 1` (edge weights), then one line per vertex
-/// listing `neighbour weight` pairs with 1-based vertex ids. Self-loop
-/// weights cannot be represented and are rejected.
+/// listing `neighbour weight` pairs with 1-based vertex ids, in the
+/// graph's edge order (the [`crate::Csr`] row order). Self-loop weights
+/// cannot be represented and are rejected.
 fn write_metis<W: Write>(g: &Graph, writer: W) -> io::Result<()> {
     if g.self_loops().iter().any(|&s| s > 0) {
         return Err(io::Error::new(

@@ -23,9 +23,7 @@ pub mod csr;
 pub mod edge;
 pub mod extract;
 pub mod io;
-pub mod stats;
 pub mod subgraph;
-pub mod triangles;
 
 pub use builder::GraphBuilder;
 pub use csr::Csr;

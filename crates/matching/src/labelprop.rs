@@ -27,11 +27,12 @@ use pcd_util::par;
 use pcd_util::{VertexId, Weight};
 
 /// Reusable storage for the label-guided matcher: the label double buffer,
-/// the bidirectional CSR, per-label volumes and per-vertex volumes (the
-/// Louvain move phase's bookkeeping), and the boosted-score buffer the
-/// guided matching hands to the unmatched-list kernel. Owned by
-/// [`MatchScratch`] so the engine's scratch ledger and reuse policy cover
-/// it automatically.
+/// the bidirectional CSR, per-label volumes, per-vertex volumes and the
+/// re-pick commit's accumulator (the Louvain move phase's bookkeeping),
+/// and the boosted-score buffer the guided matching hands to the
+/// unmatched-list kernel. Owned by [`MatchScratch`] so the engine's
+/// scratch ledger and reuse policy cover it automatically; refinement
+/// holds its own.
 #[derive(Debug, Default)]
 pub struct LabelScratch {
     /// Per-vertex community label (the move-phase output).
@@ -48,6 +49,11 @@ pub struct LabelScratch {
     pub vertex_vol: Vec<Weight>,
     /// Label-boosted copy of the scores for the guided matching.
     pub boosted: Vec<f64>,
+    /// The re-pick commit's dense per-label accumulator, all zero between
+    /// vertices.
+    pub acc: Vec<Weight>,
+    /// The labels `acc` holds for the vertex being committed.
+    pub touched: Vec<VertexId>,
 }
 
 impl LabelScratch {
@@ -66,6 +72,8 @@ impl LabelScratch {
             + self.vol.capacity() * size_of::<Weight>()
             + self.vertex_vol.capacity() * size_of::<Weight>()
             + self.boosted.capacity() * size_of::<f64>()
+            + self.acc.capacity() * size_of::<Weight>()
+            + self.touched.capacity() * size_of::<VertexId>()
     }
 
     /// Resets `labels` to the singleton partition (every vertex its own

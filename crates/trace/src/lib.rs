@@ -23,7 +23,7 @@ pub mod registry;
 pub mod ring;
 
 pub use json::{metrics_json, trace_json};
-pub use observer::{merge_runs, TraceObserver};
+pub use observer::{merge_runs, set_run_gauges, TraceObserver};
 pub use prometheus::encode as prometheus_text;
 pub use registry::{
     decade_bounds, CounterId, CounterView, FamilyView, GaugeId, GaugeView, HistogramId,

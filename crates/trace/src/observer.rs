@@ -49,6 +49,76 @@ fn termination_index(t: Termination) -> usize {
 const POISONED_HELP: &str =
     "Detection engines poisoned by a worker panic (each was torn down and rebuilt).";
 
+/// The `pcd_last_run_*` gauges, which describe one detection result.
+#[derive(Debug, Clone, Copy)]
+struct RunGauges {
+    modularity: GaugeId,
+    coverage: GaugeId,
+    communities: GaugeId,
+    total_seconds: GaugeId,
+    input_vertices: GaugeId,
+    input_edges: GaugeId,
+    edges_per_second: GaugeId,
+}
+
+impl RunGauges {
+    /// Registers (or finds) the gauges in `reg`.
+    fn register(reg: &mut Registry) -> Self {
+        let mut gauge = |name, help| reg.gauge(name, help, &[]);
+        RunGauges {
+            modularity: gauge(
+                "pcd_last_run_modularity",
+                "Final modularity of the most recent run.",
+            ),
+            coverage: gauge(
+                "pcd_last_run_coverage",
+                "Final coverage of the most recent run.",
+            ),
+            communities: gauge(
+                "pcd_last_run_communities",
+                "Communities found by the most recent run.",
+            ),
+            total_seconds: gauge(
+                "pcd_last_run_total_seconds",
+                "Total wall-clock seconds of the most recent run.",
+            ),
+            input_vertices: gauge(
+                "pcd_last_run_input_vertices",
+                "Input-graph vertices of the most recent run.",
+            ),
+            input_edges: gauge(
+                "pcd_last_run_input_edges",
+                "Input-graph edges of the most recent run.",
+            ),
+            edges_per_second: gauge(
+                "pcd_last_run_edges_per_second",
+                "Input edges over total seconds for the most recent run \
+                 (the paper's Table III rate).",
+            ),
+        }
+    }
+
+    /// Sets every gauge from `result`. Index writes; never allocates.
+    fn set(&self, reg: &mut Registry, result: &DetectionResult) {
+        reg.set(self.modularity, result.modularity);
+        reg.set(self.coverage, result.coverage);
+        reg.set(self.communities, result.num_communities as f64);
+        reg.set(self.total_seconds, result.total_secs);
+        reg.set(self.input_vertices, result.input_vertices as f64);
+        reg.set(self.input_edges, result.input_edges as f64);
+        reg.set(self.edges_per_second, result.edges_per_sec());
+    }
+}
+
+/// Sets `reg`'s `pcd_last_run_*` gauges from `result`, as
+/// [`TraceObserver`] does at the end of a run. A merge of per-run
+/// recorders keeps the last run's gauges ([`Registry::merge_from`]), and
+/// refinement changes a result after its run ends, so a caller that
+/// exports a merged or refined result sets them from it here.
+pub fn set_run_gauges(reg: &mut Registry, result: &DetectionResult) {
+    RunGauges::register(reg).set(reg, result);
+}
+
 /// Span recorder + metrics registry behind the [`LevelObserver`] seam.
 #[derive(Debug)]
 pub struct TraceObserver {
@@ -64,13 +134,7 @@ pub struct TraceObserver {
     terminations_total: [CounterId; 6],
     phase_seconds: [HistogramId; 3],
     level_edges_per_second: HistogramId,
-    last_modularity: GaugeId,
-    last_coverage: GaugeId,
-    last_communities: GaugeId,
-    last_total_seconds: GaugeId,
-    last_input_vertices: GaugeId,
-    last_input_edges: GaugeId,
-    last_edges_per_second: GaugeId,
+    last_run: RunGauges,
     spans_dropped: GaugeId,
     // In-flight span marks (ticks on `clock`).
     run_start: u64,
@@ -163,42 +227,7 @@ impl TraceObserver {
             &[],
             &decade_bounds(3, 9),
         );
-        let last_modularity = reg.gauge(
-            "pcd_last_run_modularity",
-            "Final modularity of the most recent run.",
-            &[],
-        );
-        let last_coverage = reg.gauge(
-            "pcd_last_run_coverage",
-            "Final coverage of the most recent run.",
-            &[],
-        );
-        let last_communities = reg.gauge(
-            "pcd_last_run_communities",
-            "Communities found by the most recent run.",
-            &[],
-        );
-        let last_total_seconds = reg.gauge(
-            "pcd_last_run_total_seconds",
-            "Total wall-clock seconds of the most recent run.",
-            &[],
-        );
-        let last_input_vertices = reg.gauge(
-            "pcd_last_run_input_vertices",
-            "Input-graph vertices of the most recent run.",
-            &[],
-        );
-        let last_input_edges = reg.gauge(
-            "pcd_last_run_input_edges",
-            "Input-graph edges of the most recent run.",
-            &[],
-        );
-        let last_edges_per_second = reg.gauge(
-            "pcd_last_run_edges_per_second",
-            "Input edges over total seconds for the most recent run \
-             (the paper's Table III rate).",
-            &[],
-        );
+        let last_run = RunGauges::register(&mut reg);
         let spans_dropped = reg.gauge(
             "pcd_trace_spans_dropped",
             "Spans lost to ring-buffer overwrite.",
@@ -216,13 +245,7 @@ impl TraceObserver {
             terminations_total,
             phase_seconds,
             level_edges_per_second,
-            last_modularity,
-            last_coverage,
-            last_communities,
-            last_total_seconds,
-            last_input_vertices,
-            last_input_edges,
-            last_edges_per_second,
+            last_run,
             spans_dropped,
             run_start: 0,
             level_start: 0,
@@ -343,18 +366,7 @@ impl LevelObserver for TraceObserver {
             self.terminations_total[termination_index(result.termination)],
             1,
         );
-        self.registry.set(self.last_modularity, result.modularity);
-        self.registry.set(self.last_coverage, result.coverage);
-        self.registry
-            .set(self.last_communities, result.num_communities as f64);
-        self.registry
-            .set(self.last_total_seconds, result.total_secs);
-        self.registry
-            .set(self.last_input_vertices, result.input_vertices as f64);
-        self.registry
-            .set(self.last_input_edges, result.input_edges as f64);
-        self.registry
-            .set(self.last_edges_per_second, result.edges_per_sec());
+        self.last_run.set(&mut self.registry, result);
         self.push(
             SpanKind::Run,
             0,

@@ -29,20 +29,17 @@ fn main() {
 
     println!("largest 8 communities as standalone graphs:");
     println!(
-        "{:>6} {:>9} {:>10} {:>10} {:>9} {:>12}",
-        "id", "vertices", "edges", "internal", "external", "clustering"
+        "{:>6} {:>9} {:>10} {:>10} {:>9}",
+        "id", "vertices", "edges", "internal", "external"
     );
     for s in by_size.iter().take(8) {
-        let csr = parcomm::graph::Csr::from_graph(&s.graph);
-        let cc = parcomm::graph::triangles::global_clustering_coefficient(&csr);
         println!(
-            "{:>6} {:>9} {:>10} {:>10} {:>9} {:>12.4}",
+            "{:>6} {:>9} {:>10} {:>10} {:>9}",
             s.community,
             s.graph.num_vertices(),
             s.graph.num_edges(),
             s.graph.total_weight(),
-            s.external_weight,
-            cc
+            s.external_weight
         );
     }
 

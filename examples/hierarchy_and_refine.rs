@@ -39,7 +39,10 @@ fn main() {
     println!("\nrefinement:");
     println!("  Q before: {:.4}", refined.q_before);
     println!("  Q after:  {:.4}", refined.q_after);
-    println!("  moves per sweep: {:?}", refined.moves_per_sweep);
+    println!(
+        "  moves: {} in {} sweeps",
+        refined.stats.moves, refined.stats.sweeps
+    );
     let nmi_before = normalized_mutual_information(&result.assignment, &sbm.ground_truth);
     let (dense, _) = parcomm::metrics::compact_labels(&refined.assignment);
     let nmi_after = normalized_mutual_information(&dense, &sbm.ground_truth);

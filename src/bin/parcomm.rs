@@ -12,7 +12,7 @@ use parcomm::core::refine::refine_detected;
 use parcomm::core::result::LevelStats;
 use parcomm::core::{DetectionResult, Paranoia, Tee};
 use parcomm::prelude::*;
-use parcomm::trace::TraceObserver;
+use parcomm::trace::{Registry, SpanRing, TraceObserver};
 use parcomm::util::PcdError;
 use parcomm::util::Phase;
 use std::io::Write;
@@ -27,7 +27,6 @@ commands:
   gen <rmat|sbm|planted|web|lfr|clique-ring|karate> [options] -o <file>
                                 generate a graph
   detect <graph-file> [options] run community detection
-  stats <graph-file>            structural statistics
   convert <in-file> <out-file>  convert between edge-list and .bin
   compare <graph-file>          vs CNM / Louvain
   communities <graph-file>      per-community report
@@ -71,7 +70,7 @@ communities options:
 
 common options:
   --threads N      worker threads for the command's parallel work
-                   (gen, detect, stats, compare, communities; 0 = default)
+                   (gen, detect, compare, communities; 0 = default)
 
 Files ending in .bin use the compact binary format; anything else is a
 whitespace edge list.
@@ -121,7 +120,6 @@ fn main() -> ExitCode {
     let result = match cmd.as_str() {
         "gen" => cmd_gen(rest),
         "detect" => cmd_detect(rest),
-        "stats" => cmd_stats(rest),
         "convert" => cmd_convert(rest),
         "compare" => cmd_compare(rest),
         "communities" => cmd_communities(rest),
@@ -570,13 +568,9 @@ fn cmd_detect(args: &[String]) -> Result<(), PcdError> {
     config.validate()?;
 
     /// What a detect run hands back for the `--metrics`/`--trace` writers:
-    /// a full span-recording observer on the unsharded path, the merged
-    /// per-component registry on the sharded one.
-    enum Recorded {
-        None,
-        Observer(Box<TraceObserver>),
-        Registry(parcomm::trace::Registry),
-    }
+    /// the registry (one recorder's, or the per-component ones merged) and,
+    /// on the unsharded path, the span ring.
+    type Recorded = Option<(Registry, Option<SpanRing>)>;
 
     let run = move || -> Result<(DetectionResult, Recorded), PcdError> {
         // Refinement needs the original graph back after detection
@@ -587,14 +581,14 @@ fn cmd_detect(args: &[String]) -> Result<(), PcdError> {
                 let (r, observers) =
                     parcomm::core::try_detect_sharded_observed(g, &config, TraceObserver::new)?;
                 let reg = parcomm::trace::merge_runs(observers.iter().map(Ok));
-                (r, Recorded::Registry(reg))
+                (r, Some((reg, None)))
             } else if progress {
                 // One Progress block per component engine run, folded in
                 // component order.
                 let (r, _) = parcomm::core::try_detect_sharded_observed(g, &config, || Progress)?;
-                (r, Recorded::None)
+                (r, None)
             } else {
-                (try_detect(g, &config)?, Recorded::None)
+                (try_detect(g, &config)?, None)
             }
         } else {
             let mut engine = Detector::new(config)?;
@@ -608,10 +602,11 @@ fn cmd_detect(args: &[String]) -> Result<(), PcdError> {
                 (None, true) => engine.run_observed(g, &mut Progress)?,
                 (None, false) => engine.run(g)?,
             };
-            match tracer {
-                Some(t) => (result, Recorded::Observer(Box::new(t))),
-                None => (result, Recorded::None),
-            }
+            let recorded = tracer.map(|t| {
+                let (ring, reg) = t.into_parts();
+                (reg, Some(ring))
+            });
+            (result, recorded)
         };
         let result = match original {
             Some(orig) => refine_detected(&orig, result, refine_sweeps).0,
@@ -657,74 +652,26 @@ fn cmd_detect(args: &[String]) -> Result<(), PcdError> {
         }
         println!("assignments:  {out}");
     }
-    if !matches!(recorded, Recorded::None) {
+    if let Some((mut reg, ring)) = recorded {
+        // The run gauges describe the result printed above: merged across
+        // components, refined.
+        parcomm::trace::set_run_gauges(&mut reg, &r);
         let created_unix = std::time::SystemTime::now()
             .duration_since(std::time::UNIX_EPOCH)
             .map(|d| d.as_secs())
             .unwrap_or(0);
-        let registry = match &recorded {
-            Recorded::Observer(obs) => Some(obs.registry()),
-            Recorded::Registry(reg) => Some(reg),
-            Recorded::None => None,
-        };
-        if let (Some(out), Some(reg)) = (metrics_out, registry) {
+        if let Some(out) = metrics_out {
             let doc = if out.ends_with(".prom") {
-                parcomm::trace::prometheus_text(reg)
+                parcomm::trace::prometheus_text(&reg)
             } else {
-                parcomm::trace::metrics_json(reg, path, created_unix)
+                parcomm::trace::metrics_json(&reg, path, created_unix)
             };
             std::fs::write(&out, doc)?;
             println!("metrics:      {out}");
         }
-        if let (Some(out), Recorded::Observer(obs)) = (trace_out, &recorded) {
-            std::fs::write(
-                &out,
-                parcomm::trace::trace_json(obs.ring(), path, created_unix),
-            )?;
+        if let (Some(out), Some(ring)) = (trace_out, &ring) {
+            std::fs::write(&out, parcomm::trace::trace_json(ring, path, created_unix))?;
             println!("trace:        {out}");
-        }
-    }
-    Ok(())
-}
-
-fn cmd_stats(args: &[String]) -> Result<(), PcdError> {
-    let f = Flags(args);
-    f.check_allowed("stats", &["--threads"])?;
-    let path = f
-        .positional(0)
-        .ok_or_else(|| usage("stats: missing graph file"))?;
-    let threads: usize = f.parse("--threads", 0)?;
-    let g = load(path)?;
-    with_pool(threads, move || stats_report(&g))
-}
-
-fn stats_report(g: &Graph) -> Result<(), PcdError> {
-    let csr = parcomm::graph::Csr::from_graph(g);
-    let d = parcomm::graph::stats::degree_stats(&csr);
-    let labels = parcomm::graph::components::components(g);
-    let ncomp = parcomm::graph::components::count_components(&labels);
-    println!("vertices:      {}", g.num_vertices());
-    println!("edges:         {}", g.num_edges());
-    println!("total weight:  {}", g.total_weight());
-    println!(
-        "degree:        min {} / mean {:.2} / max {}",
-        d.min, d.mean, d.max
-    );
-    println!("isolated:      {}", d.isolated);
-    println!("components:    {ncomp}");
-    let tri = parcomm::graph::triangles::count_triangles(&csr);
-    let cc = parcomm::graph::triangles::global_clustering_coefficient(&csr);
-    println!("triangles:     {}", tri.total);
-    println!("clustering:    {cc:.4}");
-    let hist = parcomm::graph::stats::degree_histogram_log2(&csr);
-    println!("degree histogram (log2 bins):");
-    for (bin, count) in hist.iter().enumerate() {
-        if *count > 0 {
-            println!(
-                "  [{:>6}, {:>6}): {count}",
-                1usize << bin,
-                1usize << (bin + 1)
-            );
         }
     }
     Ok(())

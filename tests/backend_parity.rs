@@ -5,7 +5,7 @@
 //! solo runs.
 
 use parcomm::core::kernel::match_level;
-use parcomm::core::{synchronous_move_phase, DetectionResult};
+use parcomm::core::{synchronous_move_phase, CommitRule, DetectionResult};
 use parcomm::gen::{rmat_graph, sbm_graph, RmatParams, SbmParams};
 use parcomm::matching::verify::verify_matching;
 use parcomm::matching::{LabelScratch, MatchScratch};
@@ -111,7 +111,7 @@ fn louvain_move_phase_never_decreases_modularity_per_sweep() {
         let mut prev = f64::NEG_INFINITY;
         for cap in 1..=10 {
             let mut ls = LabelScratch::new();
-            let stats = synchronous_move_phase(&g, cap, &mut ls);
+            let stats = synchronous_move_phase(&g, None, cap, CommitRule::Revalidate, &mut ls);
             let q = modularity(&g, &ls.labels);
             assert!(
                 q >= prev - 1e-9,

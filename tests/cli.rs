@@ -30,12 +30,6 @@ fn gen_stats_detect_roundtrip() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("30 vertices"), "{stdout}");
 
-    let out = bin().arg("stats").arg(&graph).output().unwrap();
-    assert!(out.status.success());
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("vertices:      30"), "{stdout}");
-    assert!(stdout.contains("components:    1"), "{stdout}");
-
     let assignments = dir.join("a.txt");
     let out = bin()
         .arg("detect")
@@ -85,8 +79,13 @@ fn convert_between_formats() {
 
 #[test]
 fn unknown_command_fails() {
-    // `seed` names no command, so a script that still calls it exits 2.
-    for args in [&["frobnicate"][..], &["seed", "g.bin", "0"][..]] {
+    // `seed` and `stats` name no command, so a script that still calls
+    // one exits 2.
+    for args in [
+        &["frobnicate"][..],
+        &["seed", "g.bin", "0"][..],
+        &["stats", "g.bin"][..],
+    ] {
         let out = bin().args(args).output().unwrap();
         assert_eq!(out.status.code(), Some(2), "{args:?}");
         assert!(
@@ -500,15 +499,16 @@ fn unknown_flag_rejected_with_allowed_list() {
     );
     // Commands that take no flags reject any flag.
     let out = bin()
-        .arg("stats")
+        .arg("convert")
         .arg(&graph)
+        .arg(dir.join("k.edges"))
         .args(["--fast"])
         .output()
         .unwrap();
     assert!(!out.status.success());
     assert!(
         String::from_utf8_lossy(&out.stderr).contains("unknown flag"),
-        "stats"
+        "convert"
     );
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -702,6 +702,112 @@ fn sharded_detect_on_disconnected_graph() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Runs `detect` on `graph` with `args` and a Prometheus export, and
+/// checks every `pcd_last_run_*` gauge against the printed summary and
+/// the input's size.
+fn assert_run_gauges_match_the_printout(
+    graph: &std::path::Path,
+    args: &[&str],
+    vertices: usize,
+    edges: usize,
+) {
+    let prom = graph.with_extension("prom");
+    let out = bin()
+        .arg("detect")
+        .arg(graph)
+        .args(args)
+        .arg("--metrics")
+        .arg(&prom)
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let printed = |key: &str| {
+        stdout
+            .lines()
+            .find_map(|l| l.strip_prefix(key))
+            .unwrap_or_else(|| panic!("no {key} line: {stdout}"))
+            .trim()
+            .to_string()
+    };
+    let doc = std::fs::read_to_string(&prom).unwrap();
+    let gauge = |name: &str| -> f64 {
+        doc.lines()
+            .find_map(|l| l.strip_prefix(name)?.strip_prefix(' '))
+            .unwrap_or_else(|| panic!("no {name} sample: {doc}"))
+            .parse()
+            .unwrap()
+    };
+    let secs = gauge("pcd_last_run_total_seconds");
+    assert_eq!(
+        gauge("pcd_last_run_communities").to_string(),
+        printed("communities:"),
+        "{args:?}"
+    );
+    assert_eq!(
+        format!("{:.4}", gauge("pcd_last_run_modularity")),
+        printed("modularity:"),
+        "{args:?}"
+    );
+    assert_eq!(
+        format!("{:.3}", gauge("pcd_last_run_coverage")),
+        printed("coverage:"),
+        "{args:?}"
+    );
+    assert_eq!(format!("{secs:.3}s"), printed("time:"), "{args:?}");
+    assert_eq!(gauge("pcd_last_run_input_vertices"), vertices as f64);
+    assert_eq!(gauge("pcd_last_run_input_edges"), edges as f64);
+    let rate = if secs > 0.0 { edges as f64 / secs } else { 0.0 };
+    assert_eq!(gauge("pcd_last_run_edges_per_second"), rate, "{args:?}");
+}
+
+#[test]
+fn sharded_metrics_describe_the_merged_result() {
+    // A ring of six 5-cliques and a separate 4-clique: the last component
+    // alone has one community, 4 vertices and 6 edges.
+    let dir = tmpdir("sharded-gauges");
+    let graph = dir.join("two.edges");
+    let mut text = String::new();
+    for c in 0..6u32 {
+        for i in 0..5 {
+            for j in i + 1..5 {
+                text += &format!("{} {}\n", 5 * c + i, 5 * c + j);
+            }
+        }
+        text += &format!("{} {}\n", 5 * c, (5 * c + 5) % 30);
+    }
+    for i in 30..34u32 {
+        for j in i + 1..34 {
+            text += &format!("{i} {j}\n");
+        }
+    }
+    std::fs::write(&graph, text).unwrap();
+    assert_run_gauges_match_the_printout(&graph, &["--sharded"], 34, 72);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn refined_metrics_describe_the_refined_result() {
+    let dir = tmpdir("refine-gauges");
+    let graph = dir.join("rmat.bin");
+    let out = bin()
+        .args(["gen", "rmat", "--scale", "8", "--seed", "7", "-o"])
+        .arg(&graph)
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("(256 vertices, 2250 edges)"), "{stdout}");
+    // Refinement moves Q at the printed precision on this input (0.3530
+    // before, 0.3766 after), so the pre-refinement gauges would not match.
+    assert_run_gauges_match_the_printout(&graph, &["--refine", "3"], 256, 2250);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn threads_flag_accepted_across_subcommands() {
     let dir = tmpdir("threads-flag");
@@ -727,7 +833,7 @@ fn threads_flag_accepted_across_subcommands() {
         String::from_utf8_lossy(&out.stderr)
     );
     let out = bin()
-        .arg("stats")
+        .arg("communities")
         .arg(&graph)
         .args(["--threads", "2"])
         .output()
@@ -738,7 +844,7 @@ fn threads_flag_accepted_across_subcommands() {
         String::from_utf8_lossy(&out.stderr)
     );
     assert!(
-        String::from_utf8_lossy(&out.stdout).contains("components:    1"),
+        String::from_utf8_lossy(&out.stdout).contains("communities, Q ="),
         "{}",
         String::from_utf8_lossy(&out.stdout)
     );

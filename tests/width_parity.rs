@@ -23,7 +23,11 @@
 //!   proposals and weighted scans are compared over every level;
 //! * the bidirectional adjacency (`Csr`) on an R-MAT with more than
 //!   `SEQ_CUTOFF` edges, whose striped count and scatter passes are
-//!   checked against a sequential build at every width;
+//!   checked against rows built sequentially in edge order at every
+//!   width;
+//! * refinement, flat and over the V-cycle, on an R-MAT whose rows plus
+//!   adjacency come to more than `SEQ_CUTOFF`, so the move phase's
+//!   proposal pass over the input graph runs on workers;
 //! * ingest: the edge-list reader on a text of more than `SEQ_CUTOFF`
 //!   lines and more than one block, whose pieces are parsed on workers,
 //!   and the graph builder on as many unsorted entries;
@@ -37,6 +41,8 @@
 
 use parcomm::contract::ContractScratch;
 use parcomm::core::kernel::{contract_level, match_level};
+use parcomm::core::refine::refine;
+use parcomm::core::refine_multilevel;
 use parcomm::core::{score_all_into, DetectionResult, ScoreContext};
 use parcomm::gen::{rmat_graph, sbm_graph, RmatParams, SbmParams};
 use parcomm::graph::{builder, io, Csr, GraphParts};
@@ -266,7 +272,8 @@ fn sharded_detection_is_bit_identical_across_widths() {
 #[test]
 fn csr_build_is_bit_identical_across_widths() {
     // More than `SEQ_CUTOFF` edges, so both edge passes leave the caller
-    // and scatter through one stripe's cursors per thread.
+    // and scatter through one stripe's cursors per thread. The scatter is
+    // a stable counting sort: each row lists its edges in edge order.
     let g = rmat_graph(&RmatParams::paper(13, 23));
     assert!(g.num_edges() > SEQ_CUTOFF, "edge regions run inline");
     let mut rows = vec![Vec::new(); g.num_vertices()];
@@ -276,8 +283,7 @@ fn csr_build_is_bit_identical_across_widths() {
     }
     let mut xadj = vec![0];
     let (mut adj, mut wgt) = (Vec::new(), Vec::new());
-    for row in &mut rows {
-        row.sort_unstable();
+    for row in &rows {
         adj.extend(row.iter().map(|&(v, _)| v));
         wgt.extend(row.iter().map(|&(_, w)| w));
         xadj.push(adj.len());
@@ -289,6 +295,43 @@ fn csr_build_is_bit_identical_across_widths() {
         assert!(csr.wgt == wgt, "wgt differs at width {w}");
         assert_eq!(csr.self_loop, g.self_loops(), "self-loops at width {w}");
         assert_eq!(csr.total_weight, g.total_weight(), "m at width {w}");
+    }
+}
+
+#[test]
+fn refinement_is_bit_identical_across_widths() {
+    // R-MAT 12 with the paper's edge factor 16: its rows plus adjacency
+    // come to more than `SEQ_CUTOFF`, so every sweep's proposal pass over
+    // the input graph leaves the caller.
+    let g = rmat_graph(&RmatParams::paper(12, 7));
+    assert!(
+        g.num_vertices() + 2 * g.num_edges() > SEQ_CUTOFF,
+        "the proposal pass runs inline"
+    );
+    let r = detect(g.clone(), &Config::default().with_recorded_levels());
+    let run = |w: usize| {
+        with_threads(w, || {
+            let flat = refine(&g, &r.assignment, 5);
+            let ml = refine_multilevel(&g, &r, 5);
+            let trajectory: Vec<u64> = ml.q_trajectory.iter().map(|q| q.to_bits()).collect();
+            (
+                flat.assignment,
+                flat.stats,
+                flat.q_after.to_bits(),
+                ml.assignment,
+                trajectory,
+            )
+        })
+    };
+    let base = run(WIDTHS[0]);
+    assert!(base.1.moves > 0, "refinement moved no vertex");
+    for &w in &WIDTHS[1..] {
+        let got = run(w);
+        assert!(got.0 == base.0, "refined assignment at width {w}");
+        assert_eq!(got.1, base.1, "move stats at width {w}");
+        assert_eq!(got.2, base.2, "refined Q at width {w}");
+        assert!(got.3 == base.3, "V-cycle assignment at width {w}");
+        assert_eq!(got.4, base.4, "V-cycle Q trajectory at width {w}");
     }
 }
 

@@ -79,8 +79,6 @@ pub(crate) const WAIVER_BUDGETS: &[(&str, &str, usize)] = &[
     ("crates/core/src/scorer.rs", "alloc", 1),
     ("crates/graph/src/builder.rs", "panic", 1),
     ("crates/graph/src/components.rs", "panic", 1),
-    ("crates/graph/src/csr.rs", "alloc", 1),
-    ("crates/graph/src/stats.rs", "panic", 2),
     ("crates/matching/src/edge_sweep.rs", "alloc", 4),
     ("crates/matching/src/parallel.rs", "alloc", 3),
     ("crates/matching/src/seq.rs", "panic", 1),
