@@ -60,7 +60,7 @@ use std::fmt::Write as _;
 use std::process::ExitCode;
 
 use pcd_core::{
-    detect_many_observed, try_detect_sharded_observed, Budget, CancelToken, Config, ContractorKind,
+    detect_many_observed, try_detect_sharded_observed, Budget, Config, ContractorKind,
     DetectionResult, Detector, LevelObserver, NoopObserver,
 };
 use pcd_gen::classic::clique_ring;
@@ -367,15 +367,13 @@ static ARMS: [Arm; 15] = [
     },
 ];
 
-/// An armed but non-binding budget: hour-long deadline, `usize::MAX`
-/// caps, and a live cancel token nobody cancels.
+/// An armed but non-binding budget: hour-long deadline and a
+/// `usize::MAX` level cap.
 fn unarmed_budget() -> Config {
     Config::default().with_budget(
         Budget::unarmed()
             .with_deadline(std::time::Duration::from_secs(3600))
-            .with_max_levels(usize::MAX)
-            .with_max_scratch_bytes(usize::MAX)
-            .with_cancel_token(CancelToken::new()),
+            .with_max_levels(usize::MAX),
     )
 }
 

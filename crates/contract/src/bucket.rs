@@ -135,20 +135,6 @@ impl ContractScratch {
     pub fn set_new_of_old(&mut self, map: Vec<VertexId>) {
         self.new_of_old = map;
     }
-
-    /// Heap bytes retained by this scratch (capacity, not length) — summed
-    /// into the engine's scratch-memory ceiling ledger.
-    pub fn scratch_bytes(&self) -> usize {
-        use std::mem::size_of;
-        self.is_leader.capacity() * size_of::<usize>()
-            + self.new_of_old.capacity() * size_of::<VertexId>()
-            + self.stripes.scratch_bytes()
-            + self.counts.capacity() * size_of::<usize>()
-            + self.bucket_off.capacity() * size_of::<usize>()
-            + self.tmp_dst.capacity() * size_of::<u32>()
-            + self.tmp_w.capacity() * size_of::<u64>()
-            + self.final_off.capacity() * size_of::<usize>()
-    }
 }
 
 /// Contracts `g` along matching `m`, scattering the result into recycled

@@ -274,9 +274,8 @@ pub struct Config {
     /// ablation arm for the memory benchmarks. Both settings produce
     /// bit-identical results.
     pub reuse_scratch: bool,
-    /// Resource budget: wall-clock deadline, level cap, scratch-memory
-    /// ceiling, cancellation. Unarmed by default — zero overhead and
-    /// bit-identical results (see [`Budget`]).
+    /// Resource budget: wall-clock deadline and level cap. Unarmed by
+    /// default — zero overhead and bit-identical results (see [`Budget`]).
     pub budget: Budget,
     /// Route [`crate::detect`]/[`crate::try_detect`] through the
     /// WCC-sharded pipeline ([`crate::shard`]): decompose into

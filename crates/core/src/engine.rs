@@ -31,6 +31,7 @@ use pcd_util::par;
 use pcd_util::sync::{as_atomic_u64, RELAXED};
 use pcd_util::timing::Timer;
 use pcd_util::{PcdError, Phase, VertexId, Weight};
+use std::time::Instant;
 
 /// A reusable detection engine: a validated configuration + warm scratch
 /// arenas.
@@ -86,6 +87,18 @@ impl Detector {
         graph: Graph,
         observer: &mut dyn LevelObserver,
     ) -> Result<DetectionResult, PcdError> {
+        self.run_from(graph, observer, None)
+    }
+
+    /// As [`Detector::run_observed`], with the budget's deadline counted
+    /// from `started` when given — a sharded call's one instant (DESIGN.md
+    /// §16) — instead of from this run's start.
+    pub(crate) fn run_from(
+        &mut self,
+        graph: Graph,
+        observer: &mut dyn LevelObserver,
+        started: Option<Instant>,
+    ) -> Result<DetectionResult, PcdError> {
         let Detector { config, scratch } = self;
         let n0 = graph.num_vertices();
         let ne0 = graph.num_edges();
@@ -118,7 +131,7 @@ impl Detector {
         // proves it). A breach abandons the in-flight level — its phase
         // outputs fold nothing — so `assignment`/`counts` always describe
         // exactly the completed levels: a full, valid partition.
-        let budget = config.budget.arm();
+        let budget = config.budget.arm(started);
         let mut breach: Option<Termination> = None;
 
         loop {
@@ -130,9 +143,9 @@ impl Detector {
                 scratch.ctx.refresh(&g);
             }
             let level = levels.len() + 1;
-            // Boundary check: deadline/cancellation, plus the level cap
-            // (checked against *completed* levels, so a cap of 0 returns
-            // the untouched singleton partition).
+            // Boundary check: the deadline, plus the level cap (checked
+            // against *completed* levels, so a cap of 0 returns the
+            // untouched singleton partition).
             if let Some(s) = &budget {
                 if let Some(t) = s.check_level_start(levels.len()) {
                     breach = Some(t);
@@ -265,17 +278,6 @@ impl Detector {
             // analyze: allow(panic, reason = "a LevelRecord was pushed two statements above")
             observer.on_level_end(levels.last().expect("level just pushed"));
 
-            // Boundary check: the arena just hit this level's high-water
-            // mark, the one place the scratch ceiling can newly bind.
-            // Deadline/cancellation are re-checked at the next level start.
-            if let Some(s) = &budget {
-                if let Some(t) = s.check_memory(scratch.scratch_bytes()) {
-                    breach = Some(t);
-                    stop_reason = StopReason::Budget;
-                    break;
-                }
-            }
-
             if config.coverage_stop.is_some_and(|c| coverage >= c) {
                 stop_reason = StopReason::Criterion;
                 break;
@@ -331,19 +333,21 @@ impl Detector {
     /// [`PcdError::EnginePoisoned`]. The engine is always usable again
     /// after this returns.
     pub fn run_isolated(&mut self, graph: Graph) -> Result<DetectionResult, PcdError> {
-        self.run_isolated_observed(graph, &mut NoopObserver)
+        self.run_isolated_observed(graph, &mut NoopObserver, None)
     }
 
     /// As [`Detector::run_isolated`], firing `observer` at level and phase
-    /// boundaries. On a panic the observer's partial recording is the
-    /// caller's to discard.
+    /// boundaries, with the deadline counted as in [`Detector::run_from`].
+    /// On a panic the observer's partial recording is the caller's to
+    /// discard.
     fn run_isolated_observed(
         &mut self,
         graph: Graph,
         observer: &mut dyn LevelObserver,
+        started: Option<Instant>,
     ) -> Result<DetectionResult, PcdError> {
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.run_observed(graph, observer)
+            self.run_from(graph, observer, started)
         }));
         match caught {
             Ok(outcome) => outcome,
@@ -409,6 +413,22 @@ where
     O: LevelObserver + Send,
     F: Fn() -> O + Sync,
 {
+    run_batch(graphs, config, make_observer, None)
+}
+
+/// [`detect_many_observed`] with every run's deadline counted from
+/// `started` when given: the sharded stage passes its call's one instant,
+/// while batch graphs (`None`) each start their own clock.
+pub(crate) fn run_batch<O, F>(
+    graphs: Vec<Graph>,
+    config: &Config,
+    make_observer: F,
+    started: Option<Instant>,
+) -> Result<Vec<BatchRun<O>>, PcdError>
+where
+    O: LevelObserver + Send,
+    F: Fn() -> O + Sync,
+{
     config.validate()?;
     Ok(par::map_init(
         graphs,
@@ -416,7 +436,7 @@ where
         || Detector::new(config.clone()).expect("config validated above"),
         |det, g| {
             let mut observer = make_observer();
-            let outcome = det.run_isolated_observed(g, &mut observer);
+            let outcome = det.run_isolated_observed(g, &mut observer, started);
             (outcome, observer)
         },
     ))

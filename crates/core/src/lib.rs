@@ -54,7 +54,6 @@ pub use fault::FaultPlan;
 pub use louvain::{synchronous_move_phase, CommitRule, MoveStats};
 pub use multilevel::{refine_multilevel, MultilevelOutcome};
 pub use observer::{LevelObserver, NoopObserver, Tee};
-pub use pcd_util::sync::CancelToken;
 pub use refine::{refine, refine_detected, Refinement};
 pub use result::{DetectionResult, LevelStats, StopReason, Termination};
 pub use scorer::{score_all_into, ScoreContext};

@@ -37,10 +37,6 @@ pub enum Termination {
     /// The wall-clock deadline expired; the partition is the best-effort
     /// prefix from completed levels.
     Deadline,
-    /// A [`pcd_util::sync::CancelToken`] was cancelled; best-effort prefix.
-    Cancelled,
-    /// The scratch-memory ceiling was breached; best-effort prefix.
-    MemoryCeiling,
     /// The budget's level cap was reached; best-effort prefix.
     MaxLevels,
     /// The run completed, but at least one level's matcher watchdog
@@ -53,13 +49,7 @@ impl Termination {
     /// True when the run was cut short by a budget limit (the partition is
     /// a best-effort prefix rather than a converged answer).
     pub fn is_budget_breach(self) -> bool {
-        matches!(
-            self,
-            Termination::Deadline
-                | Termination::Cancelled
-                | Termination::MemoryCeiling
-                | Termination::MaxLevels
-        )
+        matches!(self, Termination::Deadline | Termination::MaxLevels)
     }
 
     /// Stable lower-case label (metric label values, CLI output).
@@ -67,19 +57,15 @@ impl Termination {
         match self {
             Termination::Converged => "converged",
             Termination::Deadline => "deadline",
-            Termination::Cancelled => "cancelled",
-            Termination::MemoryCeiling => "memory-ceiling",
             Termination::MaxLevels => "max-levels",
             Termination::WatchdogDegraded => "watchdog-degraded",
         }
     }
 
     /// Every variant, in a stable order (metric registration).
-    pub const ALL: [Termination; 6] = [
+    pub const ALL: [Termination; 4] = [
         Termination::Converged,
         Termination::Deadline,
-        Termination::Cancelled,
-        Termination::MemoryCeiling,
         Termination::MaxLevels,
         Termination::WatchdogDegraded,
     ];
@@ -254,18 +240,10 @@ mod tests {
 
     #[test]
     fn termination_labels_and_breach_classification() {
-        assert_eq!(Termination::ALL.len(), 6);
         let labels: Vec<&str> = Termination::ALL.iter().map(|t| t.as_str()).collect();
         assert_eq!(
             labels,
-            [
-                "converged",
-                "deadline",
-                "cancelled",
-                "memory-ceiling",
-                "max-levels",
-                "watchdog-degraded"
-            ]
+            ["converged", "deadline", "max-levels", "watchdog-degraded"]
         );
         for t in Termination::ALL {
             assert_eq!(

@@ -74,21 +74,4 @@ impl LevelScratch {
     pub fn store_parts(&mut self, g: Graph) {
         self.parts = Some(g.into_parts());
     }
-
-    /// Heap bytes retained by the whole arena (capacity, not length):
-    /// score context and scores, both kernel scratches, the shadow graph,
-    /// and the fold buffers. This is the ledger the
-    /// [`crate::Budget::max_scratch_bytes`] ceiling is checked against at
-    /// level boundaries — an O(1) sum over a dozen capacities, not a heap
-    /// walk.
-    pub fn scratch_bytes(&self) -> usize {
-        use std::mem::size_of;
-        self.ctx.vol.capacity() * size_of::<Weight>()
-            + self.scores.capacity() * size_of::<f64>()
-            + self.matching.scratch_bytes()
-            + self.contract.scratch_bytes()
-            + self.parts.as_ref().map_or(0, |p| p.storage_bytes())
-            + self.vol_next.capacity() * size_of::<Weight>()
-            + self.counts_next.capacity() * size_of::<Weight>()
-    }
 }

@@ -5,7 +5,7 @@
 //! synchronizes every component at every phase barrier. This module
 //! decomposes the input into its weakly connected components
 //! ([`pcd_graph::subgraph::split_components`]), detects the components
-//! as one [`detect_many_observed`] batch — one warm [`Detector`] per
+//! as one [`crate::detect_many_observed`] batch — one warm [`Detector`] per
 //! worker, largest component first, panic-isolated per component — and
 //! recombines the per-component results into one [`DetectionResult`]
 //! indexed by original vertex ids.
@@ -22,16 +22,16 @@
 //! one [`Detector`].
 
 use crate::config::Config;
-use crate::engine::{detect_many_observed, Detector};
+use crate::engine::{run_batch, Detector};
 use crate::observer::{LevelObserver, NoopObserver};
 use crate::result::{DetectionResult, LevelStats, StopReason, Termination};
 use pcd_graph::components::components;
 use pcd_graph::subgraph::{split_by_labels, ComponentPart};
 use pcd_graph::{builder, Graph};
 use pcd_util::par;
-use pcd_util::timing::Timer;
 use pcd_util::{PcdError, VertexId};
 use std::cmp::Reverse;
+use std::time::Instant;
 
 /// Per-component record from [`detect_sharded_outcomes`]: the component's
 /// own detection result (or the structured error that felled it) plus the
@@ -71,6 +71,10 @@ impl ComponentOutcome {
 /// the merged result when every component completes; on error the partial
 /// recordings are discarded. See [`detect_sharded_outcomes`] to keep the
 /// survivors of a partial failure.
+///
+/// A budget's deadline is one instant for the whole call, taken here: every
+/// component's run checks against it, so the deadline limits the call, not
+/// each component. The level cap applies per component.
 pub fn try_detect_sharded_observed<O, F>(
     graph: Graph,
     config: &Config,
@@ -81,7 +85,7 @@ where
     F: Fn() -> O + Sync,
 {
     config.validate()?;
-    let t_total = Timer::start();
+    let started = Instant::now();
     let (nv, ne) = (graph.num_vertices(), graph.num_edges());
     let label = components(&graph);
     let num_components = par::sum(nv, |v| usize::from(label[v] == v as VertexId));
@@ -89,12 +93,13 @@ where
         // Exact unsharded path: one engine over the whole graph, no split,
         // no merge — the decompose pass above is the only cost.
         let mut observer = make_observer();
-        let result = Detector::new(config.clone())?.run_observed(graph, &mut observer)?;
+        let result =
+            Detector::new(config.clone())?.run_from(graph, &mut observer, Some(started))?;
         return Ok((result, vec![observer]));
     }
     let split = split_by_labels(&graph, &label);
     drop(graph); // the parts own their storage now; release the parent
-    let ran = run_components(split.parts, config, &make_observer)?;
+    let ran = run_components(split.parts, config, &make_observer, started)?;
 
     let mut maps = Vec::with_capacity(ran.len());
     let mut results = Vec::with_capacity(ran.len());
@@ -110,7 +115,7 @@ where
         &maps,
         &results,
         config.record_levels,
-        t_total.elapsed_secs(),
+        started.elapsed().as_secs_f64(),
     );
     Ok((merged, observers))
 }
@@ -119,31 +124,33 @@ where
 /// returning each component's outcome — success or error — individually
 /// in component order. One poisoned component never sinks the rest: the
 /// survivors' results are bit-identical to solo runs on the extracted
-/// components.
+/// components. The deadline is one instant for the whole call, as in
+/// [`try_detect_sharded_observed`].
 pub fn detect_sharded_outcomes(
     graph: Graph,
     config: &Config,
 ) -> Result<Vec<ComponentOutcome>, PcdError> {
     config.validate()?;
+    let started = Instant::now();
     let label = components(&graph);
     let split = split_by_labels(&graph, &label);
     drop(graph);
-    Ok(run_components(split.parts, config, &|| NoopObserver)?
-        .into_iter()
-        .map(|(component, _)| component)
-        .collect())
+    let ran = run_components(split.parts, config, &|| NoopObserver, started)?;
+    Ok(ran.into_iter().map(|(component, _)| component).collect())
 }
 
-/// Detect stage: hands every part to [`detect_many_observed`] largest
-/// component first (classic LPT scheduling — the longest-running shard
-/// starts earliest, minimizing the tail), so each runs panic-isolated on
-/// a warm per-worker [`Detector`].
+/// Detect stage: hands every part to the batch loop
+/// ([`crate::detect_many_observed`]) largest component first (classic LPT
+/// scheduling — the longest-running shard starts earliest, minimizing the
+/// tail), so each runs panic-isolated on a warm per-worker [`Detector`],
+/// its deadline counted from the call's `started` instant.
 ///
 /// Returns each part's outcome and observer in component order.
 fn run_components<O, F>(
     parts: Vec<ComponentPart>,
     config: &Config,
     make_observer: &F,
+    started: Instant,
 ) -> Result<Vec<(ComponentOutcome, O)>, PcdError>
 where
     O: LevelObserver + Send,
@@ -158,7 +165,7 @@ where
         .into_iter()
         .map(|(i, part)| ((i, part.old_of_new), part.graph))
         .unzip();
-    let ran = detect_many_observed(work, config, make_observer)?;
+    let ran = run_batch(work, config, make_observer, Some(started))?;
 
     // Runs come back in schedule order; component order is the contract.
     let mut out: Vec<_> = placed
@@ -196,9 +203,7 @@ fn termination_rank(t: Termination) -> u8 {
         Termination::Converged => 0,
         Termination::WatchdogDegraded => 1,
         Termination::MaxLevels => 2,
-        Termination::MemoryCeiling => 3,
-        Termination::Cancelled => 4,
-        Termination::Deadline => 5,
+        Termination::Deadline => 3,
     }
 }
 

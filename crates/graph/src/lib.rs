@@ -21,7 +21,6 @@ pub mod builder;
 pub mod components;
 pub mod csr;
 pub mod edge;
-pub mod extract;
 pub mod io;
 pub mod subgraph;
 
@@ -75,21 +74,6 @@ pub struct GraphParts {
     pub bucket_end: Vec<usize>,
     /// Per-vertex self-loop weights.
     pub self_loop: Vec<Weight>,
-}
-
-impl GraphParts {
-    /// Heap bytes retained by this storage (capacity, not length) — summed
-    /// into the detection engine's scratch-memory ceiling ledger when the
-    /// parts sit in the arena as the shadow graph.
-    pub fn storage_bytes(&self) -> usize {
-        use std::mem::size_of;
-        self.src.capacity() * size_of::<VertexId>()
-            + self.dst.capacity() * size_of::<VertexId>()
-            + self.weight.capacity() * size_of::<Weight>()
-            + self.bucket_begin.capacity() * size_of::<usize>()
-            + self.bucket_end.capacity() * size_of::<usize>()
-            + self.self_loop.capacity() * size_of::<Weight>()
-    }
 }
 
 impl Graph {

@@ -31,8 +31,8 @@ use pcd_util::{VertexId, Weight};
 /// re-pick commit's accumulator (the Louvain move phase's bookkeeping),
 /// and the boosted-score buffer the guided matching hands to the
 /// unmatched-list kernel. Owned by [`MatchScratch`] so the engine's
-/// scratch ledger and reuse policy cover it automatically; refinement
-/// holds its own.
+/// scratch reuse policy covers it automatically; refinement holds its
+/// own.
 #[derive(Debug, Default)]
 pub struct LabelScratch {
     /// Per-vertex community label (the move-phase output).
@@ -60,20 +60,6 @@ impl LabelScratch {
     /// A scratch with no retained capacity.
     pub fn new() -> Self {
         LabelScratch::default()
-    }
-
-    /// Heap bytes retained (capacity, not length) — summed into the
-    /// engine's scratch-memory ceiling through [`MatchScratch`].
-    pub fn scratch_bytes(&self) -> usize {
-        use std::mem::size_of;
-        self.labels.capacity() * size_of::<VertexId>()
-            + self.labels_next.capacity() * size_of::<VertexId>()
-            + self.csr.scratch_bytes()
-            + self.vol.capacity() * size_of::<Weight>()
-            + self.vertex_vol.capacity() * size_of::<Weight>()
-            + self.boosted.capacity() * size_of::<f64>()
-            + self.acc.capacity() * size_of::<Weight>()
-            + self.touched.capacity() * size_of::<VertexId>()
     }
 
     /// Resets `labels` to the singleton partition (every vertex its own

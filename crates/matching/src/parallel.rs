@@ -109,24 +109,6 @@ impl MatchScratch {
     pub fn put_label(&mut self, label: LabelScratch) {
         self.label = label;
     }
-
-    /// Heap bytes retained by this scratch (capacity, not length) — summed
-    /// into the engine's scratch-memory ceiling ledger.
-    pub fn scratch_bytes(&self) -> usize {
-        use std::mem::size_of;
-        self.mate.capacity() * size_of::<VertexId>()
-            + self.edges.capacity() * size_of::<usize>()
-            + self.best.capacity() * size_of::<u64>()
-            + self.list.capacity() * size_of::<VertexId>()
-            + self.survivors.capacity() * size_of::<VertexId>()
-            + self.proposals.capacity() * size_of::<u64>()
-            + self.pair_edge.capacity() * size_of::<u64>()
-            + self.keep.capacity() * size_of::<bool>()
-            + self.work.capacity() * size_of::<usize>()
-            + self.candidates.capacity() * size_of::<usize>()
-            + self.compactor.scratch_bytes()
-            + self.label.scratch_bytes()
-    }
 }
 
 /// Computes the greedy maximal matching over positively-scored edges.

@@ -131,7 +131,7 @@ pub struct TraceObserver {
     merges_total: CounterId,
     edges_scored_total: CounterId,
     watchdog_degraded_total: CounterId,
-    terminations_total: [CounterId; 6],
+    terminations_total: [CounterId; Termination::ALL.len()],
     phase_seconds: [HistogramId; 3],
     level_edges_per_second: HistogramId,
     last_run: RunGauges,
@@ -181,15 +181,7 @@ impl TraceObserver {
         );
         let term_help = "Completed runs by termination outcome (best-effort \
              budget breaches included; strict-mode breaches error instead).";
-        let terminations_total = [
-            Termination::ALL[0],
-            Termination::ALL[1],
-            Termination::ALL[2],
-            Termination::ALL[3],
-            Termination::ALL[4],
-            Termination::ALL[5],
-        ]
-        .map(|t| {
+        let terminations_total = Termination::ALL.map(|t| {
             reg.counter(
                 "pcd_run_terminations_total",
                 term_help,
@@ -630,9 +622,13 @@ mod tests {
             .unwrap();
         assert_eq!(r.termination, Termination::Converged);
         let reg = obs.registry();
-        assert_eq!(termination_counter(reg, "converged"), 1);
-        for reason in ["deadline", "cancelled", "memory-ceiling", "max-levels"] {
-            assert_eq!(termination_counter(reg, reason), 0, "{reason}");
+        assert_eq!(
+            reg.counters_of("pcd_run_terminations_total").count(),
+            Termination::ALL.len()
+        );
+        for t in Termination::ALL {
+            let expected = u64::from(t == Termination::Converged);
+            assert_eq!(termination_counter(reg, t.as_str()), expected, "{t}");
         }
         assert_eq!(counter(reg, "pcd_engines_poisoned_total"), 0);
     }

@@ -75,8 +75,7 @@ pub enum PcdError {
     /// never surface this: they return the best-effort partition from
     /// completed levels instead.
     BudgetExceeded {
-        /// Which budget fired: `"deadline"`, `"cancelled"`,
-        /// `"memory-ceiling"`, or `"max-levels"`.
+        /// Which budget fired: `"deadline"` or `"max-levels"`.
         resource: &'static str,
         /// Contraction levels completed before the breach was detected.
         levels_completed: usize,

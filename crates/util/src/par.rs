@@ -374,11 +374,6 @@ impl Stripes {
             }
         });
     }
-
-    /// Heap bytes retained by the matrix (capacity, not length).
-    pub fn scratch_bytes(&self) -> usize {
-        self.cells.capacity() * std::mem::size_of::<usize>()
-    }
 }
 
 /// Calls `f(i, &mut data[i])` for every element of `data`.

@@ -102,12 +102,6 @@ impl Compactor {
         Compactor::default()
     }
 
-    /// Heap bytes retained by this compactor (capacity, not length) — the
-    /// ledger the engine's scratch-memory ceiling sums.
-    pub fn scratch_bytes(&self) -> usize {
-        self.chunk_counts.capacity() * std::mem::size_of::<usize>()
-    }
-
     /// Writes `src[i]` for every `i` with `keep[i]`, in input order, into
     /// `out` (cleared first; capacity is reused).
     pub fn compact_into<T: Copy + Send + Sync>(

@@ -187,42 +187,6 @@ unsafe impl<T> Sync for SendPtr<T> {}
 // dereference is covered by the caller's disjoint-range argument.
 unsafe impl<T> Send for SendPtr<T> {}
 
-/// A shareable cooperative cancellation flag.
-///
-/// Clones share one underlying flag: any holder may [`cancel`]
-/// (`CancelToken::cancel`), and the detection engine polls
-/// [`is_cancelled`](CancelToken::is_cancelled) at phase boundaries only —
-/// never inside kernel hot loops. Cancellation is *cooperative*: setting
-/// the flag does not interrupt a running kernel, it makes the engine stop
-/// agglomerating at the next boundary and return the best-effort partition
-/// from completed levels.
-///
-/// Both accesses are [`RELAXED`] (pattern 1 / pattern 3 of the module
-/// docs): the store is idempotent and publishes no data — the only payload
-/// is the flag itself — and a stale load merely delays the stop by one
-/// phase. The engine's own join edges order everything else.
-#[derive(Debug, Clone, Default)]
-pub struct CancelToken {
-    flag: std::sync::Arc<AtomicBool>,
-}
-
-impl CancelToken {
-    /// A fresh, un-cancelled token.
-    pub fn new() -> Self {
-        CancelToken::default()
-    }
-
-    /// Requests cancellation. Idempotent; never blocks.
-    pub fn cancel(&self) {
-        self.flag.store(true, RELAXED);
-    }
-
-    /// True once any clone of this token has been cancelled.
-    pub fn is_cancelled(&self) -> bool {
-        self.flag.load(RELAXED)
-    }
-}
-
 #[cfg(all(test, not(loom)))]
 mod tests {
     use super::*;
@@ -251,29 +215,6 @@ mod tests {
             }
         });
         assert_eq!(c.load(RELAXED), 8999);
-    }
-
-    #[test]
-    fn cancel_token_clones_share_one_flag() {
-        let t = CancelToken::new();
-        let u = t.clone();
-        assert!(!t.is_cancelled());
-        assert!(!u.is_cancelled());
-        u.cancel();
-        assert!(t.is_cancelled());
-        // Idempotent.
-        t.cancel();
-        assert!(u.is_cancelled());
-    }
-
-    #[test]
-    fn cancel_token_crosses_threads() {
-        let t = CancelToken::new();
-        let u = t.clone();
-        std::thread::scope(|s| {
-            s.spawn(move || u.cancel());
-        });
-        assert!(t.is_cancelled());
     }
 
     #[test]

@@ -1,11 +1,12 @@
-//! The paper's motivating pipeline: detect communities, then carve each
-//! out as an independent subgraph small enough for conventional tools —
-//! here we run per-community statistics and a second, local detection
-//! inside the largest community.
+//! The paper's motivating pipeline: detect communities, then open each one
+//! up to conventional tools — here per-community statistics, and a second,
+//! local detection inside the largest community carved out as a
+//! standalone graph.
 //!
 //! Run with: `cargo run --release --example community_subgraphs`
 
-use parcomm::graph::extract::extract_communities;
+use parcomm::graph::subgraph::induce;
+use parcomm::metrics::{community_reports, largest_communities};
 use parcomm::prelude::*;
 
 fn main() {
@@ -23,44 +24,43 @@ fn main() {
         result.num_communities, result.modularity
     );
 
-    let subs = extract_communities(&g, &result.assignment);
-    let mut by_size: Vec<&_> = subs.iter().collect();
-    by_size.sort_by_key(|s| std::cmp::Reverse(s.graph.num_vertices()));
+    let reports = community_reports(&g, &result.assignment);
+    let by_size = largest_communities(&reports, 8);
 
-    println!("largest 8 communities as standalone graphs:");
+    println!("largest 8 communities:");
     println!(
-        "{:>6} {:>9} {:>10} {:>10} {:>9}",
-        "id", "vertices", "edges", "internal", "external"
+        "{:>6} {:>9} {:>10} {:>9}",
+        "id", "vertices", "internal", "cut"
     );
-    for s in by_size.iter().take(8) {
+    for r in &by_size {
         println!(
-            "{:>6} {:>9} {:>10} {:>10} {:>9}",
-            s.community,
-            s.graph.num_vertices(),
-            s.graph.num_edges(),
-            s.graph.total_weight(),
-            s.external_weight
+            "{:>6} {:>9} {:>10} {:>9}",
+            r.id, r.size, r.internal_weight, r.cut_weight
         );
     }
 
-    // Zoom in: run detection again inside the biggest community (the
-    // paper's "multi-level algorithms" use case).
-    let biggest = by_size[0];
-    let inner = detect(biggest.graph.clone(), &Config::default());
+    // Zoom in: carve the biggest community out as its own graph and run
+    // detection again inside it (the paper's "multi-level algorithms" use
+    // case).
+    let biggest = by_size[0].id;
+    let keep: Vec<bool> = result.assignment.iter().map(|&c| c == biggest).collect();
+    let sub = induce(&g, &keep);
+    assert_eq!(sub.graph.total_weight(), by_size[0].internal_weight);
+    let inner = detect(sub.graph, &Config::default());
     println!(
-        "\nzooming into community {}: {} sub-communities, Q = {:.4}",
-        biggest.community, inner.num_communities, inner.modularity
+        "\nzooming into community {biggest}: {} sub-communities, Q = {:.4}",
+        inner.num_communities, inner.modularity
     );
 
-    // Sanity: the union of subgraph weights + half the external weights
-    // accounts for the whole graph.
-    let internal: u64 = subs.iter().map(|s| s.graph.total_weight()).sum();
-    let external: u64 = subs.iter().map(|s| s.external_weight).sum();
-    assert_eq!(internal + external / 2, g.total_weight());
+    // Sanity: internal weights plus half the cut weights (each cut edge is
+    // counted on both sides) account for the whole graph.
+    let internal: u64 = reports.iter().map(|r| r.internal_weight).sum();
+    let cut: u64 = reports.iter().map(|r| r.cut_weight).sum();
+    assert_eq!(internal + cut / 2, g.total_weight());
     println!(
-        "\naccounting check: internal {} + cross {} / 2 == total {}",
+        "\naccounting check: internal {} + cut {} / 2 == total {}",
         internal,
-        external,
+        cut,
         g.total_weight()
     );
 }

@@ -5,6 +5,11 @@
 //! a whitespace edge list. All input is treated as untrusted: malformed
 //! files, out-of-range ids and bad flags produce structured errors, never
 //! panics.
+//!
+//! Every command prints through one stdout writer whose errors propagate
+//! as [`PcdError`]s. A reader that goes away early (`parcomm detect g.bin
+//! | head -1`) ends the output quietly with exit 0; each command writes
+//! its requested files before its first line can fail.
 
 #![deny(unsafe_op_in_unsafe_fn)]
 
@@ -15,9 +20,10 @@ use parcomm::prelude::*;
 use parcomm::trace::{Registry, SpanRing, TraceObserver};
 use parcomm::util::PcdError;
 use parcomm::util::Phase;
-use std::io::Write;
+use std::io::{ErrorKind, Write};
 use std::path::PathBuf;
 use std::process::ExitCode;
+use std::time::Duration;
 
 const USAGE: &str = "\
 usage: parcomm <command> [options]
@@ -81,54 +87,36 @@ exit codes:
   2  invalid input or usage (bad flags, unreadable or corrupt graphs)
   3  budget exceeded under --strict-budget";
 
+/// The one stdout writer every command prints through.
+type Out = std::io::Stdout;
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--help" || a == "-h")
-        || args.first().map(String::as_str) == Some("help")
-    {
-        println!("{USAGE}");
-        return ExitCode::SUCCESS;
-    }
-    if args.first().map(String::as_str) == Some("--list-kernels") {
-        // Strict parse: the only argument accepted after the flag is an
-        // optional `--json`; anything else is a usage error (exit 2), so
-        // scripts never silently get the human format they didn't ask for.
-        return match &args[1..] {
-            [] => {
-                print_kernels();
-                ExitCode::SUCCESS
-            }
-            [flag] if flag == "--json" => {
-                print_kernels_json();
-                ExitCode::SUCCESS
-            }
-            rest => {
-                eprintln!(
-                    "error: --list-kernels takes at most `--json`, got '{}'",
-                    rest.join(" ")
-                );
-                eprintln!("run parcomm --help for usage");
-                ExitCode::from(2)
-            }
-        };
-    }
     let Some(cmd) = args.first() else {
         eprintln!("{USAGE}");
         return ExitCode::from(2);
     };
     let rest = &args[1..];
-    let result = match cmd.as_str() {
-        "gen" => cmd_gen(rest),
-        "detect" => cmd_detect(rest),
-        "convert" => cmd_convert(rest),
-        "compare" => cmd_compare(rest),
-        "communities" => cmd_communities(rest),
-        other => Err(PcdError::usage(format!(
-            "unknown command '{other}' (run parcomm --help)"
-        ))),
+    let mut out = std::io::stdout();
+    let result = if args.iter().any(|a| a == "--help" || a == "-h") || cmd == "help" {
+        writeln!(out, "{USAGE}").map_err(PcdError::from)
+    } else {
+        match cmd.as_str() {
+            "--list-kernels" => cmd_list_kernels(rest, &mut out),
+            "gen" => cmd_gen(rest, &mut out),
+            "detect" => cmd_detect(rest, &mut out),
+            "convert" => cmd_convert(rest, &mut out),
+            "compare" => cmd_compare(rest, &mut out),
+            "communities" => cmd_communities(rest, &mut out),
+            other => Err(PcdError::usage(format!(
+                "unknown command '{other}' (run parcomm --help)"
+            ))),
+        }
     };
-    match result {
+    match result.and_then(|()| out.flush().map_err(PcdError::from)) {
         Ok(()) => ExitCode::SUCCESS,
+        // The reader stopped reading; whatever it asked for is done.
+        Err(PcdError::Io(e)) if e.kind() == ErrorKind::BrokenPipe => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
             if matches!(e, PcdError::Usage { .. }) {
@@ -180,20 +168,36 @@ fn kernel_lists() -> [(&'static str, Vec<(&'static str, &'static str)>); 3] {
     ]
 }
 
+/// `parcomm --list-kernels [--json]`. Strict parse: the only argument
+/// accepted after the flag is an optional `--json`; anything else is a
+/// usage error (exit 2), so scripts never silently get the human format
+/// they didn't ask for.
+fn cmd_list_kernels(args: &[String], out: &mut Out) -> Result<(), PcdError> {
+    match args {
+        [] => print_kernels(out),
+        [flag] if flag == "--json" => print_kernels_json(out),
+        rest => Err(usage(format!(
+            "--list-kernels takes at most `--json`, got '{}'",
+            rest.join(" ")
+        ))),
+    }
+}
+
 /// Enumerates the kernels (`parcomm --list-kernels`): one line per
 /// backend, grouped by phase, names matching the `detect` flag spellings.
-fn print_kernels() {
+fn print_kernels(out: &mut Out) -> Result<(), PcdError> {
     for (phase, entries) in kernel_lists() {
         let flag = if phase == "scorers" {
             " (--scorer)"
         } else {
             ""
         };
-        println!("{phase}{flag}:");
+        writeln!(out, "{phase}{flag}:")?;
         for (name, desc) in entries {
-            println!("  {name:<18} {desc}");
+            writeln!(out, "  {name:<18} {desc}")?;
         }
     }
+    Ok(())
 }
 
 /// `parcomm --list-kernels --json`: the same inventory as a single JSON
@@ -202,7 +206,7 @@ fn print_kernels() {
 /// the matcher list). Kernel names and descriptions are static ASCII
 /// without quotes or backslashes — asserted here so the hand-rolled
 /// serialization stays honest.
-fn print_kernels_json() {
+fn print_kernels_json(w: &mut Out) -> Result<(), PcdError> {
     let mut out = String::from("{\n");
     for (p, (phase, entries)) in kernel_lists().iter().enumerate() {
         if p > 0 {
@@ -224,7 +228,8 @@ fn print_kernels_json() {
         out.push_str("  ]");
     }
     out.push_str("\n}");
-    println!("{out}");
+    writeln!(w, "{out}")?;
+    Ok(())
 }
 
 /// Flags that take no value (presence-only switches). Everything else in
@@ -336,7 +341,7 @@ fn with_pool<T: Send>(threads: usize, f: impl FnOnce() -> T + Send) -> T {
     }
 }
 
-fn cmd_gen(args: &[String]) -> Result<(), PcdError> {
+fn cmd_gen(args: &[String], out: &mut Out) -> Result<(), PcdError> {
     let f = Flags(args);
     f.check_allowed(
         "gen",
@@ -358,7 +363,7 @@ fn cmd_gen(args: &[String]) -> Result<(), PcdError> {
         .positional(0)
         .ok_or_else(|| usage("gen: missing kind"))?
         .to_string();
-    let out: PathBuf = f
+    let dest: PathBuf = f
         .get("-o")
         .or(f.get("--out"))
         .ok_or_else(|| usage("gen: missing -o <file>"))?
@@ -422,21 +427,26 @@ fn cmd_gen(args: &[String]) -> Result<(), PcdError> {
             other => return Err(usage(format!("gen: unknown kind '{other}'"))),
         })
     })?;
-    if let Some(path) = f.get("--truth") {
+    let truth_out = f.get("--truth");
+    if let Some(path) = truth_out {
         let labels = truth.ok_or_else(|| usage("--truth is only meaningful for gen planted"))?;
         let mut w = std::io::BufWriter::new(std::fs::File::create(path)?);
         for (v, &c) in labels.iter().enumerate() {
             writeln!(w, "{v} {c}")?;
         }
-        println!("truth:        {path}");
+        w.flush()?;
     }
-    parcomm::graph::io::save(&graph, &out).map_err(PcdError::from)?;
-    println!(
+    parcomm::graph::io::save(&graph, &dest).map_err(PcdError::from)?;
+    if let Some(path) = truth_out {
+        writeln!(out, "truth:        {path}")?;
+    }
+    writeln!(
+        out,
         "wrote {} ({} vertices, {} edges)",
-        out.display(),
+        dest.display(),
         graph.num_vertices(),
         graph.num_edges()
-    );
+    )?;
     Ok(())
 }
 
@@ -471,7 +481,7 @@ impl LevelObserver for Progress {
     }
 }
 
-fn cmd_detect(args: &[String]) -> Result<(), PcdError> {
+fn cmd_detect(args: &[String], out: &mut Out) -> Result<(), PcdError> {
     let f = Flags(args);
     f.check_allowed(
         "detect",
@@ -526,10 +536,10 @@ fn cmd_detect(args: &[String]) -> Result<(), PcdError> {
         );
     }
     if let Some(ms) = f.get("--deadline-ms") {
-        budget = budget.with_deadline_ms(
+        budget = budget.with_deadline(Duration::from_millis(
             ms.parse()
                 .map_err(|_| usage(format!("bad value for --deadline-ms: '{ms}'")))?,
-        );
+        ));
     }
     if f.has("--strict-budget") {
         budget = budget.strict();
@@ -616,68 +626,79 @@ fn cmd_detect(args: &[String]) -> Result<(), PcdError> {
     };
     let (r, recorded) = with_pool(threads, run)?;
 
-    println!("communities:  {}", r.num_communities);
-    println!("modularity:   {:.4}", r.modularity);
-    println!("coverage:     {:.3}", r.coverage);
-    println!("levels:       {}", r.levels.len());
-    println!("time:         {:.3}s", r.total_secs);
-    let (s, m, c) = r.phase_totals();
-    if s + m + c > 0.0 {
-        println!(
-            "phases:       score {:.0}% / match {:.0}% / contract {:.0}%",
-            100.0 * s / (s + m + c),
-            100.0 * m / (s + m + c),
-            100.0 * c / (s + m + c)
-        );
-    }
-    if r.termination.is_budget_breach() {
-        println!(
-            "termination:  {} (best-effort partition from {} completed level(s))",
-            r.termination,
-            r.levels.len()
-        );
-    } else if r.termination != Termination::Converged {
-        println!("termination:  {}", r.termination);
-    }
-    let degraded = r.levels.iter().filter(|l| l.matcher_degraded).count();
-    if degraded > 0 {
-        println!(
-            "warning:      matcher watchdog degraded {degraded} level(s) to sequential completion"
-        );
-    }
-    if let Some(out) = f.get("--assignments") {
-        let mut w = std::io::BufWriter::new(std::fs::File::create(out)?);
+    // Every requested file is written before the first summary line, so a
+    // closed stdout cannot cost the caller their files.
+    let mut written: Vec<(&str, &str)> = Vec::new();
+    if let Some(dest) = f.get("--assignments") {
+        let mut w = std::io::BufWriter::new(std::fs::File::create(dest)?);
         for (v, &cid) in r.assignment.iter().enumerate() {
             writeln!(w, "{v} {cid}")?;
         }
-        println!("assignments:  {out}");
+        w.flush()?;
+        written.push(("assignments", dest));
     }
     if let Some((mut reg, ring)) = recorded {
-        // The run gauges describe the result printed above: merged across
+        // The run gauges describe the result printed below: merged across
         // components, refined.
         parcomm::trace::set_run_gauges(&mut reg, &r);
         let created_unix = std::time::SystemTime::now()
             .duration_since(std::time::UNIX_EPOCH)
             .map(|d| d.as_secs())
             .unwrap_or(0);
-        if let Some(out) = metrics_out {
-            let doc = if out.ends_with(".prom") {
+        if let Some(dest) = &metrics_out {
+            let doc = if dest.ends_with(".prom") {
                 parcomm::trace::prometheus_text(&reg)
             } else {
                 parcomm::trace::metrics_json(&reg, path, created_unix)
             };
-            std::fs::write(&out, doc)?;
-            println!("metrics:      {out}");
+            std::fs::write(dest, doc)?;
+            written.push(("metrics", dest));
         }
-        if let (Some(out), Some(ring)) = (trace_out, &ring) {
-            std::fs::write(&out, parcomm::trace::trace_json(ring, path, created_unix))?;
-            println!("trace:        {out}");
+        if let (Some(dest), Some(ring)) = (&trace_out, &ring) {
+            std::fs::write(dest, parcomm::trace::trace_json(ring, path, created_unix))?;
+            written.push(("trace", dest));
         }
+    }
+
+    writeln!(out, "communities:  {}", r.num_communities)?;
+    writeln!(out, "modularity:   {:.4}", r.modularity)?;
+    writeln!(out, "coverage:     {:.3}", r.coverage)?;
+    writeln!(out, "levels:       {}", r.levels.len())?;
+    writeln!(out, "time:         {:.3}s", r.total_secs)?;
+    let (s, m, c) = r.phase_totals();
+    if s + m + c > 0.0 {
+        writeln!(
+            out,
+            "phases:       score {:.0}% / match {:.0}% / contract {:.0}%",
+            100.0 * s / (s + m + c),
+            100.0 * m / (s + m + c),
+            100.0 * c / (s + m + c)
+        )?;
+    }
+    if r.termination.is_budget_breach() {
+        writeln!(
+            out,
+            "termination:  {} (best-effort partition from {} completed level(s))",
+            r.termination,
+            r.levels.len()
+        )?;
+    } else if r.termination != Termination::Converged {
+        writeln!(out, "termination:  {}", r.termination)?;
+    }
+    let degraded = r.levels.iter().filter(|l| l.matcher_degraded).count();
+    if degraded > 0 {
+        writeln!(
+            out,
+            "warning:      matcher watchdog degraded {degraded} level(s) to sequential completion"
+        )?;
+    }
+    for (what, dest) in written {
+        writeln!(out, "{:<14}{dest}", format!("{what}:"))?;
     }
     Ok(())
 }
 
-fn cmd_convert(args: &[String]) -> Result<(), PcdError> {
+fn cmd_convert(args: &[String], out: &mut Out) -> Result<(), PcdError> {
     let f = Flags(args);
     f.check_allowed("convert", &[])?;
     let input = f
@@ -688,11 +709,11 @@ fn cmd_convert(args: &[String]) -> Result<(), PcdError> {
         .ok_or_else(|| usage("convert: missing output"))?;
     let g = load(input)?;
     parcomm::graph::io::save(&g, std::path::Path::new(output)).map_err(PcdError::from)?;
-    println!("converted {input} -> {output}");
+    writeln!(out, "converted {input} -> {output}")?;
     Ok(())
 }
 
-fn cmd_compare(args: &[String]) -> Result<(), PcdError> {
+fn cmd_compare(args: &[String], out: &mut Out) -> Result<(), PcdError> {
     let f = Flags(args);
     f.check_allowed("compare", &["--threads"])?;
     let path = f
@@ -700,47 +721,49 @@ fn cmd_compare(args: &[String]) -> Result<(), PcdError> {
         .ok_or_else(|| usage("compare: missing graph file"))?;
     let threads: usize = f.parse("--threads", 0)?;
     let g = load(path)?;
-    with_pool(threads, move || compare_report(g))
+    with_pool(threads, move || compare_report(g, out))
 }
 
-fn compare_report(g: Graph) -> Result<(), PcdError> {
-    println!(
+fn compare_report(g: Graph, out: &mut Out) -> Result<(), PcdError> {
+    writeln!(
+        out,
         "{:<20} {:>8} {:>8} {:>9} {:>9}",
         "method", "Q", "cover", "#comm", "time"
-    );
-    let report = |label: &str, a: &[u32], secs: f64| {
+    )?;
+    let mut report = |label: &str, a: &[u32], secs: f64| {
         let (dense, k) = parcomm::metrics::compact_labels(a);
-        println!(
+        writeln!(
+            out,
             "{:<20} {:>8.4} {:>8.3} {:>9} {:>8.3}s",
             label,
             parcomm::metrics::modularity(&g, &dense),
             parcomm::metrics::coverage(&g, &dense),
             k,
             secs
-        );
+        )
     };
     let t = std::time::Instant::now();
     let r = detect(g.clone(), &Config::default());
-    report("parallel-agglom", &r.assignment, t.elapsed().as_secs_f64());
+    report("parallel-agglom", &r.assignment, t.elapsed().as_secs_f64())?;
     let t = std::time::Instant::now();
     let refined = parcomm::core::refine::refine(&g, &r.assignment, 10);
     report(
         "  + refinement",
         &refined.assignment,
         t.elapsed().as_secs_f64(),
-    );
+    )?;
     let t = std::time::Instant::now();
     let a = parcomm::baseline::louvain(&g);
-    report("louvain (seq)", &a, t.elapsed().as_secs_f64());
+    report("louvain (seq)", &a, t.elapsed().as_secs_f64())?;
     if g.num_edges() <= 500_000 {
         let t = std::time::Instant::now();
         let a = parcomm::baseline::cnm(&g);
-        report("cnm", &a, t.elapsed().as_secs_f64());
+        report("cnm", &a, t.elapsed().as_secs_f64())?;
     }
     Ok(())
 }
 
-fn cmd_communities(args: &[String]) -> Result<(), PcdError> {
+fn cmd_communities(args: &[String], out: &mut Out) -> Result<(), PcdError> {
     let f = Flags(args);
     f.check_allowed("communities", &["--top", "--threads"])?;
     let path = f
@@ -752,12 +775,13 @@ fn cmd_communities(args: &[String]) -> Result<(), PcdError> {
     with_pool(threads, move || {
         let r = detect(g.clone(), &Config::default());
         let reports = parcomm::metrics::community_reports(&g, &r.assignment);
-        println!(
+        writeln!(
+            out,
             "{} communities, Q = {:.4}, coverage {:.3}; largest {top}:",
             r.num_communities, r.modularity, r.coverage
-        );
+        )?;
         for rep in parcomm::metrics::largest_communities(&reports, top) {
-            println!("{rep}");
+            writeln!(out, "{rep}")?;
         }
         Ok(())
     })

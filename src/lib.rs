@@ -47,8 +47,8 @@ pub use pcd_util as util;
 pub mod prelude {
     pub use pcd_core::{
         detect, detect_many, detect_many_observed, detect_sharded_outcomes, try_detect,
-        try_detect_sharded_observed, Budget, CancelToken, ComponentOutcome, Config, ContractorKind,
-        Detector, LevelObserver, MatcherKind, Paranoia, ScorerKind, Termination,
+        try_detect_sharded_observed, Budget, ComponentOutcome, Config, ContractorKind, Detector,
+        LevelObserver, MatcherKind, Paranoia, ScorerKind, Termination,
     };
     pub use pcd_graph::{Graph, GraphBuilder};
     pub use pcd_metrics::{coverage, modularity, normalized_mutual_information};

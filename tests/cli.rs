@@ -1031,3 +1031,55 @@ fn gen_lfr_and_metis_convert() {
         .success());
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn closed_stdout_still_writes_the_requested_files() {
+    // A reader that goes away before `detect` prints (`| head -1`, a
+    // closed pipe) must cost neither the exit status nor the files.
+    let dir = tmpdir("closed-stdout");
+    let graph = dir.join("rmat.bin");
+    assert!(bin()
+        .args(["gen", "rmat", "--scale", "10", "-o"])
+        .arg(&graph)
+        .output()
+        .unwrap()
+        .status
+        .success());
+    let assignments = dir.join("a.txt");
+    let metrics = dir.join("m.prom");
+    let mut child = bin()
+        .arg("detect")
+        .arg(&graph)
+        .arg("--assignments")
+        .arg(&assignments)
+        .arg("--metrics")
+        .arg(&metrics)
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .unwrap();
+    drop(child.stdout.take());
+    let out = child.wait_with_output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    // Every sample of the Prometheus export parses.
+    let doc = std::fs::read_to_string(&metrics).unwrap();
+    let samples: Vec<(&str, f64)> = doc
+        .lines()
+        .filter(|l| !l.starts_with('#'))
+        .map(|l| {
+            let (name, value) = l.rsplit_once(' ').unwrap_or_else(|| panic!("{l}"));
+            (name, value.parse().unwrap_or_else(|_| panic!("{l}")))
+        })
+        .collect();
+    let vertices = samples
+        .iter()
+        .find_map(|&(name, v)| (name == "pcd_last_run_input_vertices").then_some(v))
+        .unwrap_or_else(|| panic!("no input-vertices gauge: {doc}"));
+    assert!(vertices > 0.0);
+    // One assignment line per input vertex.
+    let lines = std::fs::read_to_string(&assignments).unwrap();
+    assert_eq!(lines.lines().count() as f64, vertices);
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -113,7 +113,7 @@ fn unarmed_and_non_binding_budgets_change_zero_bits() {
     // statement: for every kernel combination, a run with the default
     // unarmed budget, a run with an explicitly constructed unarmed
     // budget, and a run with an armed but non-binding budget (generous
-    // deadline, huge caps, a live cancel token nobody cancels) must all
+    // deadline, a huge level cap) must all
     // be bit-identical — and all converge, never reporting a breach.
     let g = rmat_graph(&RmatParams::paper(7, 11));
     for scorer in ScorerKind::ALL {
@@ -135,9 +135,7 @@ fn unarmed_and_non_binding_budgets_change_zero_bits() {
                     .expect("explicit-unarmed run");
                 let generous = Budget::unarmed()
                     .with_deadline(std::time::Duration::from_secs(3600))
-                    .with_max_levels(usize::MAX)
-                    .with_max_scratch_bytes(usize::MAX)
-                    .with_cancel_token(CancelToken::new());
+                    .with_max_levels(usize::MAX);
                 assert!(generous.is_armed());
                 let armed = Detector::new(base.with_budget(generous))
                     .expect("valid combo")

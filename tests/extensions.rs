@@ -1,9 +1,9 @@
 //! Integration tests for the extension features: multilevel refinement,
-//! numbering invariance, community extraction and map contraction as a
+//! numbering invariance, per-community reports and map contraction as a
 //! Louvain aggregation — all wired through the public facade.
 
 use parcomm::core::multilevel::refine_multilevel;
-use parcomm::graph::extract::extract_communities;
+use parcomm::metrics::community_reports;
 use parcomm::prelude::*;
 
 #[test]
@@ -80,25 +80,18 @@ fn detection_quality_is_numbering_invariant() {
 }
 
 #[test]
-fn extracted_subgraphs_have_low_conductance() {
+fn community_reports_match_counts_and_weigh_more_inside() {
     let sbm = parcomm::gen::sbm_graph(&parcomm::gen::SbmParams::livejournal_like(4_000, 7));
     let r = detect(sbm.graph.clone(), &Config::default());
-    let subs = extract_communities(&sbm.graph, &r.assignment);
-    assert_eq!(subs.len(), r.num_communities);
-    // Members count matches the driver's accounting.
-    for s in &subs {
-        assert_eq!(
-            s.graph.num_vertices() as u64,
-            r.community_vertex_counts[s.community as usize]
-        );
-    }
-    // Detected communities are denser inside than out, in aggregate.
-    let internal: u64 = subs.iter().map(|s| s.graph.total_weight()).sum();
-    let external: u64 = subs.iter().map(|s| s.external_weight).sum();
-    assert!(
-        internal > external,
-        "internal {internal} external {external}"
-    );
+    let reports = community_reports(&sbm.graph, &r.assignment);
+    // Report sizes match the detector's per-community counts.
+    let sizes: Vec<u64> = reports.iter().map(|c| c.size as u64).collect();
+    assert_eq!(sizes, r.community_vertex_counts);
+    // Detected communities hold more weight inside than across, in
+    // aggregate (each cut edge counts once on each side).
+    let internal: u64 = reports.iter().map(|c| c.internal_weight).sum();
+    let cut: u64 = reports.iter().map(|c| c.cut_weight).sum();
+    assert!(internal > cut, "internal {internal} cut {cut}");
 }
 
 #[test]

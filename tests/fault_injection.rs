@@ -211,6 +211,51 @@ fn injected_stall_deterministically_breaches_a_deadline() {
     assert!(err.is_budget_exceeded());
 }
 
+/// Records whether a run reached a match phase.
+#[derive(Default)]
+struct SawMatch(bool);
+
+impl LevelObserver for SawMatch {
+    fn on_phase_end(&mut self, _level: usize, phase: Phase, _secs: f64) {
+        self.0 |= phase == Phase::Match;
+    }
+}
+
+#[test]
+fn sharded_deadline_is_one_instant_for_the_whole_call() {
+    // Three components at width 1 run one after another. The first to run
+    // stalls 50ms in its level-1 match phase, past the 20ms deadline; the
+    // deadline counts from the start of the call, so the other two breach
+    // at their first level-start check and never reach a match phase.
+    let parts = [
+        parcomm::gen::classic::clique_ring(3, 3),
+        parcomm::gen::classic::clique_ring(4, 3),
+        parcomm::gen::classic::clique_ring(5, 3),
+    ];
+    let nv: usize = parts.iter().map(Graph::num_vertices).sum();
+    let mut edges: Vec<(u32, u32, u64)> = Vec::new();
+    let mut off = 0u32;
+    for g in &parts {
+        edges.extend(g.edges().map(|(u, v, w)| (u + off, v + off, w)));
+        off += g.num_vertices() as u32;
+    }
+    let union = parcomm::graph::builder::from_edges(nv, edges);
+    let mut cfg = base_config()
+        .with_budget(Budget::unarmed().with_deadline(std::time::Duration::from_millis(20)));
+    cfg.fault = FaultPlan {
+        stall_match_at_level: Some((1, 50)),
+        ..FaultPlan::default()
+    };
+    let (r, observers) = parcomm::util::pool::with_threads(1, move || {
+        try_detect_sharded_observed(union, &cfg, SawMatch::default).unwrap()
+    });
+    assert_eq!(observers.len(), 3);
+    let matched = observers.iter().filter(|o| o.0).count();
+    assert_eq!(matched, 1, "components that reached a match phase");
+    assert_eq!(r.termination, Termination::Deadline);
+    assert_eq!(r.levels.len(), 0);
+}
+
 #[test]
 fn injected_panic_poisons_only_the_isolated_engine() {
     let mut cfg = base_config();
