@@ -313,7 +313,12 @@ impl Detector {
             modularity: pcd_metrics::community_graph_modularity_with_vol(&g, &scratch.ctx.vol),
             coverage: g.coverage(),
             community_vertex_counts: counts,
-            community_graph: g,
+            // `g` sits in a recycled level buffer, sized for an earlier and
+            // larger level (up to the input): the result keeps an
+            // exact-size copy, so results held together, as the sharded
+            // stage's are until its merge, do not hold their inputs'
+            // storage.
+            community_graph: g.clone(),
             assignment,
             input_vertices: n0,
             input_edges: ne0,
@@ -413,28 +418,33 @@ where
     O: LevelObserver + Send,
     F: Fn() -> O + Sync,
 {
-    run_batch(graphs, config, make_observer, None)
+    run_batch(graphs, |g| g, config, make_observer, None)
 }
 
-/// [`detect_many_observed`] with every run's deadline counted from
-/// `started` when given: the sharded stage passes its call's one instant,
-/// while batch graphs (`None`) each start their own clock.
-pub(crate) fn run_batch<O, F>(
-    graphs: Vec<Graph>,
+/// [`detect_many_observed`] over items that each become a graph, by
+/// `graph_of`, on the worker that runs it, with every run's deadline
+/// counted from `started` when given: the sharded stage passes its call's
+/// one instant and builds each part just before its run, while batch
+/// graphs (`None`) each start their own clock.
+pub(crate) fn run_batch<T, O, F>(
+    items: Vec<T>,
+    graph_of: impl Fn(T) -> Graph + Sync,
     config: &Config,
     make_observer: F,
     started: Option<Instant>,
 ) -> Result<Vec<BatchRun<O>>, PcdError>
 where
+    T: Send,
     O: LevelObserver + Send,
     F: Fn() -> O + Sync,
 {
     config.validate()?;
     Ok(par::map_init(
-        graphs,
+        items,
         // analyze: allow(panic, reason = "config.validate() succeeded at function entry")
         || Detector::new(config.clone()).expect("config validated above"),
-        |det, g| {
+        |det, item| {
+            let g = graph_of(item);
             let mut observer = make_observer();
             let outcome = det.run_isolated_observed(g, &mut observer, started);
             (outcome, observer)

@@ -53,7 +53,7 @@ pub use engine::{detect_many, detect_many_observed, Detector};
 pub use fault::FaultPlan;
 pub use louvain::{synchronous_move_phase, CommitRule, MoveStats};
 pub use multilevel::{refine_multilevel, MultilevelOutcome};
-pub use observer::{LevelObserver, NoopObserver, Tee};
+pub use observer::{LevelObserver, NoopObserver};
 pub use refine::{refine, refine_detected, Refinement};
 pub use result::{DetectionResult, LevelStats, StopReason, Termination};
 pub use scorer::{score_all_into, ScoreContext};

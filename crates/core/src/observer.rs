@@ -59,55 +59,6 @@ pub struct NoopObserver;
 
 impl LevelObserver for NoopObserver {}
 
-/// Fans every hook out to two observers, `first` then `second` — e.g. the
-/// CLI's progress printer plus a trace recorder on the same run. Nest
-/// `Tee`s for more than two.
-pub struct Tee<'a, 'b> {
-    first: &'a mut dyn LevelObserver,
-    second: &'b mut dyn LevelObserver,
-}
-
-impl std::fmt::Debug for Tee<'_, '_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        // The two observers are opaque trait objects.
-        f.debug_struct("Tee").finish_non_exhaustive()
-    }
-}
-
-impl<'a, 'b> Tee<'a, 'b> {
-    /// A composite observer forwarding to `first` then `second`.
-    pub fn new(first: &'a mut dyn LevelObserver, second: &'b mut dyn LevelObserver) -> Self {
-        Tee { first, second }
-    }
-}
-
-impl LevelObserver for Tee<'_, '_> {
-    fn on_run_start(&mut self, num_vertices: usize, num_edges: usize) {
-        self.first.on_run_start(num_vertices, num_edges);
-        self.second.on_run_start(num_vertices, num_edges);
-    }
-
-    fn on_level_start(&mut self, level: usize, num_vertices: usize, num_edges: usize) {
-        self.first.on_level_start(level, num_vertices, num_edges);
-        self.second.on_level_start(level, num_vertices, num_edges);
-    }
-
-    fn on_phase_end(&mut self, level: usize, phase: Phase, secs: f64) {
-        self.first.on_phase_end(level, phase, secs);
-        self.second.on_phase_end(level, phase, secs);
-    }
-
-    fn on_level_end(&mut self, stats: &LevelStats) {
-        self.first.on_level_end(stats);
-        self.second.on_level_end(stats);
-    }
-
-    fn on_run_end(&mut self, result: &DetectionResult) {
-        self.first.on_run_end(result);
-        self.second.on_run_end(result);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -188,20 +139,6 @@ mod tests {
         );
         assert_eq!(r.input_vertices, nv);
         assert_eq!(r.input_edges, ne);
-    }
-
-    #[test]
-    fn tee_forwards_to_both_in_order() {
-        let g = pcd_gen::classic::clique_ring(3, 4);
-        let mut a = Recorder::default();
-        let mut b = Recorder::default();
-        {
-            let mut tee = Tee::new(&mut a, &mut b);
-            let mut det = crate::Detector::new(crate::Config::default()).unwrap();
-            det.run_observed(g, &mut tee).unwrap();
-        }
-        assert!(!a.events.is_empty());
-        assert_eq!(a.events, b.events, "both sides see the same stream");
     }
 
     #[test]

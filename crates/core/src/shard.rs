@@ -3,12 +3,20 @@
 //!
 //! Social graphs are disconnected, and the agglomerative level loop
 //! synchronizes every component at every phase barrier. This module
-//! decomposes the input into its weakly connected components
-//! ([`pcd_graph::subgraph::split_components`]), detects the components
-//! as one [`crate::detect_many_observed`] batch — one warm [`Detector`] per
-//! worker, largest component first, panic-isolated per component — and
-//! recombines the per-component results into one [`DetectionResult`]
-//! indexed by original vertex ids.
+//! decomposes the input into its weakly connected components, detects the
+//! components as one [`crate::detect_many_observed`] batch — one warm
+//! [`Detector`] per worker, largest component first, panic-isolated per
+//! component — and recombines the per-component results into one
+//! [`DetectionResult`] indexed by original vertex ids.
+//!
+//! Both decompose steps are data-parallel over the edge array:
+//! [`pcd_graph::components::components`] is a one-pass concurrent
+//! union-find (a CAS link per edge, then one compress pass), and
+//! [`pcd_graph::subgraph::split_by_labels`] relabels every vertex to a
+//! global slot, scatters each edge straight to its place in one shared
+//! slot-ordered run per part, then sorts each row. Each part's graph is
+//! copied out of that run by the worker that detects it, just before its
+//! run. On a connected graph only the union-find runs.
 //!
 //! Every merge decision is **input-order-deterministic**: components are
 //! ordered by their canonical representative (the smallest original vertex
@@ -26,7 +34,7 @@ use crate::engine::{run_batch, Detector};
 use crate::observer::{LevelObserver, NoopObserver};
 use crate::result::{DetectionResult, LevelStats, StopReason, Termination};
 use pcd_graph::components::components;
-use pcd_graph::subgraph::{split_by_labels, ComponentPart};
+use pcd_graph::subgraph::{split_by_labels, Split};
 use pcd_graph::{builder, Graph};
 use pcd_util::par;
 use pcd_util::{PcdError, VertexId};
@@ -97,9 +105,8 @@ where
             Detector::new(config.clone())?.run_from(graph, &mut observer, Some(started))?;
         return Ok((result, vec![observer]));
     }
-    let split = split_by_labels(&graph, &label);
-    drop(graph); // the parts own their storage now; release the parent
-    let ran = run_components(split.parts, config, &make_observer, started)?;
+    let split = split_by_labels(graph, &label);
+    let ran = run_components(split, config, &make_observer, started)?;
 
     let mut maps = Vec::with_capacity(ran.len());
     let mut results = Vec::with_capacity(ran.len());
@@ -133,9 +140,8 @@ pub fn detect_sharded_outcomes(
     config.validate()?;
     let started = Instant::now();
     let label = components(&graph);
-    let split = split_by_labels(&graph, &label);
-    drop(graph);
-    let ran = run_components(split.parts, config, &|| NoopObserver, started)?;
+    let split = split_by_labels(graph, &label);
+    let ran = run_components(split, config, &|| NoopObserver, started)?;
     Ok(ran.into_iter().map(|(component, _)| component).collect())
 }
 
@@ -143,11 +149,13 @@ pub fn detect_sharded_outcomes(
 /// ([`crate::detect_many_observed`]) largest component first (classic LPT
 /// scheduling — the longest-running shard starts earliest, minimizing the
 /// tail), so each runs panic-isolated on a warm per-worker [`Detector`],
-/// its deadline counted from the call's `started` instant.
+/// its deadline counted from the call's `started` instant. The worker
+/// that runs a part builds its graph just before the run, so only the
+/// parts in flight hold arrays of their own.
 ///
 /// Returns each part's outcome and observer in component order.
 fn run_components<O, F>(
-    parts: Vec<ComponentPart>,
+    split: Split,
     config: &Config,
     make_observer: &F,
     started: Instant,
@@ -156,31 +164,35 @@ where
     O: LevelObserver + Send,
     F: Fn() -> O + Sync,
 {
-    let mut scheduled: Vec<(usize, ComponentPart)> = parts.into_iter().enumerate().collect();
-    scheduled.sort_unstable_by_key(|(i, part)| {
-        let work = part.graph.num_vertices() + part.graph.num_edges();
-        (Reverse(work), *i)
+    let mut order: Vec<usize> = (0..split.len()).collect();
+    order.sort_unstable_by_key(|&p| {
+        let (vertices, edges) = split.size(p);
+        (Reverse(vertices + edges), p)
     });
-    let (placed, work): (Vec<_>, Vec<_>) = scheduled
-        .into_iter()
-        .map(|(i, part)| ((i, part.old_of_new), part.graph))
-        .unzip();
-    let ran = run_batch(work, config, make_observer, Some(started))?;
+    let ran = run_batch(
+        order.clone(),
+        |p| split.graph(p),
+        config,
+        make_observer,
+        Some(started),
+    )?;
 
     // Runs come back in schedule order; component order is the contract.
-    let mut out: Vec<_> = placed
+    let mut out: Vec<_> = order.into_iter().zip(ran).collect();
+    out.sort_unstable_by_key(|&(p, _)| p);
+    Ok(out
         .into_iter()
-        .zip(ran)
-        .map(|((i, old_of_new), (outcome, observer))| {
-            let component = ComponentOutcome {
-                old_of_new,
-                outcome,
-            };
-            (i, component, observer)
+        .map(|(p, (outcome, observer))| {
+            let old_of_new = split.old_of_new(p).to_vec();
+            (
+                ComponentOutcome {
+                    old_of_new,
+                    outcome,
+                },
+                observer,
+            )
         })
-        .collect();
-    out.sort_unstable_by_key(|&(i, ..)| i);
-    Ok(out.into_iter().map(|(_, c, o)| (c, o)).collect())
+        .collect())
 }
 
 /// Merge-precedence rank of a stop reason: a budget breach anywhere wins

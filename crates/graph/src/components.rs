@@ -1,14 +1,25 @@
 //! Connected components.
 //!
 //! The paper's R-MAT pipeline "extract\[s\] the largest connected component"
-//! before running community detection. We provide a parallel
-//! label-propagation/pointer-jumping component labelling (Shiloach–Vishkin
-//! flavoured) plus a sequential union-find oracle used in tests.
+//! before running community detection, and the sharded stage (DESIGN §16)
+//! detects each component on its own. [`components`] is a one-pass
+//! concurrent union-find of the Afforest/ConnectIt family (Sutton, Ben-Nun
+//! & Barak, IPDPS 2018): every edge links the larger of its endpoints'
+//! roots under the smaller with one CAS, then one pass points every vertex
+//! at its root. [`components_seq`] is the sequential union-find oracle the
+//! tests compare it with.
 
 use crate::Graph;
 use pcd_util::par;
-use pcd_util::sync::{as_atomic_u32, AtomicBool, RELAXED};
+use pcd_util::sync::{as_atomic_u32, AtomicU32, RELAXED};
 use pcd_util::VertexId;
+
+/// Edges per claimed chunk of the link pass. A graph's edges come sorted by
+/// source, so a long run of them touches few components, and two threads
+/// rarely link cells of one component at once. At the default chunk of a
+/// few thousand edges they did, on the same cache lines, and the pass ran
+/// no faster on two threads than on one.
+const LINK_CHUNK: usize = 1 << 14;
 
 /// Parallel connected-component labelling.
 ///
@@ -27,60 +38,92 @@ use pcd_util::VertexId;
 ///    smallest vertex.
 /// 3. *Sorted reps ≡ sorted components*: scanning vertices in ascending
 ///    order visits representatives in ascending order, which is what makes
-///    [`crate::subgraph::split_components`]' part ordering deterministic.
+///    [`crate::subgraph::split_by_labels`]' part ordering deterministic.
+///
+/// The contract holds because a root is only ever linked under a smaller
+/// id: every parent pointer points down, so each tree's root is its
+/// smallest vertex, whatever order the links land in; and once the link
+/// pass has joined every edge's endpoints, each component is one tree.
 ///
 /// Downstream consumers (subgraph extraction, the sharded detection
 /// pipeline) rely on this contract; treat it as frozen API.
 pub fn components(g: &Graph) -> Vec<VertexId> {
-    let nv = g.num_vertices();
-    let mut label: Vec<u32> = (0..nv as u32).collect();
-    if g.num_edges() == 0 {
-        return label;
+    let mut parent: Vec<VertexId> = par::map(g.num_vertices(), |v| v as VertexId);
+    let cells = as_atomic_u32(&mut parent);
+    par::for_ranges(g.num_edges(), LINK_CHUNK, |_, edges| {
+        for e in edges {
+            let (i, j, _) = g.edge(e);
+            link(cells, i, j);
+        }
+    });
+    // Compress: the join above ends all linking, so the trees are fixed,
+    // and each vertex writes only its own cell, with its root.
+    par::for_each(cells.len(), |v| {
+        let root = root_of(cells, v as VertexId);
+        // ORDERING: RELAXED — cell `v` has one writer, this task; a walk
+        // through `v` reads its old parent or its root, both ancestors of
+        // `v`, and the join publishes the labels.
+        cells[v].store(root, RELAXED);
+    });
+    parent
+}
+
+/// The root that `v`'s parent pointers lead to, as this thread sees them.
+/// The compress pass walks with this, not [`find`]: a halving store could
+/// land on a cell after its own task wrote the root there.
+fn root_of(parent: &[AtomicU32], mut v: VertexId) -> VertexId {
+    loop {
+        // ORDERING: RELAXED — a pointer carries no other data, and every
+        // value a cell holds points at one of its vertex's ancestors.
+        let p = parent[v as usize].load(RELAXED);
+        if p == v {
+            return v;
+        }
+        v = p;
     }
-    let changed = AtomicBool::new(true);
-    // ORDERING: RELAXED — the swap only resets the convergence flag; all
-    // label traffic is published by the join barriers inside the loop.
-    while changed.swap(false, RELAXED) {
-        {
-            let cells = as_atomic_u32(&mut label);
-            // Hook: pull each edge's endpoints to the smaller label.
-            // ORDERING: RELAXED throughout — labels only ever decrease
-            // (fetch_min is monotone), so stale reads cost extra rounds,
-            // never wrong answers; `changed` is a flag with no payload and
-            // the round's join barrier publishes everything.
-            par::for_each(g.num_edges(), |e| {
-                let (i, j, _) = g.edge(e);
-                let li = cells[i as usize].load(RELAXED);
-                let lj = cells[j as usize].load(RELAXED);
-                if li < lj {
-                    if cells[j as usize].fetch_min(li, RELAXED) > li {
-                        changed.store(true, RELAXED);
-                    }
-                } else if lj < li && cells[i as usize].fetch_min(lj, RELAXED) > lj {
-                    changed.store(true, RELAXED);
-                }
-            });
-            // Shortcut: pointer-jump labels toward roots.
-            loop {
-                let jumped = AtomicBool::new(false);
-                // ORDERING: RELAXED — same monotone argument as the hook
-                // pass above; the join barrier separates jump rounds.
-                par::for_each(nv, |v| {
-                    let l = cells[v].load(RELAXED);
-                    let ll = cells[l as usize].load(RELAXED);
-                    if ll < l {
-                        cells[v].fetch_min(ll, RELAXED);
-                        jumped.store(true, RELAXED);
-                    }
-                });
-                // ORDERING: RELAXED — flag read after the join barrier.
-                if !jumped.load(RELAXED) {
-                    break;
-                }
-            }
+}
+
+/// As [`root_of`], halving the path on the way: each vertex passed is
+/// pointed at its grandparent, so a long chain of links is walked in full
+/// at most once.
+fn find(parent: &[AtomicU32], mut v: VertexId) -> VertexId {
+    loop {
+        // ORDERING: RELAXED — as in `root_of`. The store goes to a vertex
+        // that is no longer a root, which no CAS links again, and writes
+        // one of its ancestors; a racing store writes another, and either
+        // keeps the trees intact.
+        let p = parent[v as usize].load(RELAXED);
+        if p == v {
+            return v;
+        }
+        let up = parent[p as usize].load(RELAXED);
+        if up == p {
+            return p;
+        }
+        parent[v as usize].store(up, RELAXED);
+        v = up;
+    }
+}
+
+/// Puts `a` and `b` in one tree: links the larger of their roots under the
+/// smaller, with a CAS that succeeds only while the larger is still a root.
+/// A failed CAS means another edge linked that root first; the walk goes
+/// on from its new parent, which is smaller, so the loop ends.
+fn link(parent: &[AtomicU32], mut a: VertexId, mut b: VertexId) {
+    loop {
+        let (ra, rb) = (find(parent, a), find(parent, b));
+        if ra == rb {
+            return;
+        }
+        let (hi, lo) = if ra > rb { (ra, rb) } else { (rb, ra) };
+        // ORDERING: RELAXED — the pointer is the CAS's only payload. Its
+        // atomicity links each root at most once, so no link is lost, and
+        // a stale read of another cell costs one more turn of this loop.
+        match parent[hi as usize].compare_exchange(hi, lo, RELAXED, RELAXED) {
+            Ok(_) => return,
+            Err(up) => (a, b) = (up, lo),
         }
     }
-    label
 }
 
 /// Sequential union-find components — the test oracle.
@@ -242,7 +285,7 @@ mod tests {
         });
     }
 
-    /// Long chains exercise the pointer-jumping shortcut loop.
+    /// Long chains exercise the path halving and the compress pass.
     #[test]
     fn parallel_components_match_on_chains() {
         pcd_util::prop::check(48, |rng| {

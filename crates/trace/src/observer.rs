@@ -683,12 +683,11 @@ mod tests {
         assert_eq!(counter(&reg, "pcd_runs_total"), 3);
         let levels: u64 = {
             // Per-component level totals: recompute from solo runs.
-            let split = pcd_graph::subgraph::split_components(&g);
-            split
-                .parts
-                .iter()
+            let label = pcd_graph::components::components(&g);
+            let split = pcd_graph::subgraph::split_by_labels(g.clone(), &label);
+            (0..split.len())
                 .map(|p| {
-                    pcd_core::try_detect(p.graph.clone(), &cfg)
+                    pcd_core::try_detect(split.graph(p), &cfg)
                         .unwrap()
                         .levels
                         .len() as u64

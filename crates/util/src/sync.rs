@@ -16,7 +16,7 @@
 //! one documented ordering constant below.
 //!
 //! 1. **Fork-join accumulation** ([`RELAXED`]): commutative RMWs
-//!    (`fetch_add`, `fetch_min`) or disjoint/idempotent stores inside a
+//!    (`fetch_add`) or disjoint/idempotent stores inside a
 //!    [`crate::par`] region, read only after the region ends. The
 //!    region's thread joins are the happens-before edge; the atomics only
 //!    need atomicity.
@@ -26,7 +26,10 @@
 //!    is `AcqRel`; the racing readers load with `Acquire`.
 //! 3. **Optimistic scan** ([`RELAXED`]): the initial load and the failure
 //!    ordering of a CAS loop. A stale value only costs a retry; the
-//!    success ordering of the CAS provides the synchronisation.
+//!    success ordering of the CAS provides the synchronisation. The
+//!    component union-find's link is the one CAS whose success ordering
+//!    is [`RELAXED`] too: its cells hold parent pointers and nothing else,
+//!    so there is no other data to publish.
 //!
 //! `Release`-only stores and `SeqCst` are deliberately absent: no kernel
 //! needs a store-release without an RMW, and nothing relies on a single
@@ -59,9 +62,12 @@ pub use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU32, AtomicU64, AtomicU
 /// `Ordering::Relaxed` — atomicity without inter-thread ordering.
 ///
 /// Legitimate uses (patterns 1 and 3 in the module docs):
-/// * commutative RMWs (`fetch_add` histograms/counters, `fetch_min` label
-///   hooking) whose results are read only after the enclosing parallel
-///   region joins;
+/// * commutative RMWs (`fetch_add` histograms/counters) whose results are
+///   read only after the enclosing parallel region joins;
+/// * the component union-find's parent pointers: a CAS links a root under
+///   a smaller id, and loads and path-halving stores read and write other
+///   pointers to ancestors. A pointer carries no other data, and any value
+///   a cell ever holds points at an ancestor of its vertex;
 /// * stores to disjoint indices claimed via a `fetch_add` cursor, read
 ///   after the join;
 /// * idempotent racing stores where every writer writes the same value
@@ -85,8 +91,10 @@ const ACQ_REL: Ordering = Ordering::AcqRel;
 
 /// CAS loop that installs `new` for as long as `improves(current)` holds;
 /// returns `true` if `new` was installed, `false` once the current value
-/// stops being improvable. This is the workspace's one blessed lock-free
-/// retry loop (the matchers' proposal registers).
+/// stops being improvable. This is the matchers' proposal registers'
+/// retry loop; the only other one is the component union-find's link
+/// (`pcd_graph::components`), whose CAS carries no payload but the
+/// pointer itself.
 ///
 /// `improves` must describe a *stable* strict partial order on values
 /// (e.g. "strictly better under a total order on scores") — otherwise two

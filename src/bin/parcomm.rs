@@ -15,7 +15,7 @@
 
 use parcomm::core::refine::refine_detected;
 use parcomm::core::result::LevelStats;
-use parcomm::core::{DetectionResult, Paranoia, Tee};
+use parcomm::core::{DetectionResult, Paranoia};
 use parcomm::prelude::*;
 use parcomm::trace::{Registry, SpanRing, TraceObserver};
 use parcomm::util::PcdError;
@@ -454,20 +454,27 @@ fn load(path: &str) -> Result<Graph, PcdError> {
     parcomm::graph::io::load(std::path::Path::new(path)).map_err(|e| e.context(path))
 }
 
-/// `--progress` observer: one block per level on stderr, fed by the
-/// engine's phase-boundary hooks (outside the phase timers, so printing
-/// never perturbs the recorded timings).
+/// `--progress` narration: one block per level on stderr. Progress is
+/// advisory, so a write that fails (stderr's reader gone) is dropped.
 struct Progress;
+
+impl Progress {
+    fn say(line: std::fmt::Arguments) {
+        let _ = writeln!(std::io::stderr(), "{line}");
+    }
+}
 
 impl LevelObserver for Progress {
     fn on_level_start(&mut self, level: usize, num_vertices: usize, num_edges: usize) {
-        eprintln!("level {level}: {num_vertices} communities, {num_edges} edges");
+        Progress::say(format_args!(
+            "level {level}: {num_vertices} communities, {num_edges} edges"
+        ));
     }
     fn on_phase_end(&mut self, _level: usize, phase: Phase, secs: f64) {
-        eprintln!("  {phase}: {secs:.3}s");
+        Progress::say(format_args!("  {phase}: {secs:.3}s"));
     }
     fn on_level_end(&mut self, stats: &LevelStats) {
-        eprintln!(
+        Progress::say(format_args!(
             "  -> {} communities, Q {:.4}, coverage {:.3}{}",
             stats.num_vertices - stats.pairs_merged,
             stats.modularity,
@@ -477,7 +484,47 @@ impl LevelObserver for Progress {
             } else {
                 ""
             }
-        );
+        ));
+    }
+}
+
+/// `detect`'s observer of one engine run, one per component on the
+/// sharded path: the `--progress` narration, then the `--metrics`/
+/// `--trace` recorder, each when asked for. The engine fires the hooks
+/// outside its phase timers, so printing never perturbs the recorded
+/// timings.
+struct RunObserver {
+    progress: Option<Progress>,
+    tracer: Option<TraceObserver>,
+}
+
+impl RunObserver {
+    /// Fires one hook on each observer present, in order.
+    fn each(&mut self, mut hook: impl FnMut(&mut dyn LevelObserver)) {
+        if let Some(p) = &mut self.progress {
+            hook(p);
+        }
+        if let Some(t) = &mut self.tracer {
+            hook(t);
+        }
+    }
+}
+
+impl LevelObserver for RunObserver {
+    fn on_run_start(&mut self, num_vertices: usize, num_edges: usize) {
+        self.each(|o| o.on_run_start(num_vertices, num_edges));
+    }
+    fn on_level_start(&mut self, level: usize, num_vertices: usize, num_edges: usize) {
+        self.each(|o| o.on_level_start(level, num_vertices, num_edges));
+    }
+    fn on_phase_end(&mut self, level: usize, phase: Phase, secs: f64) {
+        self.each(|o| o.on_phase_end(level, phase, secs));
+    }
+    fn on_level_end(&mut self, stats: &LevelStats) {
+        self.each(|o| o.on_level_end(stats));
+    }
+    fn on_run_end(&mut self, result: &DetectionResult) {
+        self.each(|o| o.on_run_end(result));
     }
 }
 
@@ -586,33 +633,22 @@ fn cmd_detect(args: &[String], out: &mut Out) -> Result<(), PcdError> {
         // Refinement needs the original graph back after detection
         // consumes it; only pay for the clone when it will be used.
         let original = (refine_sweeps > 0).then(|| g.clone());
+        let observer = || RunObserver {
+            progress: progress.then_some(Progress),
+            tracer: tracing.then(TraceObserver::new),
+        };
         let (result, recorded) = if sharded {
-            if tracing {
-                let (r, observers) =
-                    parcomm::core::try_detect_sharded_observed(g, &config, TraceObserver::new)?;
-                let reg = parcomm::trace::merge_runs(observers.iter().map(Ok));
-                (r, Some((reg, None)))
-            } else if progress {
-                // One Progress block per component engine run, folded in
-                // component order.
-                let (r, _) = parcomm::core::try_detect_sharded_observed(g, &config, || Progress)?;
-                (r, None)
-            } else {
-                (try_detect(g, &config)?, None)
-            }
+            // One observer per component engine run; the recorders fold
+            // in component order.
+            let (r, runs) = parcomm::core::try_detect_sharded_observed(g, &config, observer)?;
+            let reg = tracing.then(|| {
+                parcomm::trace::merge_runs(runs.iter().filter_map(|o| o.tracer.as_ref()).map(Ok))
+            });
+            (r, reg.map(|reg| (reg, None)))
         } else {
-            let mut engine = Detector::new(config)?;
-            let mut tracer = tracing.then(TraceObserver::new);
-            let result = match (&mut tracer, progress) {
-                (Some(t), true) => {
-                    let mut p = Progress;
-                    engine.run_observed(g, &mut Tee::new(&mut p, t))?
-                }
-                (Some(t), false) => engine.run_observed(g, t)?,
-                (None, true) => engine.run_observed(g, &mut Progress)?,
-                (None, false) => engine.run(g)?,
-            };
-            let recorded = tracer.map(|t| {
+            let mut observed = observer();
+            let result = Detector::new(config)?.run_observed(g, &mut observed)?;
+            let recorded = observed.tracer.map(|t| {
                 let (ring, reg) = t.into_parts();
                 (reg, Some(ring))
             });

@@ -386,6 +386,87 @@ fn progress_flag_narrates_levels_to_stderr() {
 }
 
 #[test]
+fn progress_on_a_closed_stderr_still_writes_the_assignments() {
+    // Progress is advisory: a reader of stderr that goes away before the
+    // run narrates must cost neither the exit status nor the files.
+    let dir = tmpdir("closed-stderr");
+    let graph = dir.join("rmat.bin");
+    assert!(bin()
+        .args(["gen", "rmat", "--scale", "10", "--seed", "7", "-o"])
+        .arg(&graph)
+        .output()
+        .unwrap()
+        .status
+        .success());
+    let assignments = dir.join("a.txt");
+    let mut child = bin()
+        .arg("detect")
+        .arg(&graph)
+        .arg("--progress")
+        .arg("--assignments")
+        .arg(&assignments)
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .unwrap();
+    drop(child.stderr.take());
+    let status = child.wait().unwrap();
+    assert_eq!(status.code(), Some(0));
+    let lines = std::fs::read_to_string(&assignments).unwrap();
+    assert_eq!(lines.lines().count(), 1018);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn sharded_progress_and_metrics_cover_every_component() {
+    // Five components: a ring of six 5-cliques, a 4-clique, the isolated
+    // vertices 34 and 35, and the edge 36–37. Each component's engine run
+    // narrates its own levels and feeds its own recorder.
+    let dir = tmpdir("sharded-progress");
+    let graph = dir.join("five.edges");
+    let mut text = String::new();
+    for c in 0..6u32 {
+        for i in 0..5 {
+            for j in i + 1..5 {
+                text += &format!("{} {}\n", 5 * c + i, 5 * c + j);
+            }
+        }
+        text += &format!("{} {}\n", 5 * c, (5 * c + 5) % 30);
+    }
+    for i in 30..34u32 {
+        for j in i + 1..34 {
+            text += &format!("{i} {j}\n");
+        }
+    }
+    text += "36 37\n";
+    std::fs::write(&graph, text).unwrap();
+    let prom = dir.join("m.prom");
+    let out = bin()
+        .arg("detect")
+        .arg(&graph)
+        .args(["--sharded", "--progress", "--metrics"])
+        .arg(&prom)
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    assert_eq!(stderr.matches("level 1:").count(), 5, "{stderr}");
+    assert!(stderr.contains("  score:"), "{stderr}");
+    let doc = std::fs::read_to_string(&prom).unwrap();
+    let sample = |name: &str| -> f64 {
+        doc.lines()
+            .find_map(|l| l.strip_prefix(name)?.strip_prefix(' '))
+            .unwrap_or_else(|| panic!("no {name} sample: {doc}"))
+            .parse()
+            .unwrap()
+    };
+    assert_eq!(sample("pcd_runs_total"), 5.0);
+    assert_eq!(sample("pcd_last_run_input_vertices"), 38.0);
+    assert_eq!(sample("pcd_last_run_input_edges"), 73.0);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn metrics_and_trace_exports_are_written_and_well_formed() {
     let dir = tmpdir("metrics-trace");
     let graph = dir.join("rmat.bin");

@@ -33,7 +33,10 @@
 //!   and the graph builder on as many unsorted entries;
 //! * sharded detection of a disjoint union with more than `SEQ_CUTOFF`
 //!   vertices and edges, so the component labelling, the split into
-//!   parts and the batch over the parts leave the caller.
+//!   parts and the batch over the parts leave the caller; the labels and
+//!   every part are also checked against their oracles
+//!   (`components_seq`, `induce`), on the union and on a copy whose
+//!   components interleave, so that the split's row sort has work.
 //!
 //! The first-level check runs every kernel in the kind enums' `ALL`
 //! lists, the sequential oracles and the 2011 baselines included.
@@ -45,6 +48,8 @@ use parcomm::core::refine::refine;
 use parcomm::core::refine_multilevel;
 use parcomm::core::{score_all_into, DetectionResult, ScoreContext};
 use parcomm::gen::{rmat_graph, sbm_graph, RmatParams, SbmParams};
+use parcomm::graph::components::{components, components_seq};
+use parcomm::graph::subgraph::{induce, split_by_labels};
 use parcomm::graph::{builder, io, Csr, GraphParts};
 use parcomm::matching::verify::verify_matching;
 use parcomm::matching::MatchScratch;
@@ -267,6 +272,106 @@ fn sharded_detection_is_bit_identical_across_widths() {
     let cfg = Config::default().with_sharding(true).with_recorded_levels();
     let base = detect_at_every_width(&sharded_union(), &cfg);
     assert!(base.levels.len() > 1, "stopped after one level");
+}
+
+/// `g` with its vertex ids permuted by `v ↦ v·a mod n`, so its components
+/// interleave: a part's dense ids no longer differ from its parent ids by
+/// one shift, edges change orientation, and the split's rows need sorting.
+fn interleaved(g: &Graph) -> Graph {
+    let n = g.num_vertices() as u64;
+    let a = 40_503;
+    let (mut x, mut y) = (a, n);
+    while y != 0 {
+        (x, y) = (y, x % y);
+    }
+    assert_eq!(x, 1, "the multiplier must be coprime to n");
+    let p = |v: u32| (u64::from(v) * a % n) as u32;
+    let loops = (0..n as u32).map(|v| (p(v), p(v), g.self_loop(v)));
+    let edges = g
+        .edges()
+        .map(|(i, j, w)| (p(i), p(j), w))
+        .chain(loops)
+        .collect();
+    builder::from_edges(n as usize, edges)
+}
+
+/// Every component's subgraph as `induce` builds it — the parent's edges
+/// inside it in edge order, relabelled densely in ascending id order, then
+/// its self-loops, through the builder — for all components in one pass,
+/// in ascending-representative order, with each one's `old_of_new`.
+fn induced_components(g: &Graph, label: &[u32]) -> Vec<(Stored, Vec<u32>)> {
+    let nv = g.num_vertices();
+    let mut rank = vec![0; nv];
+    let mut members: Vec<Vec<u32>> = Vec::new();
+    let mut new_of_old = vec![0; nv];
+    for v in 0..nv {
+        if label[v] as usize == v {
+            rank[v] = members.len();
+            members.push(Vec::new());
+        }
+        let part = &mut members[rank[label[v] as usize]];
+        new_of_old[v] = part.len() as u32;
+        part.push(v as u32);
+    }
+    let mut edges = vec![Vec::new(); members.len()];
+    for (i, j, w) in g.edges() {
+        let (ni, nj) = (new_of_old[i as usize], new_of_old[j as usize]);
+        edges[rank[label[i as usize] as usize]].push((ni, nj, w));
+    }
+    for v in 0..nv {
+        let (new, s) = (new_of_old[v], g.self_loops()[v]);
+        if s > 0 {
+            edges[rank[label[v] as usize]].push((new, new, s));
+        }
+    }
+    members
+        .into_iter()
+        .zip(edges)
+        .map(|(old_of_new, edges)| {
+            (
+                stored(builder::from_edges(old_of_new.len(), edges)),
+                old_of_new,
+            )
+        })
+        .collect()
+}
+
+#[test]
+fn sharded_stage_matches_its_oracles_across_widths() {
+    // Both unions have more than `SEQ_CUTOFF` vertices and edges, so the
+    // union-find's link and compress passes and the split's counting,
+    // scatter and row-sort passes run on workers. The interleaved one
+    // makes the row sort reorder hub rows.
+    let union = sharded_union();
+    let interleaved = interleaved(&union);
+    for g in [union, interleaved] {
+        let label = components_seq(&g);
+        let expected = induced_components(&g, &label);
+        let last = expected.len() - 1;
+        for p in [0, 1, last / 2, last] {
+            let rep = expected[p].1[0];
+            let keep: Vec<bool> = label.iter().map(|&l| l == rep).collect();
+            let ex = induce(&g, &keep);
+            assert_eq!(ex.old_of_new, expected[p].1, "oracle's part {p}");
+            assert!(stored(ex.graph) == expected[p].0, "oracle's part {p}");
+        }
+        for w in WIDTHS {
+            let (l, split) = with_threads(w, || {
+                let l = components(&g);
+                let split = split_by_labels(g.clone(), &l);
+                (l, split)
+            });
+            assert!(l == label, "labels differ from the oracle's at width {w}");
+            assert_eq!(split.len(), expected.len(), "parts at width {w}");
+            for (p, (graph, old_of_new)) in expected.iter().enumerate() {
+                assert!(
+                    split.old_of_new(p) == old_of_new,
+                    "part {p} map at width {w}"
+                );
+                assert!(stored(split.graph(p)) == *graph, "part {p} at width {w}");
+            }
+        }
+    }
 }
 
 #[test]
